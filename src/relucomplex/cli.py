@@ -97,13 +97,27 @@ def _build_parser():
     return parser
 
 
-def _apply_config(parser, argv):
+def _raw_flag(argv, flag):
+    """Value following `flag` in argv, or None when the flag is absent."""
+    if flag not in argv:
+        return None
+    idx = argv.index(flag)
+    if idx + 1 == len(argv):
+        raise ValueError(f"{flag} needs a value")
+    return argv[idx + 1]
+
+
+def _apply_config(argv):
     """--config JSON mirrors every flag: file values become defaults."""
-    if argv and "--config" in argv:
-        idx = argv.index("--config")
-        path = argv[idx + 1]
+    path = _raw_flag(argv, "--config")
+    if path is not None:
         with open(path) as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"--config {path}: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise ValueError(f"--config {path}: expected a JSON object")
         flat = []
         for key, value in cfg.items():
             flag = "--" + key.replace("_", "-")
@@ -119,12 +133,20 @@ def _apply_config(parser, argv):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--threads" in argv:
-        n = argv[argv.index("--threads") + 1]
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = n
+    # --threads and --config act before argparse runs: the thread cap must be
+    # in the environment before numpy loads, and the config supplies defaults
+    try:
+        threads = _raw_flag(argv, "--threads")
+        if threads is not None:
+            if not (threads.isdecimal() and int(threads) >= 1):
+                raise ValueError(f"--threads takes a positive integer, got {threads!r}")
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                os.environ[var] = threads
+        argv = _apply_config(argv)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     parser = _build_parser()
-    argv = _apply_config(parser, argv)
     args = parser.parse_args(argv)
     if args.version:
         from . import __version__

@@ -291,6 +291,10 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
+#: rows formatted per batch in export_csv; bounds its text buffers
+CSV_BATCH_ROWS = 1 << 15
+
+
 def export_csv(sk, outdir):
     """vertices.csv and edges.csv for the alive part of the skeleton."""
     outdir = Path(outdir)
@@ -298,14 +302,30 @@ def export_csv(sk, outdir):
     coords = ",".join(f"x_{j}" for j in range(sk.dim))
     with open(outdir / "vertices.csv", "w") as fh:
         fh.write(f"id,{coords},sign\n")
-        for vid in sk.alive_vertex_ids():
-            xs = ",".join(_fmt(x) for x in sk.positions[vid])
-            fh.write(f"{vid},{xs},{signvec.sign_text(sk.vertex_signs[vid])}\n")
+        _write_csv_rows(
+            fh,
+            sk.alive_vertex_ids(),
+            lambda ids: [",".join(map(_fmt, x)) for x in sk.positions[ids].tolist()],
+            sk.vertex_signs,
+        )
     with open(outdir / "edges.csv", "w") as fh:
         fh.write("id,v_lo,v_hi,sign\n")
-        for eid in sk.alive_edge_ids():
-            lo, hi = sk.edges[eid]
-            fh.write(f"{eid},{lo},{hi},{signvec.sign_text(sk.edge_signs[eid])}\n")
+        _write_csv_rows(
+            fh,
+            sk.alive_edge_ids(),
+            lambda ids: [f"{lo},{hi}" for lo, hi in sk.edges[ids].tolist()],
+            sk.edge_signs,
+        )
+
+
+def _write_csv_rows(fh, ids, fields, signs):
+    """Lines `id,<fields(ids)>,<sign text>` for each id, in batches."""
+    for start in range(0, len(ids), CSV_BATCH_ROWS):
+        batch = ids[start : start + CSV_BATCH_ROWS]
+        fh.writelines(
+            f"{i},{f},{s}\n"
+            for i, f, s in zip(batch.tolist(), fields(batch), signvec.sign_texts(signs[batch]))
+        )
 
 
 def export_obj(mesh, path):

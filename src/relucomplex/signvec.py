@@ -134,6 +134,17 @@ def sign_text(row):
     return "".join(_SIGN_CHARS[int(v)] for v in np.asarray(row).ravel())
 
 
+_SIGN_BYTES = np.frombuffer(b"-0+", dtype=np.uint8)
+
+
+def sign_texts(rows):
+    """sign_text of every row of an int8 sign matrix, by one table lookup."""
+    rows = np.asarray(rows, dtype=np.int8)
+    w = rows.shape[1]
+    text = _SIGN_BYTES[rows + 1].tobytes().decode("ascii")
+    return [text[i : i + w] for i in range(0, len(text), w)]
+
+
 def parse_sign_text(text):
     """int8 row from textual form."""
     return SignVector.from_text(text).to_row()

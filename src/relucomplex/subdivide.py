@@ -333,6 +333,7 @@ def extract_complex(
     if domain.m != sk.m:
         raise ValueError("domain facet count does not match the skeleton")
     neurons = list(schedule)
+    sk.reserve_sign_width(sk.m + len(neurons))
     cache = LayerValueCache(model, sk.positions, value_mode)
     stats = []
     for i, neuron in enumerate(neurons):

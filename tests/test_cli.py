@@ -173,6 +173,31 @@ def test_config_mirror(tmp_path):
     assert (tmp_path / "d" / "vertices.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["threads_last", "threads_not_int", "config_missing", "config_malformed", "config_not_object"],
+)
+def test_raw_flag_input_errors(tmp_path, capsys, case):
+    # --threads and --config are read before argparse; bad input still exits 2
+    cfg = tmp_path / "cfg.json"
+    contents = {"config_malformed": "{broken", "config_not_object": "[1, 2]"}
+    if case in contents:
+        cfg.write_text(contents[case])
+    flags = {"threads_last": ["--threads"], "threads_not_int": ["--threads", "abc"]}.get(
+        case, ["--config", cfg]
+    )
+    assert run_cli("extract", "--random", "2,2,4,1", "--out", tmp_path / "o", *flags) == 2
+    expected = {
+        "threads_last": "error: --threads needs a value",
+        "threads_not_int": "error: --threads takes a positive integer, got 'abc'",
+        "config_missing": "error: [Errno 2] No such file or directory",
+        "config_malformed": f"error: --config {cfg}: Expecting property name",
+        "config_not_object": f"error: --config {cfg}: expected a JSON object",
+    }[case]
+    assert capsys.readouterr().err.startswith(expected)
+    assert not (tmp_path / "o").exists()
+
+
 def test_console_script(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "relucomplex", "--version"],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import centered_output_net
+from relucomplex import geometry
 from relucomplex.geometry import (
     EmptyBoundaryError,
     area_divergence_2d,
@@ -20,8 +21,9 @@ from relucomplex.model import (
     NeuronSchedule,
     diamond_model,
 )
+from relucomplex.signvec import sign_text
 from relucomplex.skeleton import init_hypercube
-from relucomplex.subdivide import extract_complex
+from relucomplex.subdivide import extract_complex, subdivide_once
 from relucomplex.validate import match_point_sets
 
 
@@ -199,3 +201,35 @@ def test_csv_export(tmp_path, diamond):
     assert elines[0] == "id,v_lo,v_hi,sign"
     assert len(vlines) == sk.n_vertices_alive + 1
     assert len(elines) == sk.n_edges_alive + 1
+
+
+def test_csv_matches_per_row_reference(tmp_path, monkeypatch):
+    # an uncompacted skeleton: split edges and some vertices are dead, so ids
+    # skip; spare sign columns make the sign views strided; small batches
+    net = centered_output_net(2, 2, 6, seed=4)
+    domain, sk = init_hypercube(2, -1.0, 1.0)
+    neurons = list(NeuronSchedule.for_model(net, include_output=True))
+    sk.reserve_sign_width(sk.m + len(neurons) + 3)
+    for nref in neurons:
+        subdivide_once(sk, net, nref)
+    sk.vertex_alive[::4] = False
+    assert not sk.edge_alive.all()
+    assert {-1, 0, 1} <= set(np.unique(sk.edge_signs).tolist())
+    monkeypatch.setattr(geometry, "CSV_BATCH_ROWS", 7)
+    export_csv(sk, tmp_path)
+
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    vlines = ["id,x_0,x_1,sign"] + [
+        f"{v},{fmt(sk.positions[v, 0])},{fmt(sk.positions[v, 1])},{sign_text(sk.vertex_signs[v])}"
+        for v in range(sk.n_vertices)
+        if sk.vertex_alive[v]
+    ]
+    elines = ["id,v_lo,v_hi,sign"] + [
+        f"{e},{sk.edges[e, 0]},{sk.edges[e, 1]},{sign_text(sk.edge_signs[e])}"
+        for e in range(sk.n_edges)
+        if sk.edge_alive[e]
+    ]
+    assert (tmp_path / "vertices.csv").read_bytes() == ("\n".join(vlines) + "\n").encode()
+    assert (tmp_path / "edges.csv").read_bytes() == ("\n".join(elines) + "\n").encode()

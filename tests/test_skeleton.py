@@ -116,3 +116,77 @@ def test_append_edges_ordering_enforced():
     _, sk = init_hypercube(2, 0.0, 1.0)
     with pytest.raises(SkeletonError):
         sk.append_edges(np.array([[3, 1]]), sk.edge_signs[:1])
+
+
+def test_append_sign_rows_shape_enforced():
+    # rows are written into a buffer, where a wrong shape could broadcast
+    _, sk = init_hypercube(2, 0.0, 1.0)
+    with pytest.raises(SkeletonError):
+        sk.append_vertices(np.zeros((2, 2)), np.zeros((2, 1), dtype=np.int8))
+    with pytest.raises(SkeletonError):
+        sk.append_edges(np.array([[0, 1]]), sk.edge_signs[0])
+    assert sk.n_vertices == 4 and sk.n_edges == 4
+
+
+LIVE_ARRAYS = ("positions", "vertex_signs", "vertex_alive", "edges", "edge_signs", "edge_alive")
+
+
+@pytest.mark.parametrize("reserve", [False, True])
+def test_in_place_growth_matches_concatenation(reserve):
+    # random column, vertex and edge appends, plus writes through the views,
+    # checked after every step against arrays grown by plain concatenation
+    rng = np.random.default_rng(7)
+    _, sk = init_hypercube(2, 0.0, 1.0)
+    ref = {name: getattr(sk, name).copy() for name in LIVE_ARRAYS}
+    if reserve:
+        sk.reserve_sign_width(sk.sign_width + 40)
+    moves = {name: 0 for name in ("positions", "edges", "vertex_signs")}
+    for step in range(120):
+        before = {name: getattr(sk, name) for name in moves}
+        kind = step % 3
+        if kind == 0:
+            vcol = rng.integers(-1, 2, sk.n_vertices).astype(np.int8)
+            ecol = rng.integers(-1, 2, sk.n_edges).astype(np.int8)
+            sk.append_sign_column(vcol, ecol)
+            ref["vertex_signs"] = np.concatenate([ref["vertex_signs"], vcol[:, None]], axis=1)
+            ref["edge_signs"] = np.concatenate([ref["edge_signs"], ecol[:, None]], axis=1)
+        elif kind == 1:
+            k = int(rng.integers(1, 6))
+            pos = rng.random((k, 2))
+            signs = rng.integers(-1, 2, (k, sk.sign_width)).astype(np.int8)
+            ids = sk.append_vertices(pos, signs)
+            assert ids.tolist() == list(range(len(ref["positions"]), len(ref["positions"]) + k))
+            ref["positions"] = np.concatenate([ref["positions"], pos])
+            ref["vertex_signs"] = np.concatenate([ref["vertex_signs"], signs])
+            ref["vertex_alive"] = np.concatenate([ref["vertex_alive"], np.ones(k, bool)])
+        else:
+            k = int(rng.integers(1, 9))
+            lo = rng.integers(0, sk.n_vertices - 1, k)
+            hi = lo + 1 + rng.integers(0, sk.n_vertices - 1 - lo)
+            pairs = np.column_stack([lo, hi])
+            signs = rng.integers(-1, 2, (k, sk.sign_width)).astype(np.int8)
+            sk.append_edges(pairs, signs)
+            ref["edges"] = np.concatenate([ref["edges"], pairs])
+            ref["edge_signs"] = np.concatenate([ref["edge_signs"], signs])
+            ref["edge_alive"] = np.concatenate([ref["edge_alive"], np.ones(k, bool)])
+        # writes through the views must survive later regrowths
+        e = int(rng.integers(sk.n_edges))
+        sk.edge_alive[e] = False
+        ref["edge_alive"][e] = False
+        v = int(rng.integers(sk.n_vertices))
+        sk.vertex_signs[v, -1] = 0
+        ref["vertex_signs"][v, -1] = 0
+        for name, view in before.items():
+            moves[name] += not np.shares_memory(view, getattr(sk, name))
+        for name in LIVE_ARRAYS:
+            assert np.array_equal(getattr(sk, name), ref[name]), (step, name)
+            assert getattr(sk, name).dtype == ref[name].dtype
+        assert sk.sign_width == ref["vertex_signs"].shape[1] == sk.m + sk.t
+        assert sk.nbytes() == sum(ref[name].nbytes for name in LIVE_ARRAYS)
+    assert moves["positions"] >= 3 and moves["edges"] >= 3
+    # 40 reserved columns cover all 40 column appends: the signs never move
+    # for a column; without the reservation they move every few columns
+    if reserve:
+        assert moves["vertex_signs"] == moves["positions"]
+    else:
+        assert moves["vertex_signs"] > moves["positions"]
