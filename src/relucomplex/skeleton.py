@@ -215,8 +215,9 @@ class Skeleton:
 
 
 #: factor by which a full buffer outgrows the size it must hold. Of 1.25,
-#: 1.5 and 2, 1.25 gave the lowest peak memory on a (3, 4, 32) level-set
-#: extraction; spare rows are left uninitialised, so pages never written
+#: 1.5 and 2, 1.25 gave the lowest peak memory on a pruned (3, 4, 32)
+#: level-set run and 2 the lowest (by 7%) on an unpruned (3, 4, 32)
+#: extraction. Spare rows are left uninitialised, so pages never written
 #: cost no resident memory.
 GROWTH = 1.25
 
