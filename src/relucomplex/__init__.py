@@ -27,16 +27,6 @@ from .model import (
     random_model,
     save_model,
 )
-from .signvec import (
-    Sign,
-    SignVector,
-    append_sign,
-    cell_key,
-    edge_sign_from_vertices,
-    perturb_parents,
-    sign_of_value,
-    zero_positions,
-)
 from .skeleton import (
     Domain,
     Halfspace,
@@ -50,9 +40,7 @@ from .skeleton import (
 from .subdivide import (
     IterationStats,
     PairingError,
-    SplitRecord,
     extract_complex,
-    interpolate_crossing,
     pair_splitting_faces,
     prune_future,
     subdivide_once,

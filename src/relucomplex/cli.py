@@ -52,9 +52,6 @@ def _build_parser():
                        help="output neuron whose level set is used")
         g.add_argument("--level-set-prune", action="store_true",
                        help="prune non-boundary cells after each layer")
-        g.add_argument("--value-mode", choices=["recompute", "interpolate"],
-                       default="recompute",
-                       help="how new vertices get their hidden activations")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--stats", action="store_true", help="write per-iteration stats.jsonl")
         p.add_argument("--threads", type=int, help="cap BLAS worker threads")
@@ -98,13 +95,15 @@ def _build_parser():
 
 
 def _raw_flag(argv, flag):
-    """Value following `flag` in argv, or None when the flag is absent."""
-    if flag not in argv:
-        return None
-    idx = argv.index(flag)
-    if idx + 1 == len(argv):
-        raise ValueError(f"{flag} needs a value")
-    return argv[idx + 1]
+    """Value of `flag` in argv, as `flag VALUE` or `flag=VALUE`; None when absent."""
+    for i, token in enumerate(argv):
+        if token == flag:
+            if i + 1 == len(argv):
+                raise ValueError(f"{flag} needs a value")
+            return argv[i + 1]
+        if token.startswith(flag + "="):
+            return token[len(flag) + 1 :]
+    return None
 
 
 def _apply_config(argv):
@@ -227,7 +226,6 @@ def _run_extraction(args):
         sk,
         schedule,
         level_set_prune=getattr(args, "level_set_prune", False),
-        value_mode=getattr(args, "value_mode", "recompute"),
     )
     seconds = time.perf_counter() - t0
     return net, domain, schedule, sk, stats, seconds
@@ -383,7 +381,9 @@ def cmd_prune_model(args):
 
 
 def cmd_validate(args):
-    from . import poset, validate as validate_mod
+    import numpy as np
+
+    from . import poset, signvec, validate as validate_mod
 
     net, domain, schedule, sk, stats, seconds = _run_extraction(args)
     res = validate_mod.residuals(sk, net, domain, schedule)
@@ -393,8 +393,8 @@ def cmd_validate(args):
         net, domain, args.samples, args.seed, schedule
     )
     regions = poset.region_signatures(sk, sk.m)
-    region_keys = {k.tobytes() for k in ((regions + 1).astype("uint8"))}
-    sampled_keys = {k.tobytes() for k in ((sampled + 1).astype("uint8"))}
+    # both are deduplicated: sampled is a subset iff the union adds nothing
+    union, _, _ = signvec.group_rows(np.concatenate([regions, sampled]))
     doc = {
         "residuals": res.to_json(),
         "midpoints": mid.to_json(),
@@ -402,8 +402,8 @@ def cmd_validate(args):
         "euler": poset.euler_characteristic(counts),
         "regions": len(regions),
         "sampled_regions": len(sampled),
-        "sampled_subset_of_regions": sampled_keys <= region_keys,
-        "coverage": len(sampled_keys) / len(region_keys) if region_keys else None,
+        "sampled_subset_of_regions": len(union) == len(regions),
+        "coverage": len(sampled) / len(regions) if len(regions) else None,
     }
     out = _outdir(args)
     with open(out / "validation.json", "w") as fh:

@@ -135,17 +135,11 @@ def assemble_faces(mesh, sk, m, model, schedule=None, planar_tol=1e-9):
         mesh.faces = []
         return mesh
 
-    edge_rows = mesh.edge_signs
-    zero_r, zero_c = np.nonzero(edge_rows == 0)
-    keep = zero_c != mesh.out_entry
-    zero_r, zero_c = zero_r[keep], zero_c[keep]
-    plus = edge_rows[zero_r].copy()
-    plus[np.arange(len(zero_r)), zero_c] = 1
-    interior = zero_c >= m
-    minus = edge_rows[zero_r[interior]].copy()
-    minus[np.arange(len(minus)), zero_c[interior]] = -1
-    cand = np.concatenate([plus, minus], axis=0)
-    src = np.concatenate([zero_r, zero_r[interior]])
+    # perturb every zero but the output entry's: hide it as '+', then restore
+    edge_rows = mesh.edge_signs.copy()
+    edge_rows[:, mesh.out_entry] = 1
+    cand, src = signvec.perturb_rows(edge_rows, m)
+    cand[:, mesh.out_entry] = 0
 
     uniq, inverse, counts = signvec.group_rows(cand)
     order = np.argsort(inverse, kind="stable")

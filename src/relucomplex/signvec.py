@@ -1,4 +1,4 @@
-"""Sign-vector algebra.
+"""Sign-vector algebra on int8 rows.
 
 A cell of the complex is encoded by one sign per domain facet and per
 processed neuron: ``-`` (negative side), ``0`` (contained in the
@@ -6,14 +6,12 @@ hyperplane), ``+`` (positive side). The first ``m`` entries always refer to
 the domain facets. A k-cell of a generic bounded arrangement in dimension D
 carries exactly ``D - k`` zeros.
 
-Two representations are used: an immutable :class:`SignVector` for
-cell-at-a-time work, and plain int8 arrays with values in {-1, 0, +1}
-(one row per cell) for the bulk paths. ``*_rows`` functions operate on the
-array form.
+Sign-vectors are int8 arrays with values in {-1, 0, +1}, one row per cell,
+and every operation here works on a whole batch of rows at once:
+evaluation (`signs_of_values`), perturbation to parent cells
+(`perturb_rows`), merging vertex rows into edge rows (`merge_edge_rows`),
+deduplication in canonical order (`group_rows`) and text (`sign_texts`).
 """
-
-import struct
-from enum import IntEnum
 
 import numpy as np
 
@@ -21,50 +19,20 @@ import numpy as np
 EPS_DEGENERATE = 1e-12
 
 
-class Sign(IntEnum):
-    MINUS = -1
-    ZERO = 0
-    PLUS = 1
-
-    def __str__(self):
-        return _SIGN_CHARS[self.value]
-
-
-_SIGN_CHARS = {-1: "-", 0: "0", 1: "+"}
-_CHAR_SIGNS = {"-": -1, "0": 0, "+": 1}
-
-
 class SignConflictError(ValueError):
     """Two sign-vectors carry opposite non-zero signs at the same index."""
 
 
-class DegeneracyCounter:
-    """Mutable tally of near-zero values seen while assigning signs."""
-
-    def __init__(self):
-        self.count = 0
-
-    def __repr__(self):
-        return f"DegeneracyCounter(count={self.count})"
-
-
-def sign_of_value(v, counter=None):
-    """Sign of a freshly evaluated (pre-)activation.
-
-    Strictly positive values map to PLUS; everything else, including an
-    exact zero, maps to MINUS. Zeros are never produced here: they are
-    assigned structurally when a new vertex is placed on a hyperplane.
-    Values with ``|v| < EPS_DEGENERATE`` bump `counter` when given.
-    """
-    if not np.isfinite(v):
-        raise ValueError(f"non-finite value {v!r}")
-    if counter is not None and abs(v) < EPS_DEGENERATE:
-        counter.count += 1
-    return Sign.PLUS if v > 0.0 else Sign.MINUS
-
-
 def signs_of_values(values):
-    """Vectorized sign_of_value. Returns (int8 array, degenerate count)."""
+    """Signs of freshly evaluated (pre-)activations.
+
+    Strictly positive values map to ``+``; everything else, including an
+    exact zero, maps to ``-``. Zeros are never produced here: they are
+    assigned structurally when a new vertex is placed on a hyperplane.
+    Returns ``(int8 array, degenerate count)``, where the count is the
+    number of values with ``|v| < EPS_DEGENERATE``. Raises ValueError on a
+    non-finite value.
+    """
     values = np.asarray(values, dtype=np.float64)
     if values.size and not np.all(np.isfinite(values)):
         raise ValueError("non-finite value in sign evaluation")
@@ -73,60 +41,7 @@ def signs_of_values(values):
     return signs, n_deg
 
 
-class SignVector:
-    """Immutable sequence of signs; hashable, totally ordered via its key."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values):
-        vals = tuple(int(v) for v in values)
-        for v in vals:
-            if v not in (-1, 0, 1):
-                raise ValueError(f"invalid sign value {v}")
-        object.__setattr__(self, "_values", vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignVector is immutable")
-
-    @classmethod
-    def from_text(cls, text):
-        try:
-            return cls(_CHAR_SIGNS[c] for c in text)
-        except KeyError as exc:
-            raise ValueError(f"invalid sign character {exc.args[0]!r}") from None
-
-    @classmethod
-    def from_row(cls, row):
-        return cls(np.asarray(row, dtype=np.int8).tolist())
-
-    @property
-    def text(self):
-        return "".join(_SIGN_CHARS[v] for v in self._values)
-
-    def to_row(self):
-        return np.array(self._values, dtype=np.int8)
-
-    def __len__(self):
-        return len(self._values)
-
-    def __getitem__(self, i):
-        v = self._values[i]
-        return Sign(v) if not isinstance(i, slice) else SignVector(v)
-
-    def __iter__(self):
-        return (Sign(v) for v in self._values)
-
-    def __eq__(self, other):
-        return isinstance(other, SignVector) and self._values == other._values
-
-    def __hash__(self):
-        return hash(self._values)
-
-    def __lt__(self, other):
-        return cell_key(self) < cell_key(other)
-
-    def __repr__(self):
-        return f"SignVector({self.text!r})"
+_SIGN_CHARS = {-1: "-", 0: "0", 1: "+"}
 
 
 def sign_text(row):
@@ -145,75 +60,35 @@ def sign_texts(rows):
     return [text[i : i + w] for i in range(0, len(text), w)]
 
 
-def parse_sign_text(text):
-    """int8 row from textual form."""
-    return SignVector.from_text(text).to_row()
-
-
-def append_sign(sv, s):
-    """New SignVector with sign `s` appended."""
-    return SignVector(sv._values + (int(s),))
-
-
-def zero_positions(sv):
-    """Ascending indices of the ZERO entries."""
-    return [i for i, v in enumerate(sv._values) if v == 0]
-
-
-def edge_sign_from_vertices(sv_a, sv_b):
-    """Entrywise merge of two vertex sign-vectors into their edge's.
-
-    ZERO where both are zero, otherwise the unique non-zero sign present.
-    Raises SignConflictError if the vertices sit on opposite sides of any
-    hyperplane (they then share no edge).
-    """
-    if len(sv_a) != len(sv_b):
-        raise ValueError("sign-vector lengths differ")
-    out = []
-    for i, (a, b) in enumerate(zip(sv_a._values, sv_b._values)):
-        if a * b == -1:
-            raise SignConflictError(f"conflicting signs at index {i}")
-        out.append(a if a != 0 else b)
-    return SignVector(out)
-
-
 def merge_edge_rows(rows_a, rows_b):
-    """Vectorized edge_sign_from_vertices over aligned row batches."""
+    """Entrywise merge of aligned vertex rows into their edges' rows.
+
+    Each entry is ``0`` where both rows are zero, otherwise the unique
+    non-zero sign present. Raises SignConflictError, naming the first row
+    and index, if two vertices sit on opposite sides of a hyperplane (they
+    then share no edge).
+    """
     rows_a = np.asarray(rows_a, dtype=np.int8)
     rows_b = np.asarray(rows_b, dtype=np.int8)
-    conflict = rows_a.astype(np.int16) * rows_b.astype(np.int16) == -1
-    if np.any(conflict):
-        r, c = np.argwhere(conflict)[0]
+    # products and sums of values in {-1, 0, 1} fit in int8; one buffer
+    # serves both, so the peak is a single extra matrix
+    out = np.multiply(rows_a, rows_b)
+    if out.size and out.min() < 0:
+        r, c = np.argwhere(out < 0)[0]
         raise SignConflictError(f"conflicting signs at row {r}, index {c}")
-    return np.where(rows_a != 0, rows_a, rows_b)
-
-
-def perturb_parents(sv, m):
-    """All parent cells of `sv`, one dimension up.
-
-    Each zero is flipped one at a time: a zero among the first `m` entries
-    (a domain facet) flips only toward the interior ``+``; any other zero
-    yields both ``+`` and ``-`` copies. A k-cell with Z zeros of which z are
-    facet zeros therefore has ``z + 2(Z - z)`` parents.
-    """
-    zs = zero_positions(sv)
-    if not zs:
-        raise ValueError("sign-vector has no zeros (cell is full-dimensional)")
-    parents = []
-    vals = sv._values
-    for j in zs:
-        plus = list(vals)
-        plus[j] = 1
-        parents.append(SignVector(plus))
-        if j >= m:
-            minus = list(vals)
-            minus[j] = -1
-            parents.append(SignVector(minus))
-    return parents
+    # without conflicts, a + b is 0 only where both are, else has their sign
+    np.add(rows_a, rows_b, out=out)
+    return np.sign(out, out=out)
 
 
 def perturb_rows(rows, m):
-    """Vectorized perturbation of a batch of sign rows.
+    """All parent cells of a batch of sign rows, one dimension up.
+
+    Each zero is flipped one at a time: a zero among the first `m` entries
+    (a domain facet) flips only toward the interior ``+``; any other zero
+    yields both ``+`` and ``-`` copies. A row with Z zeros of which z are
+    facet zeros therefore has ``z + 2(Z - z)`` parents, each with ``Z - 1``
+    zeros; a row without zeros has none.
 
     Returns ``(candidates, source)`` where each candidate row is one parent
     sign-vector and ``source[i]`` is the input row it came from. Candidate
@@ -221,7 +96,6 @@ def perturb_rows(rows, m):
     flips; grouping downstream is order-insensitive.
     """
     rows = np.asarray(rows, dtype=np.int8)
-    n, w = rows.shape
     src_r, cols = np.nonzero(rows == 0)
     plus = rows[src_r].copy()
     plus[np.arange(len(src_r)), cols] = 1
@@ -252,26 +126,15 @@ def pack_rows(rows):
     return (codes << shifts).sum(axis=2, dtype=np.uint16).astype(np.uint8)
 
 
-def cell_key(sv):
-    """Canonical byte key: big-endian length prefix + packed 2-bit entries.
-
-    Injective on sign-vectors of length < 2**16; ordering is by length,
-    then lexicographic in sign order MINUS < ZERO < PLUS.
-    """
-    if isinstance(sv, SignVector):
-        row = sv.to_row()
-    else:
-        row = np.asarray(sv, dtype=np.int8)
-    n = len(row)
-    if n >= 1 << 16:
-        raise ValueError("sign-vector too long for CellKey")
-    return struct.pack(">H", n) + pack_rows(row.reshape(1, -1))[0].tobytes()
-
-
 def row_keys(rows):
-    """Per-row canonical byte keys for an int8 sign matrix."""
+    """Per-row canonical byte keys for an int8 sign matrix.
+
+    Each key is a big-endian 2-byte length prefix followed by the packed
+    2-bit entries, so keys are injective on rows shorter than ``2**16`` and
+    keys of equal-length rows order lexicographically as ``- < 0 < +``.
+    """
     rows = np.asarray(rows, dtype=np.int8)
-    prefix = struct.pack(">H", rows.shape[1])
+    prefix = rows.shape[1].to_bytes(2, "big")
     packed = pack_rows(rows)
     return [prefix + packed[i].tobytes() for i in range(rows.shape[0])]
 
@@ -279,8 +142,9 @@ def row_keys(rows):
 def group_rows(rows):
     """Deduplicate rows in canonical key order.
 
-    Returns ``(unique_rows, inverse, counts)`` with ``unique_rows`` sorted by
-    cell key and ``inverse`` mapping each input row to its group.
+    Returns ``(unique_rows, inverse, counts)`` with ``unique_rows`` sorted
+    lexicographically in ``- < 0 < +`` order (the order of their
+    `row_keys`) and ``inverse`` mapping each input row to its group.
     """
     rows = np.ascontiguousarray(rows, dtype=np.int8)
     n, w = rows.shape

@@ -29,18 +29,6 @@ class PairingError(RuntimeError):
 
 
 @dataclass
-class SplitRecord:
-    """One splitting edge: endpoints labelled by sign, plus the new vertex."""
-
-    edge_id: int
-    v_pos: int
-    v_neg: int
-    val_pos: float
-    val_neg: float
-    v_new: int
-
-
-@dataclass
 class IterationStats:
     """Per-neuron counters; alive counts before/after the iteration."""
 
@@ -68,37 +56,18 @@ class PruneStats:
     vertices_alive: int
 
 
-def interpolate_crossing(x_pos, v_pos, x_neg, v_neg):
-    """Zero crossing of the affine value along the segment x_pos -> x_neg.
-
-    Returns (x0, t) with t = v_pos / (v_pos - v_neg) in (0, 1) and
-    x0 = x_pos + t * (x_neg - x_pos).
-    """
-    if not (v_pos > 0.0 > v_neg):
-        raise ValueError(f"need v_pos > 0 > v_neg, got {v_pos}, {v_neg}")
-    t = v_pos / (v_pos - v_neg)
-    x_pos = np.asarray(x_pos, dtype=np.float64)
-    x_neg = np.asarray(x_neg, dtype=np.float64)
-    return x_pos + t * (x_neg - x_pos), t
-
-
 class LayerValueCache:
     """Per-vertex post-activations x^(l-1) for the layer being processed.
 
     Vertex positions never change, so the input a layer sees at a vertex is
     fixed once all earlier layers are processed; caching it turns each
     neuron's step (1) into a single matrix-vector product. Rows track
-    skeleton vertex ids. New vertices are appended either by a fresh forward
-    pass at their position (default, exact) or by interpolating the cached
-    endpoint values, which is exact in real arithmetic because every
-    processed activation is affine along the splitting edge.
+    skeleton vertex ids; new vertices are appended by a fresh forward pass
+    at their positions.
     """
 
-    def __init__(self, model, positions, mode="recompute"):
-        if mode not in ("recompute", "interpolate"):
-            raise ValueError(f"unknown value mode {mode!r}")
+    def __init__(self, model, positions):
         self.model = model
-        self.mode = mode
         self.layer = 1
         self.acts = np.array(positions, dtype=np.float64)
 
@@ -121,18 +90,17 @@ class LayerValueCache:
         w = spec.weights[neuron.index : neuron.index + 1]
         return model_mod._affine(self.acts[rows], w, spec.bias[neuron.index])[:, 0]
 
-    def extend(self, positions, rows_pos, rows_neg, ts):
-        if self.mode == "interpolate":
-            a = self.acts[rows_pos]
-            b = self.acts[rows_neg]
-            new = a + ts[:, None] * (b - a)
-        else:
-            new = model_mod.layer_inputs(self.model, positions, self.layer)
+    def extend(self, positions):
+        new = model_mod.layer_inputs(self.model, positions, self.layer)
         self.acts = np.concatenate([self.acts, new], axis=0)
 
 
 def subdivide_once(sk, model, neuron, cache=None):
-    """Process one neuron; mutates `sk` in place and returns IterationStats."""
+    """Process one neuron; mutates `sk` in place and returns IterationStats.
+
+    `cache` is the LayerValueCache of a running extraction; without one, a
+    fresh cache is built for this call.
+    """
     t0 = time.perf_counter()
     neuron.validate(model)
     m = sk.m
@@ -141,13 +109,12 @@ def subdivide_once(sk, model, neuron, cache=None):
 
     # (1) pre-activations at alive vertices
     av = sk.alive_vertex_ids()
-    if cache is not None:
-        if cache.n_rows != sk.n_vertices:
-            raise ValueError("value cache is out of sync with the skeleton")
-        cache.advance_to(neuron.layer)
-        vals_alive = cache.preactivation(neuron, av)
-    else:
-        vals_alive = model_mod.batch_preactivation(model, sk.positions[av], neuron)
+    if cache is None:
+        cache = LayerValueCache(model, sk.positions)
+    elif cache.n_rows != sk.n_vertices:
+        raise ValueError("value cache is out of sync with the skeleton")
+    cache.advance_to(neuron.layer)
+    vals_alive = cache.preactivation(neuron, av)
 
     # (2) extend vertex sign-vectors; exact zeros break toward minus
     signs_alive, n_deg = signvec.signs_of_values(vals_alive)
@@ -185,8 +152,7 @@ def subdivide_once(sk, model, neuron, cache=None):
         pre_rows = sk.edge_signs[split_eids, :-1]
         zeros = np.zeros((n_split, 1), dtype=np.int8)
         new_vids = sk.append_vertices(x0, np.concatenate([pre_rows, zeros], axis=1))
-        if cache is not None:
-            cache.extend(x0, v_pos, v_neg, ts)
+        cache.extend(x0)
 
         sk.edge_alive[split_eids] = False
         plus = np.concatenate([pre_rows, np.ones((n_split, 1), dtype=np.int8)], axis=1)
@@ -195,22 +161,9 @@ def subdivide_once(sk, model, neuron, cache=None):
         sk.append_edges(np.column_stack([v_neg, new_vids]), minus)
 
         # (5) intersecting edges across splitting 2-faces
-        records = [
-            SplitRecord(
-                int(split_eids[i]),
-                int(v_pos[i]),
-                int(v_neg[i]),
-                float(val_pos[i]),
-                float(val_neg[i]),
-                int(new_vids[i]),
-            )
-            for i in range(n_split)
-        ]
-        new_edges = pair_splitting_faces(records, sk, m)
-        n_inter = len(new_edges)
+        pairs, esigns = pair_splitting_faces(pre_rows, new_vids, m)
+        n_inter = len(pairs)
         if n_inter:
-            pairs = np.array([(a, b) for a, b, _ in new_edges], dtype=np.int64)
-            esigns = np.array([s for _, _, s in new_edges], dtype=np.int8)
             sk.append_edges(pairs, esigns)
 
     seconds = time.perf_counter() - t0
@@ -235,26 +188,18 @@ def subdivide_once(sk, model, neuron, cache=None):
     return stats
 
 
-def pair_splitting_faces(splits, sk, m):
+def pair_splitting_faces(pre_rows, new_vids, m):
     """Pair splitting edges across their shared 2-faces.
 
-    For each splitting edge, its parenting 2-faces are generated by
-    perturbing the pre-append edge sign-vector; every generated face key
-    must occur exactly twice, and each pair yields one intersecting edge
-    connecting the two new vertices, with the face's sign-vector plus an
-    appended zero. Returns a list of (lo, hi, sign_row) tuples in ascending
-    face-key order.
+    `pre_rows` are the splitting edges' sign-vectors before the current
+    neuron's entry was appended, and `new_vids` the ids of the vertices
+    placed on them. Each edge's parenting 2-faces are generated by
+    perturbing its row; every generated face must occur exactly twice, and
+    each pair yields one intersecting edge connecting the two new vertices,
+    with the face's sign-vector plus an appended zero. Returns
+    ``(pairs, sign_rows)`` in ascending face order: ``pairs`` holds
+    ``(lo, hi)`` vertex ids. Raises PairingError on any other multiplicity.
     """
-    if not splits:
-        return []
-    eids = np.array([s.edge_id for s in splits], dtype=np.int64)
-    new_vids = np.array([s.v_new for s in splits], dtype=np.int64)
-    pre_rows = sk.edge_signs[eids][:, :-1]
-    pairs, face_signs = _pair_rows(pre_rows, new_vids, m)
-    return [(int(a), int(b), face_signs[i]) for i, (a, b) in enumerate(pairs)]
-
-
-def _pair_rows(pre_rows, new_vids, m):
     w = pre_rows.shape[1]
     cand, src = signvec.perturb_rows(pre_rows, m)
     if len(cand) == 0:
@@ -319,7 +264,6 @@ def extract_complex(
     schedule,
     *,
     level_set_prune=False,
-    value_mode="recompute",
     validate_each=False,
 ):
     """Run the full schedule on a fresh skeleton.
@@ -334,7 +278,7 @@ def extract_complex(
         raise ValueError("domain facet count does not match the skeleton")
     neurons = list(schedule)
     sk.reserve_sign_width(sk.m + len(neurons))
-    cache = LayerValueCache(model, sk.positions, value_mode)
+    cache = LayerValueCache(model, sk.positions)
     stats = []
     for i, neuron in enumerate(neurons):
         stats.append(subdivide_once(sk, model, neuron, cache=cache))

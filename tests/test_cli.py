@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -196,6 +197,28 @@ def test_raw_flag_input_errors(tmp_path, capsys, case):
     }[case]
     assert capsys.readouterr().err.startswith(expected)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("case", ["config", "threads"])
+def test_raw_flag_equals_form(tmp_path, monkeypatch, case):
+    # argparse accepts --flag=value, so the raw reads must accept it too
+    if case == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"random": "2,2,4,1", "out": str(tmp_path / "c")}))
+        assert run_cli("extract", f"--config={cfg}") == 0
+        assert (tmp_path / "c" / "vertices.csv").exists()
+    else:
+        blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        for var in blas_vars:
+            monkeypatch.setenv(var, "2")
+        assert run_cli("extract", "--random", "2,2,4,1", "--out", tmp_path / "t", "--threads=1") == 0
+        assert [os.environ[var] for var in blas_vars] == ["1", "1", "1"]
+
+
+def test_removed_flag_exits_2(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("extract", "--random", "2,2,4,1", "--out", tmp_path, "--value-mode", "recompute")
+    assert exc.value.code == 2
 
 
 def test_console_script(tmp_path):

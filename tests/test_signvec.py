@@ -3,164 +3,131 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relucomplex.signvec import (
-    DegeneracyCounter,
-    Sign,
+    EPS_DEGENERATE,
     SignConflictError,
-    SignVector,
-    append_sign,
-    cell_key,
-    edge_sign_from_vertices,
     group_rows,
-    parse_sign_text,
-    perturb_parents,
+    merge_edge_rows,
+    pack_rows,
     perturb_rows,
-    sign_of_value,
+    row_keys,
     sign_text,
+    sign_texts,
     signs_of_values,
-    zero_positions,
 )
 
 sign_values = st.sampled_from([-1, 0, 1])
-sign_vectors = st.lists(sign_values, min_size=1, max_size=24).map(SignVector)
+
+
+def sign_matrices(width=6, min_rows=1, max_rows=8):
+    return st.lists(
+        st.lists(sign_values, min_size=width, max_size=width),
+        min_size=min_rows,
+        max_size=max_rows,
+    ).map(lambda rows: np.array(rows, dtype=np.int8))
+
+
+def parents_reference(row, m):
+    """Per-row perturbation: flip each zero to '+', and to '-' past the facets."""
+    out = []
+    for j in np.flatnonzero(row == 0):
+        for s in (1, -1) if j >= m else (1,):
+            p = row.copy()
+            p[j] = s
+            out.append(sign_text(p))
+    return out
 
 
 def test_sign_order():
-    assert Sign.MINUS < Sign.ZERO < Sign.PLUS
-    assert str(Sign.PLUS) == "+" and str(Sign.MINUS) == "-" and str(Sign.ZERO) == "0"
+    # '-' < '0' < '+' in text, in byte keys and in group_rows order
+    rows = np.array([[1], [0], [-1]], dtype=np.int8)
+    assert sign_texts(rows) == ["+", "0", "-"]
+    keys = row_keys(rows)
+    assert keys[2] < keys[1] < keys[0]
+    assert group_rows(rows)[0].ravel().tolist() == [-1, 0, 1]
 
 
 def test_sign_of_value():
-    assert sign_of_value(0.5) is Sign.PLUS
-    assert sign_of_value(-0.5) is Sign.MINUS
-    counter = DegeneracyCounter()
-    assert sign_of_value(0.0, counter) is Sign.MINUS
-    assert counter.count == 1
-    sign_of_value(5e-13, counter)
-    assert counter.count == 2
-    sign_of_value(1.0, counter)
-    assert counter.count == 2
+    vals = np.array([0.3, -0.2, 0.0, 1e-13, -4.0, -1e-13])
+    rows, ndeg = signs_of_values(vals)
+    # exact zeros break toward minus; |v| < EPS_DEGENERATE is counted
+    assert rows.dtype == np.int8
+    assert rows.tolist() == [1, -1, -1, 1, -1, -1]
+    assert ndeg == 3
+    rows, ndeg = signs_of_values([])
+    assert rows.shape == (0,) and ndeg == 0
 
 
 def test_sign_of_value_nonfinite():
-    with pytest.raises(ValueError):
-        sign_of_value(float("nan"))
-    with pytest.raises(ValueError):
-        signs_of_values([1.0, float("inf")])
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            signs_of_values([1.0, bad])
 
 
-def test_signs_of_values_matches_scalar():
-    vals = np.array([0.3, -0.2, 0.0, 1e-13, -4.0])
+@given(st.lists(st.floats(-1e3, 1e3), max_size=20))
+def test_signs_of_values_matches_scalar(vals):
     rows, ndeg = signs_of_values(vals)
-    assert rows.tolist() == [int(sign_of_value(v)) for v in vals]
-    assert ndeg == 2
+    assert rows.tolist() == [1 if v > 0.0 else -1 for v in vals]
+    assert ndeg == sum(abs(v) < EPS_DEGENERATE for v in vals)
 
 
-def test_append_sign():
-    sv = SignVector.from_text("+-0")
-    assert append_sign(sv, Sign.PLUS).text == "+-0+"
-    assert append_sign(SignVector([]), Sign.ZERO).text == "0"
-    appended = append_sign(sv, Sign.MINUS)
-    assert appended[-1] is Sign.MINUS and appended[:3] == sv
+@given(sign_matrices())
+def test_text_round_trip(rows):
+    texts = sign_texts(rows)
+    assert texts == [sign_text(r) for r in rows]
+    parsed = np.array([["-0+".index(c) - 1 for c in t] for t in texts], dtype=np.int8)
+    assert np.array_equal(parsed, rows)
 
 
-def test_zero_positions():
-    assert zero_positions(SignVector.from_text("+0-0")) == [1, 3]
-    assert zero_positions(SignVector.from_text("++")) == []
+def test_perturb_rows_interior_vertex():
+    cand, src = perturb_rows(np.array([[1, 1, 1, 1, 0, 0]], dtype=np.int8), 4)
+    # all '+' flips first, then all '-' flips
+    assert sign_texts(cand) == ["+++++0", "++++0+", "++++-0", "++++0-"]
+    assert src.tolist() == [0, 0, 0, 0]
 
 
-def test_text_round_trip():
-    row = parse_sign_text("+-0+")
-    assert sign_text(row) == "+-0+"
-    with pytest.raises(ValueError):
-        SignVector.from_text("+x")
-
-
-def test_perturb_parents_interior_vertex():
-    sv = SignVector.from_text("++++00")
-    parents = perturb_parents(sv, 4)
-    assert [p.text for p in parents] == ["+++++0", "++++-0", "++++0+", "++++0-"]
-
-
-def test_perturb_parents_boundary():
+def test_perturb_rows_boundary():
     # z = 1 facet zero, Z = 2 total: 1 + 2*(2-1) = 3 parents
-    sv = SignVector.from_text("0+++0-")
-    parents = perturb_parents(sv, 4)
-    assert len(parents) == 3
-    assert [p.text for p in parents] == ["++++0-", "0++++-", "0+++--"]
+    cand, _ = perturb_rows(np.array([[0, 1, 1, 1, 0, -1]], dtype=np.int8), 4)
+    assert sign_texts(cand) == ["++++0-", "0++++-", "0+++--"]
 
 
-def test_perturb_parents_interior_edge_3d():
+def test_perturb_rows_interior_edge_3d():
     # D=3 interior edge: two zeros past m, k=1 -> 2(D-k) = 4 parents
-    sv = SignVector.from_text("++++++00")
-    assert len(perturb_parents(sv, 6)) == 4
+    cand, _ = perturb_rows(np.array([[1, 1, 1, 1, 1, 1, 0, 0]], dtype=np.int8), 6)
+    assert len(cand) == 4
 
 
-def test_perturb_parents_no_zeros():
-    with pytest.raises(ValueError):
-        perturb_parents(SignVector.from_text("++-"), 1)
+def test_perturb_rows_no_zeros():
+    # a full-dimensional cell has no parents
+    cand, src = perturb_rows(np.array([[1, 1, -1]], dtype=np.int8), 1)
+    assert cand.shape == (0, 3) and len(src) == 0
 
 
-@given(st.lists(sign_values, min_size=1, max_size=20), st.integers(0, 20))
-def test_perturb_parents_count_property(vals, m):
-    sv = SignVector(vals)
-    zs = zero_positions(sv)
-    if not zs:
-        return
-    m = min(m, len(vals))
-    parents = perturb_parents(sv, m)
-    z = sum(1 for j in zs if j < m)
-    big_z = len(zs)
-    assert len(parents) == z + 2 * (big_z - z)
-    for p in parents:
-        assert len(zero_positions(p)) == big_z - 1
-
-
-@given(st.lists(st.lists(sign_values, min_size=6, max_size=6), min_size=1, max_size=8))
-def test_perturb_rows_matches_op(rows):
-    rows = np.array(rows, dtype=np.int8)
-    m = 3
+@given(sign_matrices(), st.integers(0, 6))
+def test_perturb_rows_count_property(rows, m):
     cand, src = perturb_rows(rows, m)
-    expect = []
-    for i, row in enumerate(rows):
-        sv = SignVector(row.tolist())
-        if zero_positions(sv):
-            expect.extend((i, p.text) for p in perturb_parents(sv, m))
+    assert cand.dtype == np.int8 and cand.shape[1] == rows.shape[1]
+    zeros = rows == 0
+    big_z = zeros.sum(axis=1)
+    z = zeros[:, :m].sum(axis=1)
+    # z + 2(Z - z) parents per row
+    assert np.array_equal(np.bincount(src, minlength=len(rows)), z + 2 * (big_z - z))
+    # every parent has Z - 1 zeros and differs from its source in one entry
+    assert np.array_equal((cand == 0).sum(axis=1), big_z[src] - 1)
+    changed = cand != rows[src]
+    assert np.all(changed.sum(axis=1) == 1)
+    rr, cc = np.nonzero(changed)
+    assert np.all(rows[src[rr], cc] == 0)
+    # facet zeros flip only toward the interior '+'
+    assert np.all(cand[rr[cc < m], cc[cc < m]] == 1)
+
+
+@given(sign_matrices(), st.integers(0, 6))
+def test_perturb_rows_matches_op(rows, m):
+    cand, src = perturb_rows(rows, m)
+    expect = [(i, t) for i, row in enumerate(rows) for t in parents_reference(row, m)]
     got = [(int(src[j]), sign_text(cand[j])) for j in range(len(cand))]
     assert sorted(got) == sorted(expect)
-
-
-def test_edge_sign_from_vertices():
-    a = SignVector.from_text("0+")
-    b = SignVector.from_text("00")
-    assert edge_sign_from_vertices(a, b).text == "0+"
-    with pytest.raises(SignConflictError):
-        edge_sign_from_vertices(SignVector.from_text("+-"), SignVector.from_text("--"))
-
-
-@given(sign_vectors)
-def test_edge_sign_idempotent(sv):
-    assert edge_sign_from_vertices(sv, sv) == sv
-
-
-def test_cell_key_examples():
-    a = cell_key(SignVector.from_text("-0+"))
-    b = cell_key(SignVector.from_text("-0+"))
-    assert a == b
-    assert cell_key(SignVector.from_text("-")) < cell_key(SignVector.from_text("0"))
-    with pytest.raises(ValueError):
-        cell_key(SignVector([1] * (1 << 16)))
-
-
-@given(
-    st.lists(sign_values, min_size=1, max_size=16),
-    st.lists(sign_values, min_size=1, max_size=16),
-)
-def test_cell_key_injective_and_ordered(a_vals, b_vals):
-    a, b = SignVector(a_vals), SignVector(b_vals)
-    ka, kb = cell_key(a), cell_key(b)
-    assert (ka == kb) == (a == b)
-    if len(a_vals) == len(b_vals):
-        assert (ka < kb) == (tuple(a_vals) < tuple(b_vals))
 
 
 def test_group_rows():
@@ -173,3 +140,64 @@ def test_group_rows():
     # canonical order: minus < zero < plus lexicographically
     assert [sign_text(r) for r in uniq] == ["-+0", "00+", "+0-"]
     assert all(sign_text(uniq[inverse[i]]) == sign_text(rows[i]) for i in range(6))
+    uniq, inverse, counts = group_rows(np.zeros((0, 3), dtype=np.int8))
+    assert uniq.shape == (0, 3) and len(inverse) == 0 and len(counts) == 0
+
+
+@given(sign_matrices(width=5, max_rows=12))
+def test_group_rows_properties(rows):
+    uniq, inverse, counts = group_rows(rows)
+    assert np.array_equal(uniq[inverse], rows)
+    assert counts.sum() == len(rows)
+    assert np.array_equal(np.bincount(inverse, minlength=len(uniq)), counts)
+    # strictly increasing in lexicographic '-' < '0' < '+' order
+    as_tuples = [tuple(r) for r in uniq.tolist()]
+    assert as_tuples == sorted(set(map(tuple, rows.tolist())))
+    # and in the order of their byte keys
+    keys = row_keys(uniq)
+    assert keys == sorted(set(keys)) and len(set(row_keys(rows))) == len(uniq)
+
+
+def test_row_keys_examples():
+    a, b = row_keys(np.array([[-1, 0, 1], [-1, 0, 1]], dtype=np.int8))
+    assert a == b and a[:2] == (3).to_bytes(2, "big")
+    assert a[2:] == pack_rows(np.array([[-1, 0, 1]], dtype=np.int8))[0].tobytes()
+    with pytest.raises(OverflowError):
+        row_keys(np.ones((1, 1 << 16), dtype=np.int8))
+
+
+@given(sign_matrices(width=7), sign_matrices(width=7))
+def test_row_keys_injective_and_ordered(a, b):
+    ka, kb = row_keys(a[:1]), row_keys(b[:1])
+    assert (ka == kb) == np.array_equal(a[0], b[0])
+    assert (ka < kb) == (tuple(a[0].tolist()) < tuple(b[0].tolist()))
+
+
+def test_merge_edge_rows():
+    a = np.array([[0, 1, 0], [-1, 0, 0]], dtype=np.int8)
+    b = np.array([[0, 0, 1], [-1, 0, -1]], dtype=np.int8)
+    merged = merge_edge_rows(a, b)
+    # zero only where both are zero, otherwise the non-zero sign present
+    assert merged.dtype == np.int8
+    assert merged.tolist() == [[0, 1, 1], [-1, 0, -1]]
+    assert np.array_equal(merge_edge_rows(b, a), merged)
+
+
+@given(st.data())
+def test_edge_sign_idempotent(data):
+    rows = data.draw(sign_matrices())
+    mask = data.draw(sign_matrices(min_rows=len(rows), max_rows=len(rows)))
+    assert np.array_equal(merge_edge_rows(rows, rows), rows)
+    # two faces of one cell, each keeping some of its entries, merge back to it
+    a = np.where(mask >= 0, rows, 0).astype(np.int8)
+    b = np.where(mask <= 0, rows, 0).astype(np.int8)
+    merged = merge_edge_rows(a, b)
+    assert np.array_equal(merged, rows)
+    assert np.array_equal(merge_edge_rows(merged, a), merged)
+
+
+def test_merge_edge_rows_conflict_names_row_and_index():
+    a = np.array([[1, 0, 1], [1, -1, 0]], dtype=np.int8)
+    b = np.array([[1, 0, 1], [1, 1, 0]], dtype=np.int8)
+    with pytest.raises(SignConflictError, match="row 1, index 1"):
+        merge_edge_rows(a, b)

@@ -11,12 +11,11 @@ from relucomplex.model import (
     random_model,
 )
 from relucomplex.signvec import row_keys, sign_text
-from relucomplex.skeleton import check_invariants, init_hypercube
+from relucomplex.skeleton import check_invariants, compact, init_hypercube
 from relucomplex.subdivide import (
     LayerValueCache,
-    SplitRecord,
+    PairingError,
     extract_complex,
-    interpolate_crossing,
     pair_splitting_faces,
     prune_future,
     subdivide_once,
@@ -66,15 +65,18 @@ def test_cube_generic_plane_closed_polygon():
     check_invariants(sk)
 
 
-def test_interpolate_crossing():
-    x0, t = interpolate_crossing(np.array([0.0, 0.0]), 1.0, np.array([1.0, 0.0]), -1.0)
-    assert t == 0.5 and np.array_equal(x0, [0.5, 0.0])
-    _, t = interpolate_crossing(np.zeros(1), 3.0, np.ones(1), -1.0)
-    assert t == 0.75
-    with pytest.raises(ValueError):
-        interpolate_crossing(np.zeros(1), -1.0, np.ones(1), 1.0)
-    with pytest.raises(ValueError):
-        interpolate_crossing(np.zeros(1), 1.0, np.ones(1), 0.0)
+def test_new_vertex_at_interpolated_crossing():
+    # 4x - 1 is 3 at x=1 and -1 at x=0: t = 3 / (3 - -1) = 0.75 from the
+    # positive end, so the new vertex sits at x = 0.25
+    net = line_net((4.0,), -1.0)
+    _, sk = init_hypercube(1, 0.0, 1.0)
+    stats = subdivide_once(sk, net, NeuronRef(1, 0))
+    assert stats.n_splitting == 1
+    assert sk.positions[-1].tolist() == [0.25]
+    assert sign_text(sk.vertex_signs[-1]) == "++0"
+    # the halves toward the positive and the negative end carry '+' and '-'
+    halves = {sign_text(sk.edge_signs[e]): sorted(sk.edges[e].tolist()) for e in (-2, -1)}
+    assert halves == {"+++": [1, 2], "++-": [0, 2]}
 
 
 def test_interpolation_residual_small():
@@ -87,20 +89,20 @@ def test_interpolation_residual_small():
     assert rep.max_abs <= 1e-9
 
 
-def test_pair_splitting_faces_square():
+def split_square():
+    """Unit square after x + y = 0.5: pre-split rows of its two split edges."""
     net = line_net((1.0, 1.0), -0.5)
     _, sk = init_hypercube(2, 0.0, 1.0)
     subdivide_once(sk, net, NeuronRef(1, 0))
-    # rebuild the split records (edges 0 and 2 split; new vertices 4, 5)
     dead = np.flatnonzero(~sk.edge_alive)
-    splits = []
-    for i, eid in enumerate(dead):
-        splits.append(SplitRecord(int(eid), 0, 0, 1.0, -1.0, 4 + i))
-    out = pair_splitting_faces(splits, sk, m=4)
-    assert len(out) == 1
-    lo, hi, row = out[0]
-    assert (lo, hi) == (4, 5)
-    assert sign_text(row) == "++++0"
+    return sk.edge_signs[dead, :-1], np.array([4, 5])
+
+
+def test_pair_splitting_faces_square():
+    pre_rows, new_vids = split_square()
+    pairs, rows = pair_splitting_faces(pre_rows, new_vids, m=4)
+    assert pairs.tolist() == [[4, 5]]
+    assert [sign_text(r) for r in rows] == ["++++0"]
 
 
 def test_pair_splitting_faces_d1():
@@ -108,8 +110,15 @@ def test_pair_splitting_faces_d1():
     _, sk = init_hypercube(1, -1.0, 1.0)
     subdivide_once(sk, net, NeuronRef(1, 0))
     dead = np.flatnonzero(~sk.edge_alive)
-    splits = [SplitRecord(int(dead[0]), 0, 1, 1.0, -1.0, 2)]
-    assert pair_splitting_faces(splits, sk, m=2) == []
+    pairs, rows = pair_splitting_faces(sk.edge_signs[dead, :-1], np.array([2]), m=2)
+    assert pairs.shape == (0, 2) and rows.shape == (0, 3)
+
+
+def test_pair_splitting_faces_unpaired_face():
+    # one of the square's two splitting edges alone: its face occurs once
+    pre_rows, new_vids = split_square()
+    with pytest.raises(PairingError, match=r"2-face \+\+\+\+ occurred 1 times, expected 2"):
+        pair_splitting_faces(pre_rows[:1], new_vids[:1], m=4)
 
 
 def test_extract_empty_schedule():
@@ -154,22 +163,19 @@ def test_extract_single_layer_matches_oracle():
     assert match_point_sets(sk.positions[sk.alive_vertex_ids()], pos, 1e-8)
 
 
-def test_value_modes_agree():
+def test_subdivide_once_without_cache_matches_extraction():
+    # a fresh value cache per call gives the same skeleton, bit for bit, as
+    # the one cache extract_complex carries through the schedule
     net = centered_output_net(2, 3, 8, seed=2)
     schedule = NeuronSchedule.for_model(net, include_output=True)
-    results = {}
-    for mode in ("recompute", "interpolate"):
-        domain, sk = init_hypercube(2, -1.0, 1.0)
-        out, _ = extract_complex(net, domain, sk, schedule, value_mode=mode)
-        results[mode] = out
-    a, b = results["recompute"], results["interpolate"]
-    assert a.n_vertices == b.n_vertices and a.n_edges == b.n_edges
-    ka = sorted(row_keys(a.vertex_signs))
-    kb = sorted(row_keys(b.vertex_signs))
-    assert ka == kb
-    pa = a.positions[np.lexsort(a.positions.T)]
-    pb = b.positions[np.lexsort(b.positions.T)]
-    assert np.allclose(pa, pb, atol=1e-9)
+    domain, sk = init_hypercube(2, -1.0, 1.0)
+    a, _ = extract_complex(net, domain, sk, schedule)
+    _, b = init_hypercube(2, -1.0, 1.0)
+    for nref in schedule:
+        subdivide_once(b, net, nref)
+    b = compact(b)
+    for name in ("positions", "vertex_signs", "edges", "edge_signs"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_cache_matches_direct_evaluation():
@@ -183,8 +189,6 @@ def test_cache_matches_direct_evaluation():
     assert np.array_equal(got, want)
     with pytest.raises(ValueError):
         cache.advance_to(1)
-    with pytest.raises(ValueError):
-        LayerValueCache(net, sk.positions, "warp")
 
 
 def test_prune_future_empty_remaining():
