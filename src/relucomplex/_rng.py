@@ -27,16 +27,16 @@ def stream_key(*parts):
             key = _mix(key + np.uint64(int(p) & 0xFFFFFFFFFFFFFFFF) + _GAMMA)
     return key
 
-def bits(key, n):
-    """n consecutive 64-bit outputs of the stream."""
-    idx = np.arange(1, n + 1, dtype=np.uint64)
+def bits(key, n, start=0):
+    """n consecutive 64-bit outputs of the stream, from element `start` on."""
+    idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         return _mix(key + idx * _GAMMA)
 
 
-def uniform_open(key, n):
-    """n doubles uniform on the open interval (0, 1)."""
-    return ((bits(key, n) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+def uniform_open(key, n, start=0):
+    """n doubles uniform on the open interval (0, 1), from element `start` on."""
+    return ((bits(key, n, start) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
 def uniform_symmetric(key, n, scale):

@@ -10,6 +10,7 @@ environment variables before numpy loads.
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -23,12 +24,18 @@ EXIT_INVARIANT = 4
 
 
 def _build_parser():
+    # no abbreviations: --threads and --config are read from raw argv by
+    # their full names, so argparse must not accept a prefix of them either
     parser = argparse.ArgumentParser(
         prog="relucomplex",
         description="Extract the exact polyhedral complex of a ReLU network by edge subdivision.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="store_true", help="print version and schema versions")
-    sub = parser.add_subparsers(dest="command")
+    subparsers = parser.add_subparsers(dest="command")
+
+    def add_parser(name, **kwargs):
+        return subparsers.add_parser(name, allow_abbrev=False, **kwargs)
 
     def add_common(p, include_output_default=False):
         g = p.add_argument_group("model")
@@ -57,29 +64,29 @@ def _build_parser():
         p.add_argument("--threads", type=int, help="cap BLAS worker threads")
         p.add_argument("--config", help="JSON file providing defaults for any flag")
 
-    p = sub.add_parser("extract", help="extract the complex; write CSV exports and summary")
+    p = add_parser("extract", help="extract the complex; write CSV exports and summary")
     add_common(p)
 
-    p = sub.add_parser("count", help="count cells per dimension")
+    p = add_parser("count", help="count cells per dimension")
     add_common(p)
     p.add_argument("--up-to", type=int, default=None, help="highest dimension to count (default D)")
     p.add_argument("--max-cells", type=int, default=None, help="memory budget in cells")
 
-    p = sub.add_parser("boundary", help="extract the output level set (SVG for D=2, OBJ for D=3)")
+    p = add_parser("boundary", help="extract the output level set (SVG for D=2, OBJ for D=3)")
     add_common(p, include_output_default=True)
     p.add_argument("--inside-positive", action="store_true",
                    help="treat positive output as the inside")
 
-    p = sub.add_parser("prune-model", help="drop stably-negative neurons; write pruned model")
+    p = add_parser("prune-model", help="drop stably-negative neurons; write pruned model")
     add_common(p, include_output_default=True)
 
-    p = sub.add_parser("validate", help="residual and midpoint validation")
+    p = add_parser("validate", help="residual and midpoint validation")
     add_common(p)
     p.add_argument("--midpoint-tol", type=float, default=1e-8)
     p.add_argument("--samples", type=int, default=100000,
                    help="sample count for the region containment check")
 
-    p = sub.add_parser("bench", help="seeded benchmark sweep over dims and widths")
+    p = add_parser("bench", help="seeded benchmark sweep over dims and widths")
     p.add_argument("--dims", default="1:3", help="input dimensions, e.g. 1:3 or 2,3")
     p.add_argument("--widths", default="10,20", help="comma-separated widths")
     p.add_argument("--depth", type=int, default=4, help="hidden layer count")
@@ -244,6 +251,8 @@ def _write_summary(outdir, net, domain, sk, stats, seconds):
         "timings": {
             "total_seconds": seconds,
             "per_iteration": [s.seconds for s in stats],
+            # measured peak of this process so far (ru_maxrss is in KiB)
+            "peak_rss_bytes": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
         },
         "residual": report.to_json(),
         "degenerate_count": sk.degenerate_count,

@@ -5,6 +5,10 @@ facet or a folded hyperplane; the re-evaluated value there measures the
 numerical error of the extraction. midpoint_check extends the same idea to
 edge interiors. The brute-force oracles give independent ground truth at
 desk scale.
+
+midpoint_check and sampled_region_oracle evaluate BLOCK_ROWS rows at a
+time. The model's affine kernel gives every row the same result in any
+batch, so the block size changes no output, only the memory used.
 """
 
 import itertools
@@ -40,13 +44,44 @@ class ResidualReport:
         }
 
 
+BLOCK_ROWS = 8192  # points per block in the sampled and midpoint oracles
+
+
+def _row_blocks(n):
+    """(start, stop) of consecutive blocks of at most BLOCK_ROWS rows."""
+    for start in range(0, n, BLOCK_ROWS):
+        yield start, min(start + BLOCK_ROWS, n)
+
+
+def _layer_columns(schedule):
+    """(layer, columns, width) per layer, in schedule order (layer-major).
+
+    `columns` selects the layer's scheduled neurons from its pre-activation
+    matrix: a slice when they are contiguous (every default schedule and
+    prefix), so reading them makes no copy, else an index array.
+    """
+    layers = {}
+    for nr in schedule:
+        layers.setdefault(nr.layer, []).append(nr.index)
+    out = []
+    for layer, idx in layers.items():
+        first = idx[0]
+        if idx == list(range(first, first + len(idx))):
+            out.append((layer, slice(first, first + len(idx)), len(idx)))
+        else:
+            out.append((layer, np.array(idx, dtype=np.intp), len(idx)))
+    return out
+
+
 def _scheduled_values(model, points, schedule):
     """(n, len(schedule)) pre-activation matrix in schedule order."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if len(schedule) == 0:
         return np.zeros((len(points), 0))
     pres = model_mod.batch_preactivations(model, points)
-    return np.column_stack([pres[nr.layer - 1][:, nr.index] for nr in schedule])
+    return np.concatenate(
+        [pres[layer - 1][:, cols] for layer, cols, _ in _layer_columns(schedule)], axis=1
+    )
 
 
 def residuals(sk, model, domain, schedule=None):
@@ -70,8 +105,10 @@ def residuals(sk, model, domain, schedule=None):
     if facet_mask.any():
         fv = facet_vals[facet_mask]
         by_group["facets"] = {"max_abs": float(fv.max()), "mean_abs": float(fv.mean())}
-    for layer in sorted({nr.layer for nr in schedule}):
-        cols = [sk.m + i for i, nr in enumerate(schedule) if nr.layer == layer]
+    col = sk.m
+    for layer, _, width in _layer_columns(schedule):
+        cols = slice(col, col + width)
+        col += width
         lm = mask[:, cols]
         if lm.any():
             lv = allvals[:, cols][lm]
@@ -113,21 +150,25 @@ def midpoint_check(sk, model, domain, tol=1e-8, schedule=None):
 
     Non-zero entries of the edge sign-vector must match the evaluated sign
     (exact zero counting as minus); zero entries must satisfy |value| <= tol.
+    Edges are checked in blocks of BLOCK_ROWS.
     """
+    if not tol >= 0:
+        raise ValueError(f"midpoint tolerance must be >= 0, got {tol}")
     if schedule is None:
         schedule = model_mod.infer_schedule(model, sk.t)
     ae = sk.alive_edge_ids()
     if len(ae) == 0:
         return MidpointReport(0, 0, 0, [], tol)
-    mids = sk.positions[sk.edges[ae]].mean(axis=1)
-    vals = np.concatenate(
-        [domain.facet_values(mids), _scheduled_values(model, mids, schedule)], axis=1
-    )
-    rows = sk.edge_signs[ae]
-    eval_signs = np.where(vals > 0.0, 1, -1).astype(np.int8)
-    zero_ok = np.abs(vals) <= tol
-    ok = np.where(rows == 0, zero_ok, eval_signs == rows)
-    edge_ok = ok.all(axis=1)
+    edge_ok = np.empty(len(ae), dtype=bool)
+    for start, stop in _row_blocks(len(ae)):
+        ids = ae[start:stop]
+        mids = sk.positions[sk.edges[ids]].mean(axis=1)
+        vals = np.concatenate(
+            [domain.facet_values(mids), _scheduled_values(model, mids, schedule)], axis=1
+        )
+        rows = sk.edge_signs[ids]
+        ok = np.where(rows == 0, np.abs(vals) <= tol, (vals > 0.0) == (rows > 0))
+        edge_ok[start:stop] = ok.all(axis=1)
     failed = [int(e) for e in ae[~edge_ok]]
     return MidpointReport(len(ae), int(edge_ok.sum()), len(failed), failed, tol)
 
@@ -196,17 +237,27 @@ def match_point_sets(a, b, tol):
     return bool(np.all(close.any(axis=1)) and np.all(close.any(axis=0)))
 
 
-def sample_domain(domain, n, seed):
-    """n deterministic uniform samples from the domain interior."""
+def sample_domain(domain, n, seed, start=0):
+    """n deterministic uniform samples from the domain interior.
+
+    They are rows start..start+n-1 of one fixed sequence per (domain, seed),
+    so consecutive calls can produce it block by block.
+    """
+    if n < 0:
+        raise ValueError(f"sample count must be >= 0, got {n}")
+    if start < 0:
+        raise ValueError(f"sample start must be >= 0, got {start}")
     dim = domain.dim
     if domain.kind == "hypercube":
         lo, hi = domain.meta["lo"], domain.meta["hi"]
-        u = _rng.uniform_open(_rng.stream_key(seed, 101), n * dim).reshape(n, dim)
+        key = _rng.stream_key(seed, 101)
+        u = _rng.uniform_open(key, n * dim, start * dim).reshape(n, dim)
         return lo + (hi - lo) * u
     if domain.kind == "simplex":
         # Dirichlet(1,...,1) over the solid simplex via exponential spacings
         scale = domain.meta["scale"]
-        u = _rng.uniform_open(_rng.stream_key(seed, 103), n * (dim + 1)).reshape(n, dim + 1)
+        key = _rng.stream_key(seed, 103)
+        u = _rng.uniform_open(key, n * (dim + 1), start * (dim + 1)).reshape(n, dim + 1)
         e = -np.log(u)
         y = e[:, :dim] / e.sum(axis=1, keepdims=True) * (2 * dim * scale)
         return y - scale
@@ -217,17 +268,33 @@ def sampled_region_oracle(model, domain, n, seed, schedule=None):
     """Region signatures hit by n uniform samples; a one-sided oracle.
 
     Every returned signature must appear among the extracted regions, but
-    thin regions may be missed, so coverage below 1 is expected.
+    thin regions may be missed, so coverage below 1 is expected. Samples are
+    drawn, signed and deduplicated in blocks of BLOCK_ROWS, so memory does
+    not grow with n beyond the distinct rows each block keeps.
     """
+    if n < 0:
+        raise ValueError(f"sample count must be >= 0, got {n}")
     if schedule is None:
         schedule = model_mod.NeuronSchedule.for_model(model, include_output=False)
-    pts = sample_domain(domain, n, seed)
-    facet_signs = np.where(domain.facet_values(pts) > 0.0, 1, -1).astype(np.int8)
-    neuron_signs = np.where(
-        _scheduled_values(model, pts, schedule) > 0.0, 1, -1
-    ).astype(np.int8)
-    rows = np.concatenate([facet_signs, neuron_signs], axis=1)
-    uniq, _, _ = signvec.group_rows(rows)
+    m = domain.m
+    layers = _layer_columns(schedule)
+    pos = np.empty((min(n, BLOCK_ROWS), m + len(schedule)), dtype=bool)
+    kept = [np.zeros((0, pos.shape[1]), dtype=np.int8)]
+    for start, stop in _row_blocks(n):
+        pts = sample_domain(domain, stop - start, seed, start)
+        block = pos[: stop - start]
+        np.greater(domain.facet_values(pts), 0.0, out=block[:, :m])
+        if layers:
+            pres = model_mod.batch_preactivations(model, pts)
+            col = m
+            for layer, cols, width in layers:
+                np.greater(pres[layer - 1][:, cols], 0.0, out=block[:, col : col + width])
+                col += width
+        # +1 where positive, else -1: an exact zero counts as minus, as in
+        # signvec.signs_of_values
+        rows = block.view(np.int8) * np.int8(2) - np.int8(1)
+        kept.append(signvec.group_rows(rows)[0])
+    uniq, _, _ = signvec.group_rows(np.concatenate(kept))
     return uniq
 
 

@@ -36,6 +36,8 @@ def test_extract_smoke(tmp_path):
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert summary["D"] == 2 and summary["m"] == 4 and summary["t"] == 40
     assert summary["residual"]["max_abs"] <= 1e-9
+    peak = summary["timings"]["peak_rss_bytes"]
+    assert isinstance(peak, int) and peak > 0
 
 
 def test_extract_deterministic(tmp_path):
@@ -153,6 +155,21 @@ def test_validate_cmd(tmp_path):
     assert doc["sampled_subset_of_regions"] is True
 
 
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (["--samples", "-5"], "error: sample count must be >= 0, got -5"),
+        (["--midpoint-tol", "-1"], "error: midpoint tolerance must be >= 0, got -1.0"),
+    ],
+    ids=["samples", "midpoint_tol"],
+)
+def test_validate_rejects_negative_inputs(tmp_path, capsys, flags, expected):
+    code = run_cli("validate", "--random", "2,2,4,1", "--out", tmp_path / "v", *flags)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(expected)
+    assert not (tmp_path / "v" / "validation.json").exists()
+
+
 def test_bench_cmd(tmp_path):
     assert run_cli(
         "bench", "--dims", "1:2", "--widths", "4,8", "--depth", "2", "--seeds", "2",
@@ -213,6 +230,26 @@ def test_raw_flag_equals_form(tmp_path, monkeypatch, case):
             monkeypatch.setenv(var, "2")
         assert run_cli("extract", "--random", "2,2,4,1", "--out", tmp_path / "t", "--threads=1") == 0
         assert [os.environ[var] for var in blas_vars] == ["1", "1", "1"]
+
+
+@pytest.mark.parametrize("case", ["config", "threads"])
+def test_abbreviated_flag_exits_2(tmp_path, monkeypatch, case):
+    # --config and --threads are read from raw argv by their full names, so a
+    # prefix that argparse would otherwise expand must be a usage error
+    blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in blas_vars:
+        monkeypatch.setenv(var, "2")
+    if case == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"random": "2,2,4,1", "out": str(tmp_path / "o")}))
+        flags = ["--conf", cfg]
+    else:
+        flags = ["--random", "2,2,4,1", "--out", tmp_path / "o", "--thr", "1"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli("extract", *flags)
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+    assert [os.environ[var] for var in blas_vars] == ["2", "2", "2"]
 
 
 def test_removed_flag_exits_2(tmp_path):

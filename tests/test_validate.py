@@ -1,8 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import extract_random
-from relucomplex.model import LayerSpec, MlpSpec, NeuronSchedule, random_model
+from relucomplex import validate as validate_mod
+from relucomplex.model import (
+    LayerSpec,
+    MlpSpec,
+    NeuronRef,
+    NeuronSchedule,
+    batch_preactivations,
+    random_model,
+)
+from relucomplex.signvec import group_rows
 from relucomplex.skeleton import init_hypercube, init_simplex
 from relucomplex.subdivide import IterationStats, extract_complex
 from relucomplex.validate import (
@@ -113,6 +124,105 @@ def test_sampled_region_oracle_trivial():
     full = NeuronSchedule.for_model(net, include_output=True)
     rows = sampled_region_oracle(net, domain, 1000, 0, full)
     assert rows.shape == (1, 5)
+
+
+def one_shot_regions(net, domain, n, seed, schedule):
+    """Reference oracle: sign all n samples at once, then deduplicate."""
+    pts = sample_domain(domain, n, seed)
+    pres = batch_preactivations(net, pts)
+    neuron_vals = [pres[nr.layer - 1][:, nr.index : nr.index + 1] for nr in schedule]
+    vals = np.concatenate([domain.facet_values(pts)] + neuron_vals, axis=1)
+    return group_rows(np.where(vals > 0, 1, -1).astype(np.int8))[0]
+
+
+def block_test_schedules(net):
+    full = NeuronSchedule.for_model(net, include_output=True)
+    return {
+        "empty": NeuronSchedule((), False),
+        "hidden": NeuronSchedule.for_model(net),
+        "include_output": full,
+        # ends inside layer 2, so layer 2 is only partly scheduled
+        "prefix": NeuronSchedule(full.neurons[:9], False),
+        # non-contiguous neurons within a layer
+        "gaps": NeuronSchedule(
+            (NeuronRef(1, 0), NeuronRef(1, 3), NeuronRef(1, 5), NeuronRef(2, 2)), False
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", ["cube", "simplex"])
+def test_sampled_region_oracle_blocks_match_one_shot(monkeypatch, kind):
+    # 1000 samples in blocks of 7: 142 full blocks and one of 6 rows
+    monkeypatch.setattr(validate_mod, "BLOCK_ROWS", 7)
+    if kind == "cube":
+        domain, _ = init_hypercube(2, -1.0, 1.0)
+    else:
+        domain, _ = init_simplex(3, 0.7)
+    net = random_model(domain.dim, 2, 6, 1, seed=1)
+    for name, schedule in block_test_schedules(net).items():
+        got = sampled_region_oracle(net, domain, 1000, 4, schedule)
+        want = one_shot_regions(net, domain, 1000, 4, schedule)
+        assert got.dtype == np.int8 and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+        assert len(want) > 1 or name == "empty", name
+    empty = sampled_region_oracle(net, domain, 0, 4)
+    assert empty.shape == (0, domain.m + 12) and empty.dtype == np.int8
+
+
+@pytest.mark.parametrize("kind", ["cube", "simplex"])
+def test_sample_domain_blocks_concatenate(kind):
+    domain, _ = init_hypercube(3, -2.0, 1.0) if kind == "cube" else init_simplex(4, 0.5)
+    whole = sample_domain(domain, 50, 9)
+    for size in (1, 7, 50):
+        parts = [sample_domain(domain, min(size, 50 - a), 9, a) for a in range(0, 50, size)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_validate_rejects_negative_inputs():
+    net, domain, schedule, sk, _ = extract_random(2, 2, 4, seed=0)
+    with pytest.raises(ValueError, match="sample count must be >= 0"):
+        sample_domain(domain, -5, 0)
+    with pytest.raises(ValueError, match="sample count must be >= 0"):
+        sampled_region_oracle(net, domain, -5, 0)
+    with pytest.raises(ValueError, match="midpoint tolerance must be >= 0"):
+        midpoint_check(sk, net, domain, -1.0, schedule)
+    # zero is a valid tolerance: only exact zeros pass
+    assert midpoint_check(sk, net, domain, 0.0, schedule).tol == 0.0
+
+
+def test_midpoint_check_blocks_agree_on_corrupted_edge(monkeypatch):
+    net, domain, schedule, sk, _ = extract_random(2, 3, 8, seed=2)
+    ae = sk.alive_edge_ids()
+    bad = int(ae[len(ae) // 2 + 3])
+    col = int(np.flatnonzero(sk.edge_signs[bad])[-1])
+    sk.edge_signs[bad, col] *= -1
+    reports = []
+    for block_rows in (7, 10**6):
+        monkeypatch.setattr(validate_mod, "BLOCK_ROWS", block_rows)
+        reports.append(midpoint_check(sk, net, domain, 1e-8, schedule))
+    assert reports[0] == reports[1]
+    assert reports[0].failed_edges == [bad]
+    assert (reports[0].n_edges, reports[0].n_fail) == (len(ae), 1)
+
+
+def test_sampled_region_oracle_memory_is_bounded():
+    # samples are drawn and signed block by block, so 4x the samples may
+    # only cost the extra sample points (D float64 each) plus a small slack
+    block = validate_mod.BLOCK_ROWS
+    net = random_model(2, 2, 8, 1, seed=0)
+    domain, _ = init_hypercube(2, -1.0, 1.0)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            sampled_region_oracle(net, domain, n, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(block)  # warm up lazy allocations
+    small, large = peak(4 * block), peak(16 * block)
+    assert large <= small + 12 * block * domain.dim * 8 + 64 * 1024
 
 
 def synth_stats(n_vertices, seconds):
