@@ -394,6 +394,9 @@ def cmd_validate(args):
 
     from . import poset, signvec, validate as validate_mod
 
+    # reject bad inputs before paying for the extraction
+    validate_mod.check_sample_count(args.samples)
+    validate_mod.check_tolerance(args.midpoint_tol)
     net, domain, schedule, sk, stats, seconds = _run_extraction(args)
     res = validate_mod.residuals(sk, net, domain, schedule)
     mid = validate_mod.midpoint_check(sk, net, domain, args.midpoint_tol, schedule)

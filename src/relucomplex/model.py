@@ -173,6 +173,26 @@ def infer_schedule(model, t):
     raise ValueError(f"cannot map {t} processed neurons onto this model")
 
 
+def layer_columns(schedule):
+    """(layer, columns, width) per layer, in schedule order (layer-major).
+
+    `columns` selects the layer's scheduled neurons from its pre-activation
+    matrix: a slice when they are contiguous (every default schedule and
+    prefix), so reading them makes no copy, else an index array.
+    """
+    layers = {}
+    for nr in schedule:
+        layers.setdefault(nr.layer, []).append(nr.index)
+    out = []
+    for layer, idx in layers.items():
+        first = idx[0]
+        if idx == list(range(first, first + len(idx))):
+            out.append((layer, slice(first, first + len(idx)), len(idx)))
+        else:
+            out.append((layer, np.array(idx, dtype=np.intp), len(idx)))
+    return out
+
+
 # -- evaluation ---------------------------------------------------------------
 
 

@@ -7,6 +7,12 @@ endpoint signs (3), place a new vertex on each splitting edge by linear
 interpolation and replace the edge by its two halves (4), and connect new
 vertices across splitting 2-faces, which are identified implicitly by
 perturbing the splitting edges' sign-vectors and pairing equal results (5).
+
+Step (1) reads one column of the current layer's pre-activation matrix
+(`LayerValueCache`), which holds one row per vertex and is computed once
+per layer. When the column has one sign on every alive vertex, the neuron
+splits no edge: steps (2) and (3) write that sign as a constant column and
+steps (4) and (5) are skipped.
 """
 
 import time
@@ -57,42 +63,62 @@ class PruneStats:
 
 
 class LayerValueCache:
-    """Per-vertex post-activations x^(l-1) for the layer being processed.
+    """Pre-activations of the current layer at every vertex.
 
-    Vertex positions never change, so the input a layer sees at a vertex is
-    fixed once all earlier layers are processed; caching it turns each
-    neuron's step (1) into a single matrix-vector product. Rows track
-    skeleton vertex ids; new vertices are appended by a fresh forward pass
-    at their positions.
+    One matrix per layer, one row per skeleton vertex id and one column per
+    neuron of the layer, so each neuron's step (1) is a column read. Vertex
+    positions never change, so a row is computed once per layer: the matrix
+    is built with one affine map when the layer starts, and `extend` writes
+    rows for new vertices only, into spare rows that grow like the
+    skeleton's buffers. The affine kernel is row- and column-stable, so every
+    value is bitwise the one a per-neuron evaluation at that vertex gives.
     """
 
     def __init__(self, model, positions):
         self.model = model
         self.layer = 1
-        self.acts = np.array(positions, dtype=np.float64)
+        spec = model.layers[0]
+        self._pre = model_mod._affine(
+            np.asarray(positions, dtype=np.float64), spec.weights, spec.bias
+        )
+        self._n = len(self._pre)
 
     @property
     def n_rows(self):
-        return len(self.acts)
+        return self._n
+
+    def values(self, rows):
+        """Pre-activations of the current layer at the given vertex ids."""
+        return self._pre[rows]
 
     def advance_to(self, layer):
         if layer < self.layer:
             raise ValueError("cache cannot move backwards through layers")
         while self.layer < layer:
-            spec = self.model.layers[self.layer - 1]
-            self.acts = np.maximum(
-                model_mod._affine(self.acts, spec.weights, spec.bias), 0.0
-            )
+            self._pre = _next_layer(self.model, self._pre[: self._n], self.layer)
             self.layer += 1
 
     def preactivation(self, neuron, rows):
-        spec = self.model.layers[neuron.layer - 1]
-        w = spec.weights[neuron.index : neuron.index + 1]
-        return model_mod._affine(self.acts[rows], w, spec.bias[neuron.index])[:, 0]
+        if neuron.layer != self.layer:
+            raise ValueError(f"cache holds layer {self.layer}, not {neuron.layer}")
+        return self._pre[rows, neuron.index]
 
     def extend(self, positions):
-        new = model_mod.layer_inputs(self.model, positions, self.layer)
-        self.acts = np.concatenate([self.acts, new], axis=0)
+        acts = model_mod.layer_inputs(self.model, positions, self.layer)
+        spec = self.model.layers[self.layer - 1]
+        first, last = self._n, self._n + len(acts)
+        if last > len(self._pre):
+            (self._pre,) = skeleton_mod._lengthen(
+                (self._pre,), first, skeleton_mod._grown(last)
+            )
+        self._pre[first:last] = model_mod._affine(acts, spec.weights, spec.bias)
+        self._n = last
+
+
+def _next_layer(model, pre, layer):
+    """Pre-activations of layer + 1 from those of `layer` at the same points."""
+    spec = model.layers[layer]
+    return model_mod._affine(np.maximum(pre, 0.0), spec.weights, spec.bias)
 
 
 def subdivide_once(sk, model, neuron, cache=None):
@@ -121,19 +147,22 @@ def subdivide_once(sk, model, neuron, cache=None):
     sk.degenerate_count += n_deg
     vcol = np.full(sk.n_vertices, -1, dtype=np.int8)
     vcol[av] = signs_alive
-    vals = np.zeros(sk.n_vertices, dtype=np.float64)
-    vals[av] = vals_alive
 
-    # (3) splitting edges: alive edges whose endpoint signs differ
+    # (3) splitting edges: alive edges whose endpoint signs differ. Alive
+    # edges join alive vertices only, so when those all share one sign (or
+    # none is alive), every alive edge takes it and none splits.
     ae = sk.alive_edge_ids()
-    sa = vcol[sk.edges[ae, 0]]
-    sb = vcol[sk.edges[ae, 1]]
-    differ = sa != sb
-    split_eids = ae[differ]
-    n_split = len(split_eids)
-
     ecol = np.zeros(sk.n_edges, dtype=np.int8)
-    ecol[ae[~differ]] = sa[~differ]
+    if np.all(signs_alive == signs_alive[:1]):
+        ecol[ae] = signs_alive[:1]
+        n_split = 0
+    else:
+        sa = vcol[sk.edges[ae, 0]]
+        sb = vcol[sk.edges[ae, 1]]
+        differ = sa != sb
+        split_eids = ae[differ]
+        n_split = len(split_eids)
+        ecol[ae[~differ]] = sa[~differ]
     sk.append_sign_column(vcol, ecol)
 
     n_inter = 0
@@ -144,8 +173,8 @@ def subdivide_once(sk, model, neuron, cache=None):
         from_pos = vcol[ends[:, 0]] > 0
         v_pos = np.where(from_pos, ends[:, 0], ends[:, 1])
         v_neg = np.where(from_pos, ends[:, 1], ends[:, 0])
-        val_pos = vals[v_pos]
-        val_neg = vals[v_neg]
+        val_pos = cache.preactivation(neuron, v_pos)
+        val_neg = cache.preactivation(neuron, v_neg)
         ts = val_pos / (val_pos - val_neg)
         x0 = sk.positions[v_pos] + ts[:, None] * (sk.positions[v_neg] - sk.positions[v_pos])
 
@@ -226,34 +255,49 @@ def pair_splitting_faces(pre_rows, new_vids, m):
     return pairs, signs
 
 
-def prune_future(sk, model, remaining):
+def prune_future(sk, model, remaining, cache=None):
     """Kill edges that cannot contribute to the level set.
 
     An edge whose endpoints agree in sign for every remaining scheduled
     neuron will never split, so it (and any vertex left isolated) can be
     dropped when only the zero level set of the output entry is wanted.
+    `cache` (the running extraction's LayerValueCache; without one, a fresh
+    cache is built, as in `subdivide_once`) is advanced to the first
+    remaining neuron's layer, and a forward pass over the alive vertices'
+    rows of it gives the deeper layers.
     """
-    remaining = list(remaining)
+    remaining = sorted(remaining)  # layer-major, as the forward pass runs
     if not remaining:
         return PruneStats(0, 0, sk.n_edges_alive, sk.n_vertices_alive)
+    if cache is None:
+        cache = LayerValueCache(model, sk.positions)
+    elif cache.n_rows != sk.n_vertices:
+        raise ValueError("value cache is out of sync with the skeleton")
+    cache.advance_to(remaining[0].layer)
     av = sk.alive_vertex_ids()
-    pres = model_mod.batch_preactivations(model, sk.positions[av])
-    vals = np.column_stack([pres[nr.layer - 1][:, nr.index] for nr in remaining])
-    signs = np.where(vals > 0.0, 1, -1).astype(np.int8)
-    full = np.zeros((sk.n_vertices, signs.shape[1]), dtype=np.int8)
-    full[av] = signs
-
-    ae = sk.alive_edge_ids()
-    same = np.all(full[sk.edges[ae, 0]] == full[sk.edges[ae, 1]], axis=1)
-    killed_edges = ae[same]
-    sk.edge_alive[killed_edges] = False
+    alive_row = np.zeros(sk.n_vertices, dtype=np.intp)
+    alive_row[av] = np.arange(len(av))
+    # alive edges (and their endpoints' rows in `pre`), narrowed layer by
+    # layer to those whose endpoints still agree on every sign
+    same = sk.alive_edge_ids()
+    ends = alive_row[sk.edges[same]]
+    pre = cache.values(av)
+    layer = cache.layer
+    for target, cols, _ in model_mod.layer_columns(remaining):
+        while layer < target:
+            pre = _next_layer(model, pre, layer)
+            layer += 1
+        positive = pre[:, cols] > 0.0
+        agree = np.all(positive[ends[:, 0]] == positive[ends[:, 1]], axis=1)
+        same, ends = same[agree], ends[agree]
+    sk.edge_alive[same] = False
 
     alive_ends = sk.edges[sk.alive_edge_ids()]
     degree = np.bincount(alive_ends.ravel(), minlength=sk.n_vertices)
     killed_vertices = av[degree[av] == 0]
     sk.vertex_alive[killed_vertices] = False
     return PruneStats(
-        len(killed_edges), len(killed_vertices), sk.n_edges_alive, sk.n_vertices_alive
+        len(same), len(killed_vertices), sk.n_edges_alive, sk.n_vertices_alive
     )
 
 
@@ -289,5 +333,5 @@ def extract_complex(
             and i + 1 < len(neurons)
             and neurons[i + 1].layer > neuron.layer
         ):
-            prune_future(sk, model, neurons[i + 1 :])
+            prune_future(sk, model, neurons[i + 1 :], cache=cache)
     return skeleton_mod.compact(sk), stats

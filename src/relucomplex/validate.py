@@ -6,9 +6,9 @@ numerical error of the extraction. midpoint_check extends the same idea to
 edge interiors. The brute-force oracles give independent ground truth at
 desk scale.
 
-midpoint_check and sampled_region_oracle evaluate BLOCK_ROWS rows at a
-time. The model's affine kernel gives every row the same result in any
-batch, so the block size changes no output, only the memory used.
+residuals, midpoint_check and sampled_region_oracle evaluate BLOCK_ROWS
+rows at a time. The model's affine kernel gives every row the same result in
+any batch, so the block size changes no output, only the memory used.
 """
 
 import itertools
@@ -44,33 +44,25 @@ class ResidualReport:
         }
 
 
-BLOCK_ROWS = 8192  # points per block in the sampled and midpoint oracles
+BLOCK_ROWS = 8192  # points per block in the oracles and residuals
+
+
+def check_sample_count(n):
+    """Raise ValueError unless n is a valid sample count."""
+    if n < 0:
+        raise ValueError(f"sample count must be >= 0, got {n}")
+
+
+def check_tolerance(tol):
+    """Raise ValueError unless tol is a valid midpoint tolerance (NaN is not)."""
+    if not tol >= 0:
+        raise ValueError(f"midpoint tolerance must be >= 0, got {tol}")
 
 
 def _row_blocks(n):
     """(start, stop) of consecutive blocks of at most BLOCK_ROWS rows."""
     for start in range(0, n, BLOCK_ROWS):
         yield start, min(start + BLOCK_ROWS, n)
-
-
-def _layer_columns(schedule):
-    """(layer, columns, width) per layer, in schedule order (layer-major).
-
-    `columns` selects the layer's scheduled neurons from its pre-activation
-    matrix: a slice when they are contiguous (every default schedule and
-    prefix), so reading them makes no copy, else an index array.
-    """
-    layers = {}
-    for nr in schedule:
-        layers.setdefault(nr.layer, []).append(nr.index)
-    out = []
-    for layer, idx in layers.items():
-        first = idx[0]
-        if idx == list(range(first, first + len(idx))):
-            out.append((layer, slice(first, first + len(idx)), len(idx)))
-        else:
-            out.append((layer, np.array(idx, dtype=np.intp), len(idx)))
-    return out
 
 
 def _scheduled_values(model, points, schedule):
@@ -80,7 +72,8 @@ def _scheduled_values(model, points, schedule):
         return np.zeros((len(points), 0))
     pres = model_mod.batch_preactivations(model, points)
     return np.concatenate(
-        [pres[layer - 1][:, cols] for layer, cols, _ in _layer_columns(schedule)], axis=1
+        [pres[layer - 1][:, cols] for layer, cols, _ in model_mod.layer_columns(schedule)],
+        axis=1,
     )
 
 
@@ -88,34 +81,37 @@ def residuals(sk, model, domain, schedule=None):
     """Re-evaluate every zero entry of every alive vertex.
 
     Facet zeros score |w.x - b|, neuron zeros |pre-activation|. Aggregates
-    come back per group (facets, then one group per layer).
+    come back per group (facets, then one group per layer). Vertices are
+    evaluated in blocks of BLOCK_ROWS; each block's picked values are kept
+    in row order, and every max and mean is taken once over them.
     """
     if schedule is None:
         schedule = model_mod.infer_schedule(model, sk.t)
-    av = sk.alive_vertex_ids()
-    pts = sk.positions[av]
-    rows = sk.vertex_signs[av]
-    facet_vals = np.abs(domain.facet_values(pts))
-    neuron_vals = np.abs(_scheduled_values(model, pts, schedule))
-    allvals = np.concatenate([facet_vals, neuron_vals], axis=1)
-    mask = rows == 0
-    picked = allvals[mask]
-    by_group = {}
-    facet_mask = mask[:, : sk.m]
-    if facet_mask.any():
-        fv = facet_vals[facet_mask]
-        by_group["facets"] = {"max_abs": float(fv.max()), "mean_abs": float(fv.mean())}
+    groups = [("facets", slice(0, sk.m))]
     col = sk.m
-    for layer, _, width in _layer_columns(schedule):
-        cols = slice(col, col + width)
+    for layer, _, width in model_mod.layer_columns(schedule):
+        groups.append((f"layer_{layer}", slice(col, col + width)))
         col += width
-        lm = mask[:, cols]
-        if lm.any():
-            lv = allvals[:, cols][lm]
-            by_group[f"layer_{layer}"] = {
-                "max_abs": float(lv.max()),
-                "mean_abs": float(lv.mean()),
-            }
+    av = sk.alive_vertex_ids()
+    picked = [np.zeros(0)]
+    group_picked = {name: [np.zeros(0)] for name, _ in groups}
+    for start, stop in _row_blocks(len(av)):
+        ids = av[start:stop]
+        pts = sk.positions[ids]
+        vals = np.concatenate(
+            [domain.facet_values(pts), _scheduled_values(model, pts, schedule)], axis=1
+        )
+        np.abs(vals, out=vals)
+        mask = sk.vertex_signs[ids] == 0
+        picked.append(vals[mask])
+        for name, cols in groups:
+            group_picked[name].append(vals[:, cols][mask[:, cols]])
+    picked = np.concatenate(picked)
+    by_group = {}
+    for name, _ in groups:
+        values = np.concatenate(group_picked[name])
+        if values.size:
+            by_group[name] = {"max_abs": float(values.max()), "mean_abs": float(values.mean())}
     return ResidualReport(
         float(picked.max()) if picked.size else 0.0,
         float(picked.mean()) if picked.size else 0.0,
@@ -152,8 +148,7 @@ def midpoint_check(sk, model, domain, tol=1e-8, schedule=None):
     (exact zero counting as minus); zero entries must satisfy |value| <= tol.
     Edges are checked in blocks of BLOCK_ROWS.
     """
-    if not tol >= 0:
-        raise ValueError(f"midpoint tolerance must be >= 0, got {tol}")
+    check_tolerance(tol)
     if schedule is None:
         schedule = model_mod.infer_schedule(model, sk.t)
     ae = sk.alive_edge_ids()
@@ -243,8 +238,7 @@ def sample_domain(domain, n, seed, start=0):
     They are rows start..start+n-1 of one fixed sequence per (domain, seed),
     so consecutive calls can produce it block by block.
     """
-    if n < 0:
-        raise ValueError(f"sample count must be >= 0, got {n}")
+    check_sample_count(n)
     if start < 0:
         raise ValueError(f"sample start must be >= 0, got {start}")
     dim = domain.dim
@@ -272,12 +266,11 @@ def sampled_region_oracle(model, domain, n, seed, schedule=None):
     drawn, signed and deduplicated in blocks of BLOCK_ROWS, so memory does
     not grow with n beyond the distinct rows each block keeps.
     """
-    if n < 0:
-        raise ValueError(f"sample count must be >= 0, got {n}")
+    check_sample_count(n)
     if schedule is None:
         schedule = model_mod.NeuronSchedule.for_model(model, include_output=False)
     m = domain.m
-    layers = _layer_columns(schedule)
+    layers = model_mod.layer_columns(schedule)
     pos = np.empty((min(n, BLOCK_ROWS), m + len(schedule)), dtype=bool)
     kept = [np.zeros((0, pos.shape[1]), dtype=np.int8)]
     for start, stop in _row_blocks(n):

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import centered_output_net
-from relucomplex import cli
+from relucomplex import cli, subdivide
 from relucomplex.model import diamond_model, save_model
 
 
@@ -163,7 +164,12 @@ def test_validate_cmd(tmp_path):
     ],
     ids=["samples", "midpoint_tol"],
 )
-def test_validate_rejects_negative_inputs(tmp_path, capsys, flags, expected):
+def test_validate_rejects_negative_inputs(tmp_path, capsys, monkeypatch, flags, expected):
+    # the inputs are checked before the extraction, which must not run
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("extraction ran before the input check")
+
+    monkeypatch.setattr(subdivide, "extract_complex", no_extraction)
     code = run_cli("validate", "--random", "2,2,4,1", "--out", tmp_path / "v", *flags)
     assert code == 2
     assert capsys.readouterr().err.startswith(expected)
@@ -258,11 +264,19 @@ def test_removed_flag_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
-def test_console_script(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "relucomplex", "--version"],
-        capture_output=True, text=True,
+def run_module(*args):
+    """`python -m relucomplex ARGS` in a child process that imports the
+    package this test imported, whatever PYTHONPATH the test run had."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "relucomplex", *map(str, args)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_script(tmp_path):
+    proc = run_module("--version")
     assert proc.returncode == 0
     assert "relucomplex" in proc.stdout
 
@@ -270,13 +284,9 @@ def test_console_script(tmp_path):
 def test_thread_count_does_not_change_outputs(tmp_path):
     # --threads caps the BLAS pool before numpy loads; results must not move
     for n in ("1", "2"):
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "relucomplex", "extract",
-                "--random", "2,3,8,1", "--seed", "5",
-                "--out", str(tmp_path / n), "--threads", n,
-            ],
-            capture_output=True, text=True,
+        proc = run_module(
+            "extract", "--random", "2,3,8,1", "--seed", "5",
+            "--out", tmp_path / n, "--threads", n,
         )
         assert proc.returncode == 0, proc.stderr
     for artifact in ("vertices.csv", "edges.csv"):

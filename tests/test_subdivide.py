@@ -8,6 +8,7 @@ from relucomplex.model import (
     NeuronRef,
     NeuronSchedule,
     batch_preactivation,
+    batch_preactivations,
     random_model,
 )
 from relucomplex.signvec import row_keys, sign_text
@@ -189,6 +190,116 @@ def test_cache_matches_direct_evaluation():
     assert np.array_equal(got, want)
     with pytest.raises(ValueError):
         cache.advance_to(1)
+
+
+class RecomputingCache:
+    """Reference value cache: evaluates model.batch_preactivation at the
+    requested vertices' positions on every call, with no stored values."""
+
+    def __init__(self, model, positions):
+        self.model = model
+        self.layer = 1
+        self.positions = np.array(positions, dtype=np.float64)
+
+    @property
+    def n_rows(self):
+        return len(self.positions)
+
+    def advance_to(self, layer):
+        assert layer >= self.layer
+        self.layer = layer
+
+    def preactivation(self, neuron, rows):
+        assert neuron.layer == self.layer
+        return batch_preactivation(self.model, self.positions[rows], neuron)
+
+    def extend(self, positions):
+        self.positions = np.concatenate([self.positions, positions])
+
+
+def reference_prune(sk, model, remaining):
+    """prune_future by full forward passes: kill alive edges whose endpoints
+    agree in sign on every remaining neuron, then isolated vertices."""
+    pres = batch_preactivations(model, sk.positions)
+    signs = np.column_stack([pres[nr.layer - 1][:, nr.index] > 0.0 for nr in remaining])
+    ae = sk.alive_edge_ids()
+    same = np.all(signs[sk.edges[ae, 0]] == signs[sk.edges[ae, 1]], axis=1)
+    sk.edge_alive[ae[same]] = False
+    degree = np.bincount(sk.edges[sk.alive_edge_ids()].ravel(), minlength=sk.n_vertices)
+    sk.vertex_alive[degree == 0] = False
+
+
+@pytest.mark.parametrize(
+    "dim, prune", [(2, False), (3, True)], ids=["2d_output", "3d_level_set_pruned"]
+)
+def test_cache_matches_recomputing_reference(dim, prune):
+    # the per-layer matrix (rows appended for new vertices, columns read per
+    # neuron, the constant-column shortcut, prune_future's forward pass from
+    # it) against per-call evaluation at the vertex positions
+    net = centered_output_net(dim, 3, 8, seed=2)
+    schedule = NeuronSchedule.for_model(net, include_output=True)
+    domain, sk = init_hypercube(dim, -1.0, 1.0)
+    a, stats_a = extract_complex(net, domain, sk, schedule, level_set_prune=prune)
+
+    _, b = init_hypercube(dim, -1.0, 1.0)
+    cache = RecomputingCache(net, b.positions)
+    stats_b = []
+    neurons = list(schedule)
+    for i, nref in enumerate(neurons):
+        stats_b.append(subdivide_once(b, net, nref, cache=cache))
+        if prune and i + 1 < len(neurons) and neurons[i + 1].layer > nref.layer:
+            reference_prune(b, net, neurons[i + 1 :])
+    assert (not b.vertex_alive.all()) == prune
+    b = compact(b)
+
+    for name in ("positions", "vertex_signs", "edges", "edge_signs"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.degenerate_count == b.degenerate_count
+    strip = lambda st: {k: v for k, v in st.to_json().items() if k != "seconds"}
+    assert [strip(st) for st in stats_a] == [strip(st) for st in stats_b]
+    # both paths ran: some neurons split edges, some have a constant column
+    assert any(st.n_splitting for st in stats_a)
+    assert any(st.n_splitting == 0 for st in stats_a)
+
+
+@pytest.mark.parametrize(
+    "bias, sign, n_deg",
+    [(10.0, 1, 0), (-10.0, -1, 0), (-2.0, -1, 1)],
+    ids=["above", "below", "touching_corner"],
+)
+def test_constant_column(bias, sign, n_deg):
+    # x = 0.25 splits the square first, leaving dead edge rows; the second
+    # neuron x + y + bias has one sign on [-1,1]^2 (at bias -2 it is exactly
+    # 0 at the corner (1, 1), which counts as minus and as degenerate)
+    w = np.array([[1.0, 0.0], [1.0, 1.0]])
+    net = MlpSpec((LayerSpec(w, np.array([-0.25, bias])),), 2)
+    _, sk = init_hypercube(2, -1.0, 1.0)
+    subdivide_once(sk, net, NeuronRef(1, 0))
+    dead = ~sk.edge_alive
+    assert dead.any()
+    before = (sk.n_vertices, sk.n_edges, sk.degenerate_count)
+    st = subdivide_once(sk, net, NeuronRef(1, 1))
+    assert (st.n_splitting, st.n_intersecting, st.n_degenerate) == (0, 0, n_deg)
+    assert (st.vertices_after, st.edges_after) == (st.vertices_before, st.edges_before)
+    assert (sk.n_vertices, sk.n_edges) == before[:2]
+    assert sk.degenerate_count == before[2] + n_deg
+    assert np.all(sk.vertex_signs[:, -1] == sign)
+    assert np.all(sk.edge_signs[sk.edge_alive, -1] == sign)
+    assert np.all(sk.edge_signs[dead, -1] == 0)
+    check_invariants(sk)
+
+
+def test_constant_column_nothing_alive():
+    # pruning against a neuron that splits nothing kills every cell; the
+    # column is then -1 on every vertex row and 0 on every edge row
+    net = line_net((1.0, 1.0), 10.0)
+    _, sk = init_hypercube(2, -1.0, 1.0)
+    stats = prune_future(sk, net, [NeuronRef(1, 0)])
+    assert (stats.vertices_alive, stats.edges_alive) == (0, 0)
+    st = subdivide_once(sk, net, NeuronRef(1, 0))
+    assert (st.vertices_after, st.edges_after, st.n_splitting) == (0, 0, 0)
+    assert np.all(sk.vertex_signs[:, -1] == -1)
+    assert np.all(sk.edge_signs[:, -1] == 0)
 
 
 def test_prune_future_empty_remaining():

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import extract_random
+from conftest import centered_output_net, extract_random
 from relucomplex import validate as validate_mod
 from relucomplex.model import (
     LayerSpec,
@@ -203,6 +203,26 @@ def test_midpoint_check_blocks_agree_on_corrupted_edge(monkeypatch):
     assert reports[0] == reports[1]
     assert reports[0].failed_edges == [bad]
     assert (reports[0].n_edges, reports[0].n_fail) == (len(ae), 1)
+
+
+@pytest.mark.parametrize("include_output", [False, True], ids=["hidden", "output"])
+@pytest.mark.parametrize("kind", ["cube", "simplex"])
+def test_residuals_blocks_agree(monkeypatch, kind, include_output):
+    if kind == "cube":
+        domain, sk = init_hypercube(2, -1.0, 1.0)
+    else:
+        domain, sk = init_simplex(3, 0.7)
+    net = centered_output_net(domain.dim, 2, 6, seed=1)
+    schedule = NeuronSchedule.for_model(net, include_output=include_output)
+    sk, _ = extract_complex(net, domain, sk, schedule)
+    reports = []
+    for block_rows in (7, 10**6):
+        monkeypatch.setattr(validate_mod, "BLOCK_ROWS", block_rows)
+        reports.append(residuals(sk, net, domain, schedule).to_json())
+    assert reports[0] == reports[1]
+    groups = ["facets", "layer_1", "layer_2"] + (["layer_3"] if include_output else [])
+    assert list(reports[0]["by_group"]) == groups
+    assert reports[0]["n_vertices"] == sk.n_vertices_alive > 7
 
 
 def test_sampled_region_oracle_memory_is_bounded():
