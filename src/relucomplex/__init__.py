@@ -56,6 +56,7 @@ from .poset import (
 from .geometry import (
     BoundaryMesh,
     EmptyBoundaryError,
+    FaceAssemblyError,
     ShapeMetrics,
     area_perimeter_2d,
     assemble_faces,

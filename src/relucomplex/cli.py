@@ -165,7 +165,7 @@ def main(argv=None):
         parser.print_help()
         return EXIT_INPUT
 
-    from .geometry import EmptyBoundaryError
+    from .geometry import EmptyBoundaryError, FaceAssemblyError
     from .model import ModelFormatError
     from .poset import CountBudgetError
     from .skeleton import SkeletonError
@@ -190,7 +190,7 @@ def main(argv=None):
     except CountBudgetError as exc:
         print(f"count budget exceeded: {exc}", file=sys.stderr)
         return EXIT_EMPTY
-    except (PairingError, SkeletonError) as exc:
+    except (PairingError, SkeletonError, FaceAssemblyError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
@@ -341,7 +341,7 @@ def cmd_boundary(args):
         )
         artifact = "boundary.svg"
     elif sk.dim == 3:
-        geometry.assemble_faces(mesh, sk, sk.m, net, schedule)
+        geometry.assemble_faces(mesh, sk, sk.m, net, schedule, inside_sign=inside)
         metrics["n_faces"] = len(mesh.faces)
         geometry.export_obj(mesh, out / "boundary.obj")
         artifact = "boundary.obj"

@@ -24,8 +24,9 @@ class BoundaryMesh:
     """Level-set subcomplex: vertices, edges, and (in 3-D) polygon faces.
 
     `edges` and `faces` use local indices into `vertex_ids`; faces are
-    ordered vertex loops, counter-clockwise around a normal that points
-    toward the positive output side.
+    ordered vertex loops, counter-clockwise around a normal that points out
+    of the inside: toward positive output by default, toward negative output
+    when `assemble_faces` was given `inside_sign=+1`.
     """
 
     out_entry: int
@@ -85,47 +86,54 @@ def boundary_subcomplex(sk, out_entry):
     )
 
 
-def cell_affine_map(model, sign_row, m, schedule=None, out_index=0):
-    """Affine map (g, c) of one output neuron on the cell's region.
+def cell_gradients(model, sign_rows, m, schedule, out_index):
+    """Output gradient of one output neuron on each cell, one row per sign row.
 
     The sign at each hidden neuron's entry selects its activation state
-    (+ active, otherwise inactive); f(x) = g.x + c holds on the cell.
+    (+ active, otherwise inactive). The gradient is a vector-Jacobian
+    product: starting from the output weight row, each hidden layer from the
+    last down masks the row by its active neurons and maps it back through
+    the layer's weights, so every cell costs one row of floats per layer.
+    Every hidden neuron must be in `schedule`.
     """
-    sign_row = np.asarray(sign_row, dtype=np.int8)
-    if schedule is None:
-        schedule = model_mod.infer_schedule(model, len(sign_row) - m)
-    pos = {nref: m + i for i, nref in enumerate(schedule)}
-    jac = np.eye(model.in_dim)
-    off = np.zeros(model.in_dim)
-    for l in range(1, model.depth):
+    sign_rows = np.asarray(sign_rows, dtype=np.int8)
+    pos = {nref: m + k for k, nref in enumerate(schedule)}
+    r = np.tile(model.layers[-1].weights[out_index], (len(sign_rows), 1))
+    for l in range(model.depth - 1, 0, -1):
         spec = model.layers[l - 1]
-        mask = np.array(
-            [sign_row[pos[model_mod.NeuronRef(l, i)]] > 0 for i in range(spec.out_dim)],
-            dtype=np.float64,
-        )
-        jac = mask[:, None] * (spec.weights @ jac)
-        off = mask * (spec.weights @ off + spec.bias)
-    last = model.layers[-1]
-    g = last.weights[out_index] @ jac
-    c = float(last.weights[out_index] @ off + last.bias[out_index])
-    return g, c
+        cols = [pos[model_mod.NeuronRef(l, i)] for i in range(spec.out_dim)]
+        active = sign_rows[:, cols] > 0
+        # row-stable like model._affine: each row's sums ignore the batch
+        r = np.einsum("nk,kj->nj", r * active, spec.weights, optimize=False)
+    return r
 
 
-def _perp_unit(n):
-    k = int(np.argmin(np.abs(n)))
-    e = np.zeros(len(n))
-    e[k] = 1.0
-    u = e - (e @ n) * n
-    return u / np.linalg.norm(u)
+class FaceAssemblyError(RuntimeError):
+    """A level-set face's vertices do not lie in the plane of its cell's map."""
 
 
-def assemble_faces(mesh, sk, m, model, schedule=None, planar_tol=1e-9):
-    """Fill in the boundary 2-cells of a 3-D level set.
+def _perp_units(n):
+    """A unit vector perpendicular to each row of `n` (unit rows)."""
+    rows = np.arange(len(n))
+    k = np.argmin(np.abs(n), axis=1)
+    e = np.zeros_like(n)
+    e[rows, k] = 1.0
+    u = e - n[rows, k][:, None] * n
+    return u / np.linalg.norm(u, axis=1)[:, None]
+
+
+def assemble_faces(mesh, sk, m, model, schedule=None, planar_tol=1e-9, inside_sign=-1):
+    """Fill in the boundary 2-cells of a 3-D level set, all faces at once.
 
     Faces are found by perturbing each boundary edge's free zero (the one
-    that is not the output entry); equal face keys are grouped, and each
-    face's vertices are ordered by angle around the centroid within the face
-    plane, counter-clockwise around the output gradient.
+    that is not the output entry); equal face keys are grouped, and a face's
+    vertices are the endpoints of its edges. Each face's vertices are
+    ordered by angle around their centroid within the plane normal to the
+    cell's output gradient: counter-clockwise around that gradient, so that
+    face normals point out of the inside (negative output). With
+    `inside_sign=+1` the inside is the positive side and every loop is
+    reversed. Raises FaceAssemblyError when a face's vertices stray more
+    than `planar_tol` from that plane.
     """
     if sk.dim != 3:
         raise ValueError("face assembly requires D = 3")
@@ -140,30 +148,39 @@ def assemble_faces(mesh, sk, m, model, schedule=None, planar_tol=1e-9):
     edge_rows[:, mesh.out_entry] = 1
     cand, src = signvec.perturb_rows(edge_rows, m)
     cand[:, mesh.out_entry] = 0
+    keys, inverse, _ = signvec.group_rows(cand)
 
-    uniq, inverse, counts = signvec.group_rows(cand)
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    out_index = schedule[mesh.out_entry - m].index
+    # each face's vertex set: the unique (face, vertex) pairs of its edges,
+    # sorted by face, then vertex
+    nv = mesh.n_vertices
+    pairs = np.unique(np.repeat(inverse, 2) * nv + mesh.edges[src].ravel())
+    face, verts = np.divmod(pairs, nv)
+    size = np.bincount(face, minlength=len(keys))
+    pts = mesh.positions[verts]
+    centroid = np.stack(
+        [np.bincount(face, weights=pts[:, j], minlength=len(keys)) for j in range(3)], axis=1
+    ) / size[:, None]
+    rel = pts - centroid[face]
 
-    faces = []
-    for g in range(len(uniq)):
-        edge_ids = src[order[bounds[g] : bounds[g + 1]]]
-        verts = np.unique(mesh.edges[edge_ids].ravel())
-        pts = mesh.positions[verts]
-        grad, _ = cell_affine_map(model, uniq[g], m, schedule, out_index)
-        n = grad / np.linalg.norm(grad)
-        centroid = pts.mean(axis=0)
-        rel = pts - centroid
-        if np.max(np.abs(rel @ n)) > planar_tol:
-            raise RuntimeError(
-                f"non-planar face loop (> {planar_tol}): {signvec.sign_text(uniq[g])}"
-            )
-        u = _perp_unit(n)
-        v = np.cross(n, u)
-        ang = np.arctan2(rel @ v, rel @ u)
-        faces.append(verts[np.argsort(ang)])
-    mesh.faces = faces
+    grad = cell_gradients(model, keys, m, schedule, schedule[mesh.out_entry - m].index)
+    n = grad / np.linalg.norm(grad, axis=1)[:, None]
+    dev = np.abs(np.einsum("ij,ij->i", rel, n[face]))
+    bad = ~(dev <= planar_tol)
+    if bad.any():
+        worst = int(np.argmax(np.where(bad, np.nan_to_num(dev, nan=np.inf), -1.0)))
+        f = face[worst]
+        raise FaceAssemblyError(
+            f"non-planar face loop {signvec.sign_text(keys[f])}: vertices "
+            f"{mesh.vertex_ids[verts[face == f]].tolist()} deviate up to {dev[worst]:.3g} "
+            f"(> {planar_tol}) from the plane of the cell's map"
+        )
+    u = _perp_units(n)
+    v = np.cross(n, u)
+    ang = np.arctan2(
+        np.einsum("ij,ij->i", rel, v[face]), np.einsum("ij,ij->i", rel, u[face])
+    )
+    order = np.lexsort((-inside_sign * ang, face))
+    mesh.faces = np.split(verts[order], np.cumsum(size)[:-1])
     return mesh
 
 
@@ -214,29 +231,24 @@ def area_divergence_2d(sk, out_entry, m, model, domain, schedule=None, inside_si
     if schedule is None:
         schedule = model_mod.infer_schedule(model, sk.t)
     out_index = schedule[out_entry - m].index
-    total = 0.0
-    for eid in sk.alive_edge_ids():
-        row = sk.edge_signs[eid]
-        zero = int(np.flatnonzero(row == 0)[0])
-        a, b = sk.positions[sk.edges[eid]]
-        length = float(np.linalg.norm(b - a))
-        if length == 0.0:
-            continue
-        if zero == out_entry:
-            inside_row = row.copy()
-            inside_row[out_entry] = inside_sign
-            grad, _ = cell_affine_map(model, inside_row, m, schedule, out_index)
-            n = grad / np.linalg.norm(grad)
-            if inside_sign > 0:
-                n = -n
-        elif zero < m and row[out_entry] == inside_sign:
-            w = domain.facets[zero].normal
-            n = -w / np.linalg.norm(w)
-        else:
-            continue
-        mid = (a + b) / 2.0
-        total += 0.5 * float(mid @ n) * length
-    return total
+    ae = sk.alive_edge_ids()
+    rows = sk.edge_signs[ae]
+    zero = np.argmax(rows == 0, axis=1)
+    a, b = sk.positions[sk.edges[ae]].transpose(1, 0, 2)
+    length = np.linalg.norm(b - a, axis=1)
+    level = (zero == out_entry) & (length != 0.0)
+    facet = (zero < m) & (rows[:, out_entry] == inside_sign) & (length != 0.0)
+
+    normals = np.zeros_like(a)
+    inside_rows = rows[level]
+    inside_rows[:, out_entry] = inside_sign
+    grad = cell_gradients(model, inside_rows, m, schedule, out_index)
+    # the gradient points to positive output, out of a negative inside
+    normals[level] = -inside_sign * grad / np.linalg.norm(grad, axis=1)[:, None]
+    w = domain.normals[zero[facet]]
+    normals[facet] = -w / np.linalg.norm(w, axis=1)[:, None]
+    mid = (a + b) / 2.0
+    return float(0.5 * np.sum(np.einsum("ij,ij->i", mid, normals) * length))
 
 
 @dataclass

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import centered_output_net
-from relucomplex import geometry
+from relucomplex import cli, geometry, signvec
 from relucomplex.geometry import (
     EmptyBoundaryError,
+    FaceAssemblyError,
     area_divergence_2d,
     area_perimeter_2d,
     assemble_faces,
     boundary_subcomplex,
+    cell_gradients,
     compactness,
     distance_histogram,
     export_csv,
@@ -18,8 +20,11 @@ from relucomplex.geometry import (
 from relucomplex.model import (
     LayerSpec,
     MlpSpec,
+    NeuronRef,
     NeuronSchedule,
     diamond_model,
+    random_model,
+    save_model,
 )
 from relucomplex.signvec import sign_text
 from relucomplex.skeleton import init_hypercube
@@ -59,11 +64,55 @@ def test_diamond_metrics(diamond):
     assert metrics.compactness == pytest.approx(np.pi / 4.0, abs=1e-12)
 
 
+def reference_gradient(model, sign_row, m, schedule, out_index=0):
+    """One cell's output gradient by forward Jacobian accumulation."""
+    pos = {nref: m + i for i, nref in enumerate(schedule)}
+    jac = np.eye(model.in_dim)
+    for l in range(1, model.depth):
+        spec = model.layers[l - 1]
+        mask = np.array(
+            [sign_row[pos[NeuronRef(l, i)]] > 0 for i in range(spec.out_dim)], dtype=np.float64
+        )
+        jac = mask[:, None] * (spec.weights @ jac)
+    return model.layers[-1].weights[out_index] @ jac
+
+
+def reference_divergence_area(sk, out_entry, m, model, domain, schedule, inside_sign=-1):
+    """area_divergence_2d one edge and one cell gradient at a time."""
+    out_index = schedule[out_entry - m].index
+    total = 0.0
+    for eid in sk.alive_edge_ids():
+        row = sk.edge_signs[eid]
+        zero = int(np.flatnonzero(row == 0)[0])
+        a, b = sk.positions[sk.edges[eid]]
+        length = float(np.linalg.norm(b - a))
+        if length == 0.0:
+            continue
+        if zero == out_entry:
+            inside_row = row.copy()
+            inside_row[out_entry] = inside_sign
+            grad = reference_gradient(model, inside_row, m, schedule, out_index)
+            n = grad / np.linalg.norm(grad)
+            if inside_sign > 0:
+                n = -n
+        elif zero < m and row[out_entry] == inside_sign:
+            w = domain.facets[zero].normal
+            n = -w / np.linalg.norm(w)
+        else:
+            continue
+        total += 0.5 * float((a + b) / 2.0 @ n) * length
+    return total
+
+
 def test_diamond_divergence_cross_check(diamond):
     net, domain, schedule, sk, out_entry = diamond
     shoelace = area_perimeter_2d(sk, out_entry, sk.m).area
     div = area_divergence_2d(sk, out_entry, sk.m, net, domain, schedule)
     assert abs(shoelace - div) <= 1e-9
+    for inside in (-1, 1):
+        ref = reference_divergence_area(sk, out_entry, sk.m, net, domain, schedule, inside)
+        got = area_divergence_2d(sk, out_entry, sk.m, net, domain, schedule, inside)
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_divergence_cross_check_random():
@@ -72,6 +121,23 @@ def test_divergence_cross_check_random():
     metrics = area_perimeter_2d(sk, out_entry, sk.m)
     div = area_divergence_2d(sk, out_entry, sk.m, net, domain, schedule)
     assert abs(metrics.area - div) <= 1e-9
+    for inside in (-1, 1):
+        ref = reference_divergence_area(sk, out_entry, sk.m, net, domain, schedule, inside)
+        got = area_divergence_2d(sk, out_entry, sk.m, net, domain, schedule, inside)
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_cell_gradients_match_per_row_reference():
+    net = random_model(3, 3, 16, 2, seed=4)
+    schedule = NeuronSchedule.for_model(net, include_output=True)
+    m = 6
+    rows = np.random.default_rng(0).integers(-1, 2, size=(200, m + len(schedule)))
+    rows = rows.astype(np.int8)
+    for out_index in (0, 1):
+        got = cell_gradients(net, rows, m, schedule, out_index)
+        ref = np.array([reference_gradient(net, r, m, schedule, out_index) for r in rows])
+        assert got.shape == (len(rows), 3)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
 
 
 def test_compactness_values():
@@ -147,6 +213,105 @@ def test_plane_face_assembly(tmp_path):
     text = path.read_text().splitlines()
     assert sum(1 for l in text if l.startswith("v ")) == 4
     assert sum(1 for l in text if l.startswith("f ")) == 1
+
+
+def reference_faces(mesh, sk, m, model, schedule, planar_tol=1e-9):
+    """Face loops of a 3-D level set, one face and one gradient at a time."""
+    edge_rows = mesh.edge_signs.copy()
+    edge_rows[:, mesh.out_entry] = 1
+    cand, src = signvec.perturb_rows(edge_rows, m)
+    cand[:, mesh.out_entry] = 0
+    uniq, inverse, counts = signvec.group_rows(cand)
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    out_index = schedule[mesh.out_entry - m].index
+    faces = []
+    for g in range(len(uniq)):
+        edge_ids = src[order[bounds[g] : bounds[g + 1]]]
+        verts = np.unique(mesh.edges[edge_ids].ravel())
+        pts = mesh.positions[verts]
+        grad = reference_gradient(model, uniq[g], m, schedule, out_index)
+        n = grad / np.linalg.norm(grad)
+        rel = pts - pts.mean(axis=0)
+        assert np.max(np.abs(rel @ n)) <= planar_tol
+        k = int(np.argmin(np.abs(n)))
+        e = np.zeros(3)
+        e[k] = 1.0
+        u = e - (e @ n) * n
+        u = u / np.linalg.norm(u)
+        v = np.cross(n, u)
+        faces.append(verts[np.argsort(np.arctan2(rel @ v, rel @ u))])
+    return faces
+
+
+@pytest.mark.parametrize(
+    "shape, seed",
+    [((3, 2, 6), 0), ((3, 2, 6), 1), ((3, 2, 6), 2), ((3, 3, 16), 5), ((3, 4, 32), 0)],
+)
+def test_faces_match_per_face_reference(shape, seed):
+    net = centered_output_net(*shape, seed=seed)
+    domain, sk = init_hypercube(3, -1.0, 1.0)
+    schedule = NeuronSchedule.for_model(net, include_output=True)
+    sk, _ = extract_complex(net, domain, sk, schedule, level_set_prune=True)
+    mesh = boundary_subcomplex(sk, schedule.output_entry(sk.m))
+    ref = reference_faces(mesh, sk, sk.m, net, schedule)
+    faces = assemble_faces(mesh, sk, sk.m, net, schedule).faces
+    assert len(ref) > 0 and len(faces) == len(ref)
+    for got, want in zip(faces, ref):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_non_planar_face_raises(monkeypatch):
+    net = plane_net()
+    domain, schedule, sk, out_entry = extract_with_output(net, -1.0, 1.0)
+    key = np.ones(sk.sign_width, dtype=np.int8)
+    key[out_entry] = 0
+    mesh = boundary_subcomplex(sk, out_entry)
+    mesh.positions[0, 2] += 1e-6
+    with pytest.raises(FaceAssemblyError) as exc:
+        assemble_faces(mesh, sk, sk.m, net, schedule)
+    message = str(exc.value)
+    assert sign_text(key) in message
+    assert str(sorted(mesh.vertex_ids.tolist())) in message
+    assert "7.5e-07" in message
+    # a zero gradient leaves no plane: the NaN deviation must fail too
+    mesh = boundary_subcomplex(sk, out_entry)
+    monkeypatch.setattr(
+        geometry, "cell_gradients", lambda model, rows, *args: np.zeros((len(rows), 3))
+    )
+    with np.errstate(invalid="ignore"), pytest.raises(FaceAssemblyError, match="nan"):
+        assemble_faces(mesh, sk, sk.m, net, schedule)
+
+
+def run_plane_boundary(tmp_path, name, *flags):
+    save_model(plane_net(), tmp_path / "plane.json")
+    return cli.main(
+        ["boundary", "--model", str(tmp_path / "plane.json"), "--out", str(tmp_path / name),
+         *flags]
+    )
+
+
+def test_boundary_face_error_exits_4(tmp_path, monkeypatch, capsys):
+    real = geometry.assemble_faces
+
+    def tilted(mesh, *args, **kwargs):
+        mesh.positions[0, 2] += 1e-6
+        return real(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "assemble_faces", tilted)
+    assert run_plane_boundary(tmp_path, "out") == 4
+    assert "non-planar face loop ++++++0" in capsys.readouterr().err
+
+
+def test_inside_positive_reverses_loops(tmp_path):
+    def face_lines(name):
+        text = (tmp_path / name / "boundary.obj").read_text().splitlines()
+        return [l.split()[1:] for l in text if l.startswith("f ")]
+
+    assert run_plane_boundary(tmp_path, "neg") == 0
+    assert run_plane_boundary(tmp_path, "pos", "--inside-positive") == 0
+    neg, pos = face_lines("neg"), face_lines("pos")
+    assert len(neg) == 1 and pos == [loop[::-1] for loop in neg]
 
 
 def test_random_3d_faces_edge_sharing():
