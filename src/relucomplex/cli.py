@@ -223,6 +223,15 @@ def _run_extraction(args):
     from . import model as model_mod, subdivide
 
     net = _load_or_generate(args)
+    # flag ranges that depend on the model, checked before paying for extraction
+    up_to, max_cells = getattr(args, "up_to", None), getattr(args, "max_cells", None)
+    if up_to is not None and not 0 <= up_to <= net.in_dim:
+        raise ValueError(f"--up-to must be in 0..{net.in_dim}, got {up_to}")
+    if max_cells is not None and max_cells < 0:
+        raise ValueError(f"--max-cells must be >= 0, got {max_cells}")
+    index = args.output_index
+    if args.command in ("boundary", "prune-model") and not 0 <= index < net.out_dim:
+        raise ValueError(f"--output-index must be in 0..{net.out_dim - 1}, got {index}")
     domain, sk = _make_domain(args, net.in_dim)
     include_output = getattr(args, "include_output", False)
     schedule = model_mod.NeuronSchedule.for_model(net, include_output=include_output)
@@ -257,10 +266,13 @@ def _write_summary(outdir, net, domain, sk, stats, seconds):
         "residual": report.to_json(),
         "degenerate_count": sk.degenerate_count,
     }
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+    _write_json(outdir / "summary.json", summary)
+
+
+def _write_json(path, doc):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
-    return summary
 
 
 def _write_stats(outdir, stats):
@@ -311,9 +323,7 @@ def cmd_count(args):
         doc["regions"] = counts[-1]
     if truncated:
         doc["truncated"] = True
-    with open(out / "counts.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "counts.json", doc)
     print(f"counts {counts}" + (" (truncated)" if truncated else ""))
     return EXIT_EMPTY if truncated else EXIT_OK
 
@@ -335,10 +345,9 @@ def cmd_boundary(args):
             {"area": shape.area, "perimeter": shape.perimeter,
              "compactness": shape.compactness}
         )
-        geometry.export_svg(
-            sk, out / "boundary.svg", out_entry,
-            box=(domain_box(domain)) if domain.kind == "hypercube" else None,
-        )
+        cube = domain.kind == "hypercube"
+        box = ([domain.meta["lo"]] * 2, [domain.meta["hi"]] * 2) if cube else None
+        geometry.export_svg(sk, out / "boundary.svg", out_entry, box=box)
         artifact = "boundary.svg"
     elif sk.dim == 3:
         geometry.assemble_faces(mesh, sk, sk.m, net, schedule, inside_sign=inside)
@@ -347,18 +356,9 @@ def cmd_boundary(args):
         artifact = "boundary.obj"
     else:
         raise ValueError("boundary export supports D = 2 and D = 3")
-    with open(out / "metrics.json", "w") as fh:
-        json.dump(metrics, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "metrics.json", metrics)
     print(f"boundary: {mesh.n_vertices} vertices, {mesh.n_edges} edges -> {out / artifact}")
     return EXIT_OK
-
-
-def domain_box(domain):
-    lo = domain.meta["lo"]
-    hi = domain.meta["hi"]
-    dim = domain.dim
-    return ([lo] * dim, [hi] * dim)
 
 
 def cmd_prune_model(args):
@@ -382,9 +382,7 @@ def cmd_prune_model(args):
         "parameters_before": net.parameter_count(),
         "parameters_after": pruned.parameter_count(),
     }
-    with open(out / "prune_report.json", "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "prune_report.json", report)
     print(f"pruned {net.parameter_count()} -> {pruned.parameter_count()} parameters")
     return EXIT_OK
 
@@ -400,11 +398,11 @@ def cmd_validate(args):
     net, domain, schedule, sk, stats, seconds = _run_extraction(args)
     res = validate_mod.residuals(sk, net, domain, schedule)
     mid = validate_mod.midpoint_check(sk, net, domain, args.midpoint_tol, schedule)
-    counts = poset.count_cells(sk, sk.m, sk.dim)
     sampled = validate_mod.sampled_region_oracle(
         net, domain, args.samples, args.seed, schedule
     )
-    regions = poset.region_signatures(sk, sk.m)
+    # run after the oracle (the command's memory peak): the regions are not held through it
+    counts, regions = poset.cells_up_to(sk, sk.m, sk.dim)
     # both are deduplicated: sampled is a subset iff the union adds nothing
     union, _, _ = signvec.group_rows(np.concatenate([regions, sampled]))
     doc = {
@@ -418,9 +416,7 @@ def cmd_validate(args):
         "coverage": len(sampled) / len(regions) if len(regions) else None,
     }
     out = _outdir(args)
-    with open(out / "validation.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "validation.json", doc)
     ok = mid.n_fail == 0 and doc["sampled_subset_of_regions"] and doc["euler"] == 1
     print(f"validation {'PASS' if ok else 'FAIL'}: max residual {res.max_abs:.3e}, "
           f"midpoints {mid.n_pass}/{mid.n_edges}, euler {doc['euler']}")
@@ -435,7 +431,7 @@ def _parse_dims(text):
 
 
 def cmd_bench(args):
-    from . import model as model_mod, skeleton as skeleton_mod, subdivide, validate as validate_mod
+    from . import model as model_mod, subdivide, validate as validate_mod
 
     dims = _parse_dims(args.dims)
     widths = [int(w) for w in args.widths.split(",")]
@@ -446,10 +442,7 @@ def cmd_bench(args):
         for width in widths:
             for seed in range(args.seeds):
                 net = model_mod.random_model(dim, args.depth, width, 1, seed)
-                if args.domain == "cube":
-                    domain, sk = skeleton_mod.init_hypercube(dim, args.lo, args.hi)
-                else:
-                    domain, sk = skeleton_mod.init_simplex(dim, args.scale)
+                domain, sk = _make_domain(args, dim)
                 schedule = model_mod.NeuronSchedule.for_model(net)
                 t0 = time.perf_counter()
                 sk, stats = subdivide.extract_complex(net, domain, sk, schedule)
@@ -464,9 +457,7 @@ def cmd_bench(args):
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
     report = validate_mod.scaling_report(runs)
-    with open(out / "bench_summary.json", "w") as fh:
-        json.dump(report.to_json(), fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "bench_summary.json", report.to_json())
     print(f"{len(rows)} runs -> {out / 'bench.csv'}; "
           f"log-log slope {report.slope:.3f} (rms {report.rms_residual:.3f})")
     return EXIT_OK

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from . import model as model_mod
-from . import poset
 from . import signvec
 
 
@@ -109,7 +108,33 @@ def cell_gradients(model, sign_rows, m, schedule, out_index):
 
 
 class FaceAssemblyError(RuntimeError):
-    """A level-set face's vertices do not lie in the plane of its cell's map."""
+    """A face's edges do not close one loop, or its vertices leave its plane."""
+
+
+def _face_vertices(edge_rows, ends, positions, m):
+    """Group edges (sign rows, endpoint ids into `positions`) into 2-cells.
+
+    Returns `(keys, face, verts, size, rel)`: the cells' sign rows in
+    canonical order, the unique (face, vertex) pairs sorted by face then
+    vertex, each face's vertex count, and each pair's position relative to
+    its face's centroid. A convex polygon has as many vertices as edges; a
+    face where the counts differ raises FaceAssemblyError.
+    """
+    cand, src = signvec.perturb_rows(edge_rows, m)
+    keys, inverse, n_edges = signvec.group_rows(cand)
+    nv = len(positions)
+    pairs = np.unique(np.repeat(inverse, 2) * nv + ends[src].ravel())
+    face, verts = np.divmod(pairs, nv)
+    size = np.bincount(face, minlength=len(keys))
+    if np.any(size != n_edges):
+        f = int(np.argmax(size != n_edges))
+        raise FaceAssemblyError(
+            f"face {signvec.sign_text(keys[f])} has {n_edges[f]} edges but "
+            f"{size[f]} vertices {verts[face == f].tolist()}"
+        )
+    pts = positions[verts]
+    sums = np.stack([np.bincount(face, weights=p, minlength=len(keys)) for p in pts.T], axis=1)
+    return keys, face, verts, size, pts - (sums / size[:, None])[face]
 
 
 def _perp_units(n):
@@ -146,21 +171,8 @@ def assemble_faces(mesh, sk, m, model, schedule=None, planar_tol=1e-9, inside_si
     # perturb every zero but the output entry's: hide it as '+', then restore
     edge_rows = mesh.edge_signs.copy()
     edge_rows[:, mesh.out_entry] = 1
-    cand, src = signvec.perturb_rows(edge_rows, m)
-    cand[:, mesh.out_entry] = 0
-    keys, inverse, _ = signvec.group_rows(cand)
-
-    # each face's vertex set: the unique (face, vertex) pairs of its edges,
-    # sorted by face, then vertex
-    nv = mesh.n_vertices
-    pairs = np.unique(np.repeat(inverse, 2) * nv + mesh.edges[src].ravel())
-    face, verts = np.divmod(pairs, nv)
-    size = np.bincount(face, minlength=len(keys))
-    pts = mesh.positions[verts]
-    centroid = np.stack(
-        [np.bincount(face, weights=pts[:, j], minlength=len(keys)) for j in range(3)], axis=1
-    ) / size[:, None]
-    rel = pts - centroid[face]
+    keys, face, verts, size, rel = _face_vertices(edge_rows, mesh.edges, mesh.positions, m)
+    keys[:, mesh.out_entry] = 0
 
     grad = cell_gradients(model, keys, m, schedule, schedule[mesh.out_entry - m].index)
     n = grad / np.linalg.norm(grad, axis=1)[:, None]
@@ -188,34 +200,38 @@ def area_perimeter_2d(sk, out_entry, m, inside_sign=-1):
     """Perimeter of the 2-D level set and area of its inside.
 
     P sums the lengths of edges with a zero at out_entry; A sums the
-    shoelace areas of the 2-cells whose sign there equals `inside_sign`.
+    shoelace areas of the 2-cells whose sign there equals `inside_sign`,
+    each loop ordered by angle around its centroid. Raises
+    FaceAssemblyError when a cell's edges do not close one loop or an alive
+    vertex lies on no cell (a duplicated edge or vertex).
     """
     if sk.dim != 2:
         raise ValueError("area_perimeter_2d requires D = 2")
     ae = sk.alive_edge_ids()
-    be = ae[sk.edge_signs[ae, out_entry] == 0]
+    rows = sk.edge_signs[ae]
+    be = ae[rows[:, out_entry] == 0]
     if len(be) == 0:
         raise EmptyBoundaryError("level set does not intersect the domain")
     seg = sk.positions[sk.edges[be]]
     perimeter = float(np.linalg.norm(seg[:, 1] - seg[:, 0], axis=1).sum())
 
-    _, edge_cells = poset.cellsets_from_skeleton(sk)
-    faces = poset.build_parent_cells(edge_cells, m)
+    keys, face, verts, size, rel = _face_vertices(rows, sk.edges[ae], sk.positions, m)
+    # a duplicate vertex that took all its twin's edges leaves the twin on no cell
+    stray = np.setdiff1d(sk.alive_vertex_ids(), verts)
+    if len(stray):
+        raise FaceAssemblyError(f"alive vertices {stray.tolist()} lie on no 2-cell")
+    loop = sk.positions[verts[np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), face))]]
+    end = np.cumsum(size)
+    nxt = np.arange(1, len(loop) + 1)
+    nxt[end - 1] = end - size
+    (x, y), (x_next, y_next) = loop.T, loop[nxt].T.copy()
+    # BLAS ddot does not sum in sequence, so any other sum moves the area's
+    # last bits: one dot pair per cell, on the strides of the per-cell shoelace
     area = 0.0
-    for g in np.flatnonzero(faces.signs[:, out_entry] == inside_sign):
-        eids = edge_cells.source_ids[faces.children[g]]
-        verts = np.unique(sk.edges[eids].ravel())
-        area += _convex_polygon_area(sk.positions[verts])
+    for f in np.flatnonzero(keys[:, out_entry] == inside_sign):
+        s = slice(end[f] - size[f], end[f])
+        area += 0.5 * abs(np.dot(x[s], y_next[s]) - np.dot(y[s], x_next[s]))
     return ShapeMetrics(area, perimeter, compactness(area, perimeter))
-
-
-def _convex_polygon_area(pts):
-    centroid = pts.mean(axis=0)
-    rel = pts - centroid
-    order = np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))
-    p = pts[order]
-    x, y = p[:, 0], p[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
 def area_divergence_2d(sk, out_entry, m, model, domain, schedule=None, inside_sign=-1):
@@ -366,24 +382,21 @@ def export_svg(sk, path, out_entry=None, box=None):
         f'<g stroke="#999999" stroke-width="{_fmt(light)}" stroke-linecap="round">',
     ]
     ae = sk.alive_edge_ids()
-    boundary_ids = []
-    for eid in ae:
-        if out_entry is not None and sk.edge_signs[eid, out_entry] == 0:
-            boundary_ids.append(eid)
-            continue
-        a, b = sk.positions[sk.edges[eid]]
-        lines.append(
-            f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" x2="{_fmt(b[0])}" y2="{_fmt(b[1])}"/>'
-        )
+    on_level = np.zeros(len(ae), bool) if out_entry is None else sk.edge_signs[ae, out_entry] == 0
+    lines.extend(_svg_lines(sk, ae[~on_level]))
     lines.append("</g>")
     lines.append(
         f'<g stroke="#d62728" stroke-width="{_fmt(heavy)}" stroke-linecap="round">'
     )
-    for eid in boundary_ids:
-        a, b = sk.positions[sk.edges[eid]]
-        lines.append(
-            f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" x2="{_fmt(b[0])}" y2="{_fmt(b[1])}"/>'
-        )
+    lines.extend(_svg_lines(sk, ae[on_level]))
     lines.extend(["</g>", "</g>", "</svg>", ""])
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
+
+
+def _svg_lines(sk, edge_ids):
+    """One `<line>` element per edge, in id order."""
+    return [
+        f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}"/>'
+        for (ax, ay), (bx, by) in sk.positions[sk.edges[edge_ids]].tolist()
+    ]

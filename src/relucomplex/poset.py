@@ -25,8 +25,8 @@ class CountBudgetError(RuntimeError):
 class CellSet:
     """Deduplicated k-cells in canonical key order.
 
-    `children[i]` holds indices into the generating (k-1)-cell set (None in
-    counting mode); `source_ids` maps rows back to skeleton ids for sets
+    `children[i]` holds indices into the generating (k-1)-cell set (None for
+    vertices); `source_ids` maps rows back to skeleton ids for sets
     lifted directly from the skeleton.
     """
 
@@ -63,22 +63,18 @@ def cellsets_from_skeleton(sk):
     return verts, edges
 
 
-def build_parent_cells(cells, m, with_children=True):
+def build_parent_cells(cells, m):
     """All (k+1)-cells generated by perturbing a k-cell set."""
     cand, src = signvec.perturb_rows(cells.signs, m)
     uniq, inverse, counts = signvec.group_rows(cand)
-    children = None
-    if with_children:
-        order = np.argsort(inverse, kind="stable")
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        srcs = src[order]
-        children = [
-            np.sort(srcs[bounds[g] : bounds[g + 1]]) for g in range(len(uniq))
-        ]
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    srcs = src[order]
+    children = [np.sort(srcs[bounds[g] : bounds[g + 1]]) for g in range(len(uniq))]
     return CellSet(cells.dim + 1, uniq, children)
 
 
-def _parents_counting(rows, m, max_cells, chunk_rows=1 << 18):
+def _parents_counting(rows, m, chunk_rows=1 << 18):
     """Deduplicated parent rows without child links, chunked for memory."""
     pieces = []
     for start in range(0, len(rows), chunk_rows):
@@ -86,40 +82,39 @@ def _parents_counting(rows, m, max_cells, chunk_rows=1 << 18):
         uniq, _, _ = signvec.group_rows(cand)
         pieces.append(uniq)
     merged, _, _ = signvec.group_rows(np.concatenate(pieces, axis=0))
-    if max_cells is not None and len(merged) > max_cells:
-        raise CountBudgetError(f"{len(merged)} cells exceed budget {max_cells}", None)
     return merged
 
 
-def count_cells(sk, m, up_to, max_cells=None):
-    """Cell counts n_0..n_up_to; dims 0 and 1 read off the skeleton.
+def cells_up_to(sk, m, up_to, max_cells=None):
+    """Cell counts n_0..n_up_to and the sign rows of the up_to-cells.
 
-    On budget overrun raises CountBudgetError carrying the counts completed
-    so far.
+    Dims 0 and 1 are read off the skeleton; each higher one is a perturb and
+    deduplicate step (canonical key order) from the one below. At up_to == D
+    the rows are the regions and must carry no zeros. On budget overrun
+    raises CountBudgetError carrying the counts completed so far.
     """
-    if up_to > sk.dim:
-        raise ValueError("up_to exceeds the ambient dimension")
-    counts = [sk.n_vertices_alive]
-    if up_to >= 1:
-        counts.append(sk.n_edges_alive)
-    rows = sk.edge_signs[sk.alive_edge_ids()]
+    if not 0 <= up_to <= sk.dim:
+        raise ValueError(f"up_to must be in 0..{sk.dim}, got {up_to}")
+    counts = [sk.n_vertices_alive, sk.n_edges_alive][: up_to + 1]
+    rows = sk.edge_signs[sk.alive_edge_ids()] if up_to else sk.vertex_signs[sk.alive_vertex_ids()]
     for k in range(2, up_to + 1):
-        try:
-            rows = _parents_counting(rows, m, max_cells)
-        except CountBudgetError as exc:
-            raise CountBudgetError(str(exc), list(counts)) from None
+        rows = _parents_counting(rows, m)
+        if max_cells is not None and len(rows) > max_cells:
+            raise CountBudgetError(f"{len(rows)} cells exceed budget {max_cells}", counts)
         counts.append(len(rows))
-    return counts
+    if up_to == sk.dim and rows.size and np.any(rows == 0):
+        raise ValueError("region signature still contains zeros")
+    return counts, rows
+
+
+def count_cells(sk, m, up_to, max_cells=None):
+    """Cell counts n_0..n_up_to; see `cells_up_to`."""
+    return cells_up_to(sk, m, up_to, max_cells)[0]
 
 
 def region_signatures(sk, m):
     """Sign-vectors of all D-cells (no zeros), canonical key order."""
-    rows = sk.edge_signs[sk.alive_edge_ids()]
-    for k in range(2, sk.dim + 1):
-        rows = _parents_counting(rows, m, None)
-    if rows.size and np.any(rows == 0):
-        raise ValueError("region signature still contains zeros")
-    return rows
+    return cells_up_to(sk, m, sk.dim)[1]
 
 
 def euler_characteristic(counts):

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import centered_output_net
-from relucomplex import cli, subdivide
+from conftest import centered_output_net, extract_random
+from relucomplex import cli, poset, subdivide
 from relucomplex.model import diamond_model, save_model
 
 
@@ -174,6 +174,49 @@ def test_validate_rejects_negative_inputs(tmp_path, capsys, monkeypatch, flags, 
     assert code == 2
     assert capsys.readouterr().err.startswith(expected)
     assert not (tmp_path / "v" / "validation.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["count", "--up-to", "-1"], "error: --up-to must be in 0..2, got -1"),
+        (["count", "--up-to", "3"], "error: --up-to must be in 0..2, got 3"),
+        (["count", "--max-cells", "-5"], "error: --max-cells must be >= 0, got -5"),
+        (["boundary", "--output-index", "3"], "error: --output-index must be in 0..0, got 3"),
+        (["prune-model", "--output-index", "-1"],
+         "error: --output-index must be in 0..0, got -1"),
+    ],
+    ids=["up_to_negative", "up_to_above_dim", "max_cells", "boundary_output", "prune_output"],
+)
+def test_flag_ranges_checked_before_extraction(tmp_path, capsys, monkeypatch, argv, expected):
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("extraction ran before the range check")
+
+    monkeypatch.setattr(subdivide, "extract_complex", no_extraction)
+    code = run_cli(*argv, "--random", "2,2,4,1", "--out", tmp_path / "o")
+    assert code == 2
+    assert capsys.readouterr().err.startswith(expected)
+    assert not (tmp_path / "o").exists()
+
+
+def test_validate_walks_the_parent_chain_once(tmp_path, monkeypatch):
+    # regions and counts share one chain: D - 1 parent steps, not 2(D - 1)
+    calls = []
+    real = poset._parents_counting
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(poset, "_parents_counting", counted)
+    assert run_cli(
+        "validate", "--random", "3,2,6,1", "--seed", "1", "--samples", "2000", "--out", tmp_path
+    ) == 0
+    assert len(calls) == 2
+    doc = json.loads((tmp_path / "validation.json").read_text())
+    _, _, _, sk, _ = extract_random(3, 2, 6, seed=1)
+    assert doc["counts"] == poset.count_cells(sk, sk.m, 3)
+    assert doc["regions"] == len(poset.region_signatures(sk, sk.m))
 
 
 def test_bench_cmd(tmp_path):

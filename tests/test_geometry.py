@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import centered_output_net
-from relucomplex import cli, geometry, signvec
+from relucomplex import cli, geometry, poset, signvec
 from relucomplex.geometry import (
     EmptyBoundaryError,
     FaceAssemblyError,
@@ -125,6 +125,68 @@ def test_divergence_cross_check_random():
         ref = reference_divergence_area(sk, out_entry, sk.m, net, domain, schedule, inside)
         got = area_divergence_2d(sk, out_entry, sk.m, net, domain, schedule, inside)
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def reference_shoelace_area(sk, out_entry, m, inside_sign=-1):
+    """area_perimeter_2d's area one 2-cell at a time, cells rebuilt by poset."""
+    _, edge_cells = poset.cellsets_from_skeleton(sk)
+    faces = poset.build_parent_cells(edge_cells, m)
+    area = 0.0
+    for g in np.flatnonzero(faces.signs[:, out_entry] == inside_sign):
+        eids = edge_cells.source_ids[faces.children[g]]
+        pts = sk.positions[np.unique(sk.edges[eids].ravel())]
+        rel = pts - pts.mean(axis=0)
+        p = pts[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))]
+        x, y = p[:, 0], p[:, 1]
+        area += 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return area
+
+
+def nets_2d():
+    yield "diamond", diamond_model(), 2.0
+    for shape, seed in (((2, 3, 8), 0), ((2, 3, 8), 1), ((2, 4, 10), 2), ((2, 6, 24), 3)):
+        yield f"{shape}-{seed}", centered_output_net(*shape, seed=seed), 1.0
+
+
+@pytest.fixture(scope="module", params=list(nets_2d()), ids=lambda case: case[0])
+def complex_2d(request):
+    _, net, half = request.param
+    return extract_with_output(net, -half, half)
+
+
+def test_area_matches_per_cell_reference(complex_2d):
+    # the same dot products on the same loops: equal bits, not just close
+    domain, schedule, sk, out_entry = complex_2d
+    for inside in (-1, 1):
+        got = area_perimeter_2d(sk, out_entry, sk.m, inside_sign=inside).area
+        assert got == reference_shoelace_area(sk, out_entry, sk.m, inside)
+
+
+def test_area_rejects_duplicated_edge():
+    # a fresh complex: the module's diamond fixture must stay intact
+    domain, schedule, sk, out_entry = extract_with_output(diamond_model(), -2.0, 2.0)
+    e = sk.alive_edge_ids()[0]
+    sk.append_edges(sk.edges[e : e + 1], sk.edge_signs[e : e + 1])
+    parents = signvec.perturb_rows(sk.edge_signs[e : e + 1], sk.m)[0]
+    with pytest.raises(FaceAssemblyError) as exc:
+        area_perimeter_2d(sk, out_entry, sk.m)
+    assert any(f"face {sign_text(key)} has " in str(exc.value) for key in parents)
+
+
+@pytest.mark.parametrize("rewired", [False, True], ids=["isolated", "on_an_edge"])
+def test_area_rejects_duplicated_vertex(rewired):
+    domain, schedule, sk, out_entry = extract_with_output(diamond_model(), -2.0, 2.0)
+    v = sk.alive_vertex_ids()[0]
+    (copy,) = sk.append_vertices(sk.positions[v : v + 1], sk.vertex_signs[v : v + 1])
+    if rewired:
+        e = np.flatnonzero(sk.edge_alive & np.any(sk.edges == v, axis=1))[0]
+        other = sk.edges[e].sum() - v
+        sk.edges[e] = (other, copy)
+        match = rf"edges but \d+ vertices \[{v}, .*, {copy}\]"
+    else:
+        match = rf"alive vertices \[{copy}\] lie on no 2-cell"
+    with pytest.raises(FaceAssemblyError, match=match):
+        area_perimeter_2d(sk, out_entry, sk.m)
 
 
 def test_cell_gradients_match_per_row_reference():
@@ -283,6 +345,26 @@ def test_non_planar_face_raises(monkeypatch):
         assemble_faces(mesh, sk, sk.m, net, schedule)
 
 
+@pytest.mark.parametrize("corrupt", ["edge", "vertex"])
+def test_face_count_check_3d(corrupt):
+    # the plane z = 0 in the cube: one square face, 4 edges, 4 vertices
+    net = plane_net()
+    domain, schedule, sk, out_entry = extract_with_output(net, -1.0, 1.0)
+    mesh = boundary_subcomplex(sk, out_entry)
+    if corrupt == "edge":
+        mesh.edges = np.concatenate([mesh.edges, mesh.edges[:1]])
+        mesh.edge_signs = np.concatenate([mesh.edge_signs, mesh.edge_signs[:1]])
+        counts = "5 edges but 4 vertices"
+    else:
+        mesh.positions = np.concatenate([mesh.positions, mesh.positions[:1]])
+        e = np.flatnonzero(np.any(mesh.edges == 0, axis=1))[0]
+        mesh.edges[e] = np.where(mesh.edges[e] == 0, 4, mesh.edges[e])
+        counts = "4 edges but 5 vertices"
+    # the level set's own entry is hidden as '+' while faces are grouped
+    with pytest.raises(FaceAssemblyError, match=rf"face \+{{{sk.sign_width}}} has {counts}"):
+        assemble_faces(mesh, sk, sk.m, net, schedule)
+
+
 def run_plane_boundary(tmp_path, name, *flags):
     save_model(plane_net(), tmp_path / "plane.json")
     return cli.main(
@@ -355,6 +437,53 @@ def test_svg_export(diamond, tmp_path):
     assert path.read_bytes() == again.read_bytes()
     with pytest.raises(ValueError):
         export_svg(init_hypercube(3, 0, 1)[1], tmp_path / "x.svg")
+
+
+def reference_svg(sk, path, out_entry=None, box=None):
+    """export_svg one edge at a time."""
+
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    if box is None:
+        av = sk.alive_vertex_ids()
+        lo, hi = sk.positions[av].min(axis=0), sk.positions[av].max(axis=0)
+    else:
+        lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
+    span = float(max(hi - lo))
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{fmt(lo[0])} {fmt(-hi[1])} '
+        f'{fmt(hi[0] - lo[0])} {fmt(hi[1] - lo[1])}">',
+        '<g transform="scale(1,-1)">',
+        f'<g stroke="#999999" stroke-width="{fmt(0.003 * span)}" stroke-linecap="round">',
+    ]
+    heavy = []
+    for eid in sk.alive_edge_ids():
+        a, b = sk.positions[sk.edges[eid]]
+        line = f'<line x1="{fmt(a[0])}" y1="{fmt(a[1])}" x2="{fmt(b[0])}" y2="{fmt(b[1])}"/>'
+        if out_entry is not None and sk.edge_signs[eid, out_entry] == 0:
+            heavy.append(line)
+        else:
+            lines.append(line)
+    lines.append("</g>")
+    lines.append(f'<g stroke="#d62728" stroke-width="{fmt(0.01 * span)}" stroke-linecap="round">')
+    lines.extend(heavy)
+    lines.extend(["</g>", "</g>", "</svg>", ""])
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+
+
+def test_svg_matches_per_edge_reference(complex_2d, tmp_path):
+    domain, schedule, sk, out_entry = complex_2d
+    for entry in (out_entry, None):
+        for box in (None, ([-3.0, -2.0], [2.0, 3.0])):
+            export_svg(sk, tmp_path / "got.svg", entry, box)
+            reference_svg(sk, tmp_path / "want.svg", entry, box)
+            got = (tmp_path / "got.svg").read_bytes()
+            assert got == (tmp_path / "want.svg").read_bytes()
+            heavy = got.split(b'stroke="#d62728"')[1].count(b"<line")
+            assert (heavy > 0) == (entry is not None)
 
 
 def test_csv_export(tmp_path, diamond):

@@ -5,6 +5,7 @@ from relucomplex.model import LayerSpec, MlpSpec, NeuronSchedule, random_model
 from relucomplex.poset import (
     CountBudgetError,
     build_parent_cells,
+    cells_up_to,
     cellsets_from_skeleton,
     count_cells,
     euler_characteristic,
@@ -136,6 +137,15 @@ def test_count_budget():
 
 def test_up_to_bounds():
     _, sk = init_hypercube(2, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        count_cells(sk, sk.m, 3)
+    for up_to in (-1, 3):
+        with pytest.raises(ValueError, match="up_to must be in 0..2"):
+            count_cells(sk, sk.m, up_to)
     assert count_cells(sk, sk.m, 0) == [4]
+
+
+def test_cells_up_to_rows():
+    _, sk = extract_lines([[1.0, 1.0]], [-0.5])
+    counts, rows = cells_up_to(sk, sk.m, 0)
+    assert counts == [6] and np.array_equal(rows, sk.vertex_signs[sk.alive_vertex_ids()])
+    counts, rows = cells_up_to(sk, sk.m, 1)
+    assert counts == [6, 7] and np.array_equal(rows, sk.edge_signs[sk.alive_edge_ids()])
