@@ -61,7 +61,9 @@ def _build_parser():
                        help="prune non-boundary cells after each layer")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--stats", action="store_true", help="write per-iteration stats.jsonl")
-        p.add_argument("--threads", type=int, help="cap BLAS worker threads")
+        p.add_argument("--threads", type=int,
+                       help="cap the BLAS pool and the validation workers; "
+                            "results are independent of it")
         p.add_argument("--config", help="JSON file providing defaults for any flag")
 
     p = add_parser("extract", help="extract the complex; write CSV exports and summary")
@@ -247,10 +249,12 @@ def _run_extraction(args):
     return net, domain, schedule, sk, stats, seconds
 
 
-def _write_summary(outdir, net, domain, sk, stats, seconds):
+def _write_summary(outdir, net, domain, sk, stats, seconds, threads):
     from . import validate as validate_mod
 
-    report = validate_mod.residuals(sk, net, domain)
+    report = validate_mod.residuals(
+        sk, net, domain, workers=validate_mod.worker_count(threads)
+    )
     summary = {
         "n_vertices": sk.n_vertices_alive,
         "n_edges": sk.n_edges_alive,
@@ -297,7 +301,7 @@ def cmd_extract(args):
     net, domain, schedule, sk, stats, seconds = _run_extraction(args)
     out = _outdir(args)
     geometry.export_csv(sk, out)
-    _write_summary(out, net, domain, sk, stats, seconds)
+    _write_summary(out, net, domain, sk, stats, seconds, args.threads)
     if args.stats:
         _write_stats(out, stats)
     print(f"extracted {sk.n_vertices_alive} vertices, {sk.n_edges_alive} edges "
@@ -396,10 +400,11 @@ def cmd_validate(args):
     validate_mod.check_sample_count(args.samples)
     validate_mod.check_tolerance(args.midpoint_tol)
     net, domain, schedule, sk, stats, seconds = _run_extraction(args)
-    res = validate_mod.residuals(sk, net, domain, schedule)
-    mid = validate_mod.midpoint_check(sk, net, domain, args.midpoint_tol, schedule)
+    workers = validate_mod.worker_count(args.threads)
+    res = validate_mod.residuals(sk, net, domain, schedule, workers)
+    mid = validate_mod.midpoint_check(sk, net, domain, args.midpoint_tol, schedule, workers)
     sampled = validate_mod.sampled_region_oracle(
-        net, domain, args.samples, args.seed, schedule
+        net, domain, args.samples, args.seed, schedule, workers
     )
     # run after the oracle (the command's memory peak): the regions are not held through it
     counts, regions = poset.cells_up_to(sk, sk.m, sk.dim)

@@ -111,26 +111,36 @@ class FaceAssemblyError(RuntimeError):
     """A face's edges do not close one loop, or its vertices leave its plane."""
 
 
-def _face_vertices(edge_rows, ends, positions, m):
+def _face_vertices(edge_rows, ends, positions, m, hide=None, vertex_ids=None):
     """Group edges (sign rows, endpoint ids into `positions`) into 2-cells.
 
     Returns `(keys, face, verts, size, rel)`: the cells' sign rows in
     canonical order, the unique (face, vertex) pairs sorted by face then
     vertex, each face's vertex count, and each pair's position relative to
-    its face's centroid. A convex polygon has as many vertices as edges; a
-    face where the counts differ raises FaceAssemblyError.
+    its face's centroid. `hide` names a zero entry every edge shares (a
+    level set's own): it is grouped as '+', so that only the other zeros
+    are perturbed, and is 0 again in the keys. A convex polygon has as many
+    vertices as edges; a face where the counts differ raises
+    FaceAssemblyError, naming its vertices by `vertex_ids[row]` (by their
+    rows in `positions` when None).
     """
+    if hide is not None:
+        edge_rows = edge_rows.copy()
+        edge_rows[:, hide] = 1
     cand, src = signvec.perturb_rows(edge_rows, m)
     keys, inverse, n_edges = signvec.group_rows(cand)
+    if hide is not None:
+        keys[:, hide] = 0
     nv = len(positions)
     pairs = np.unique(np.repeat(inverse, 2) * nv + ends[src].ravel())
     face, verts = np.divmod(pairs, nv)
     size = np.bincount(face, minlength=len(keys))
     if np.any(size != n_edges):
         f = int(np.argmax(size != n_edges))
+        named = verts[face == f] if vertex_ids is None else vertex_ids[verts[face == f]]
         raise FaceAssemblyError(
             f"face {signvec.sign_text(keys[f])} has {n_edges[f]} edges but "
-            f"{size[f]} vertices {verts[face == f].tolist()}"
+            f"{size[f]} vertices {named.tolist()}"
         )
     pts = positions[verts]
     sums = np.stack([np.bincount(face, weights=p, minlength=len(keys)) for p in pts.T], axis=1)
@@ -168,11 +178,9 @@ def assemble_faces(mesh, sk, m, model, schedule=None, planar_tol=1e-9, inside_si
         mesh.faces = []
         return mesh
 
-    # perturb every zero but the output entry's: hide it as '+', then restore
-    edge_rows = mesh.edge_signs.copy()
-    edge_rows[:, mesh.out_entry] = 1
-    keys, face, verts, size, rel = _face_vertices(edge_rows, mesh.edges, mesh.positions, m)
-    keys[:, mesh.out_entry] = 0
+    keys, face, verts, size, rel = _face_vertices(
+        mesh.edge_signs, mesh.edges, mesh.positions, m, mesh.out_entry, mesh.vertex_ids
+    )
 
     grad = cell_gradients(model, keys, m, schedule, schedule[mesh.out_entry - m].index)
     n = grad / np.linalg.norm(grad, axis=1)[:, None]

@@ -196,10 +196,15 @@ def layer_columns(schedule):
 # -- evaluation ---------------------------------------------------------------
 
 
-def _affine(points, weights, bias):
-    """points @ weights.T + bias with a batch-size-independent reduction."""
-    out = np.einsum("nk,mk->nm", points, weights, optimize=False)
-    return out + bias
+def _affine(points, weights, bias, out=None):
+    """points @ weights.T + bias with a batch-size-independent reduction.
+
+    The result is written to `out` when given (C-contiguous, shape
+    (n, out_dim)); the bias is added in place either way.
+    """
+    out = np.einsum("nk,mk->nm", points, weights, optimize=False, out=out)
+    out += bias
+    return out
 
 
 def layer_inputs(model, points, layer):
@@ -222,6 +227,40 @@ def batch_preactivations(model, points):
         if l < model.depth:
             acts = np.maximum(pre, 0.0)
     return pres
+
+
+def stream_buffers(model, schedule, rows):
+    """The two float buffers `stream_layers` needs for up to `rows` points."""
+    last = max((layer for layer, _, _ in layer_columns(schedule)), default=0)
+    width = max((model.layers[l].out_dim for l in range(last)), default=0)
+    return np.empty(rows * width), np.empty(rows * width)
+
+
+def stream_layers(model, points, schedule, buffers):
+    """Yield `(offset, values)` for each layer of `schedule`, layer by layer.
+
+    `values` holds the pre-activations of the layer's scheduled neurons at
+    `points` (bitwise those of `batch_preactivations`), and `offset` is the
+    schedule position of its first neuron. Layers are computed into the two
+    caller-owned `buffers` (`stream_buffers`) in turn, ReLU in place, so
+    nothing of block size is allocated unless a layer's scheduled neurons
+    are not contiguous. `values` is valid until the generator resumes.
+    """
+    wanted = {layer: cols for layer, cols, _ in layer_columns(schedule)}
+    last = max(wanted, default=0)
+    n = len(points)
+    acts = points
+    offset = 0
+    for l in range(1, last + 1):
+        spec = model.layers[l - 1]
+        pre = buffers[l % 2][: n * spec.out_dim].reshape(n, spec.out_dim)
+        _affine(acts, spec.weights, spec.bias, out=pre)
+        if l in wanted:
+            values = pre[:, wanted[l]]
+            yield offset, values
+            offset += values.shape[1]
+        if l < last:
+            acts = np.maximum(pre, 0.0, out=pre)
 
 
 @dataclass(frozen=True)

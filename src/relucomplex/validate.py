@@ -7,11 +7,19 @@ edge interiors. The brute-force oracles give independent ground truth at
 desk scale.
 
 residuals, midpoint_check and sampled_region_oracle evaluate BLOCK_ROWS
-rows at a time. The model's affine kernel gives every row the same result in
-any batch, so the block size changes no output, only the memory used.
+rows at a time, streaming each block through the net one layer at a time
+(`model.stream_layers`), and run the blocks on `workers` threads (default:
+one per available core). Each worker fills scratch buffers the caller
+allocated for it, and the caller consumes the blocks in order. The model's
+affine kernel gives every row the same result in any batch, so neither the
+block size nor the worker count changes any output, only the memory and
+time used.
 """
 
+import collections
+import functools
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,57 +67,98 @@ def check_tolerance(tol):
         raise ValueError(f"midpoint tolerance must be >= 0, got {tol}")
 
 
-def _row_blocks(n):
-    """(start, stop) of consecutive blocks of at most BLOCK_ROWS rows."""
-    for start in range(0, n, BLOCK_ROWS):
-        yield start, min(start + BLOCK_ROWS, n)
+def worker_count(cap=None):
+    """One worker per core this process may run on, at most `cap`."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, cap) if cap else cores)
 
 
-def _scheduled_values(model, points, schedule):
-    """(n, len(schedule)) pre-activation matrix in schedule order."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if len(schedule) == 0:
-        return np.zeros((len(points), 0))
-    pres = model_mod.batch_preactivations(model, points)
-    return np.concatenate(
-        [pres[layer - 1][:, cols] for layer, cols, _ in model_mod.layer_columns(schedule)],
-        axis=1,
-    )
+def _map_blocks(block, n, workers, make_scratch):
+    """Yield `block(start, stop, scratch)` for each block of at most
+    BLOCK_ROWS of n rows, in order.
+
+    Each of up to `workers` threads gets one `make_scratch()` made here, on
+    the calling thread; block k uses scratch k % len(scratches), handed out
+    again only once the caller has consumed block k - len(scratches). With
+    one worker or one block, the blocks run inline. `block` must not call a
+    function the benchmark tracer wraps: its span stack is not thread-safe.
+    """
+    blocks = [(start, min(start + BLOCK_ROWS, n)) for start in range(0, n, BLOCK_ROWS)]
+    workers = workers or worker_count()
+    scratches = [make_scratch() for _ in range(min(workers, len(blocks)))]
+    if len(scratches) <= 1:
+        for start, stop in blocks:
+            yield block(start, stop, scratches[0])
+        return
+    # imported here: concurrent.futures loads logging, which `import
+    # relucomplex` should not pay for
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(len(scratches)) as pool:
+        pending = collections.deque()
+        for k, (start, stop) in enumerate(blocks):
+            if len(pending) == len(scratches):
+                yield pending.popleft().result()
+            pending.append(pool.submit(block, start, stop, scratches[k % len(scratches)]))
+        while pending:
+            yield pending.popleft().result()
 
 
-def residuals(sk, model, domain, schedule=None):
+def _scratch(model, schedule, rows, width):
+    """A worker's buffers: `rows` int8 sign rows of `width`, and the two
+    float buffers of `model.stream_layers`."""
+    return np.empty((rows, width), dtype=np.int8), model_mod.stream_buffers(model, schedule, rows)
+
+
+def residuals(sk, model, domain, schedule=None, workers=None):
     """Re-evaluate every zero entry of every alive vertex.
 
     Facet zeros score |w.x - b|, neuron zeros |pre-activation|. Aggregates
     come back per group (facets, then one group per layer). Vertices are
-    evaluated in blocks of BLOCK_ROWS; each block's picked values are kept
-    in row order, and every max and mean is taken once over them.
+    evaluated in blocks of BLOCK_ROWS on `workers` threads; each block's
+    picked values are kept in row order, and every max and mean is taken
+    once over them.
     """
     if schedule is None:
         schedule = model_mod.infer_schedule(model, sk.t)
-    groups = [("facets", slice(0, sk.m))]
-    col = sk.m
-    for layer, _, width in model_mod.layer_columns(schedule):
-        groups.append((f"layer_{layer}", slice(col, col + width)))
-        col += width
+    names = ["facets"] + [f"layer_{layer}" for layer, _, _ in model_mod.layer_columns(schedule)]
     av = sk.alive_vertex_ids()
-    picked = [np.zeros(0)]
-    group_picked = {name: [np.zeros(0)] for name, _ in groups}
-    for start, stop in _row_blocks(len(av)):
+    rows = min(len(av), BLOCK_ROWS)
+
+    def block(start, stop, scratch):
+        signs, buffers = scratch
         ids = av[start:stop]
+        signs = np.take(sk.vertex_signs, ids, axis=0, out=signs[: len(ids)])
+        zero = np.equal(signs, 0, out=signs.view(np.bool_))
+        # the zero entries in row-major order, and the group each lies in
+        row, col = np.nonzero(zero)
         pts = sk.positions[ids]
-        vals = np.concatenate(
-            [domain.facet_values(pts), _scheduled_values(model, pts, schedule)], axis=1
-        )
-        np.abs(vals, out=vals)
-        mask = sk.vertex_signs[ids] == 0
-        picked.append(vals[mask])
-        for name, cols in groups:
-            group_picked[name].append(vals[:, cols][mask[:, cols]])
+        picked = np.empty(len(row))
+        group = np.zeros(len(row), dtype=np.intp)
+        at = col < sk.m
+        picked[at] = domain.facet_values(pts)[row[at], col[at]]
+        stream = model_mod.stream_layers(model, pts, schedule, buffers)
+        for g, (offset, values) in enumerate(stream, start=1):
+            first = sk.m + offset
+            at = (col >= first) & (col < first + values.shape[1])
+            picked[at] = values[row[at], col[at] - first]
+            group[at] = g
+        return np.abs(picked, out=picked), group
+
+    picked = [np.zeros(0)]
+    group_picked = [[np.zeros(0)] for _ in names]
+    scratch = functools.partial(_scratch, model, schedule, rows, sk.sign_width)
+    for values, group in _map_blocks(block, len(av), workers, scratch):
+        picked.append(values)
+        for g, kept in enumerate(group_picked):
+            kept.append(values[group == g])
     picked = np.concatenate(picked)
     by_group = {}
-    for name, _ in groups:
-        values = np.concatenate(group_picked[name])
+    for name, kept in zip(names, group_picked):
+        values = np.concatenate(kept)
         if values.size:
             by_group[name] = {"max_abs": float(values.max()), "mean_abs": float(values.mean())}
     return ResidualReport(
@@ -141,12 +190,12 @@ class MidpointReport:
         }
 
 
-def midpoint_check(sk, model, domain, tol=1e-8, schedule=None):
+def midpoint_check(sk, model, domain, tol=1e-8, schedule=None, workers=None):
     """Evaluate every facet and processed neuron at each alive edge midpoint.
 
     Non-zero entries of the edge sign-vector must match the evaluated sign
     (exact zero counting as minus); zero entries must satisfy |value| <= tol.
-    Edges are checked in blocks of BLOCK_ROWS.
+    Edges are checked in blocks of BLOCK_ROWS on `workers` threads.
     """
     check_tolerance(tol)
     if schedule is None:
@@ -154,18 +203,39 @@ def midpoint_check(sk, model, domain, tol=1e-8, schedule=None):
     ae = sk.alive_edge_ids()
     if len(ae) == 0:
         return MidpointReport(0, 0, 0, [], tol)
-    edge_ok = np.empty(len(ae), dtype=bool)
-    for start, stop in _row_blocks(len(ae)):
+    rows = min(len(ae), BLOCK_ROWS)
+    widest = max([sk.m] + [width for _, _, width in model_mod.layer_columns(schedule)])
+
+    def scratch():
+        flags = np.empty(rows * widest, dtype=bool), np.empty(rows * widest, dtype=bool)
+        return (*_scratch(model, schedule, rows, sk.sign_width), flags)
+
+    def block(start, stop, scratch):
+        signs, buffers, flags = scratch
         ids = ae[start:stop]
+        signs = np.take(sk.edge_signs, ids, axis=0, out=signs[: len(ids)])
         mids = sk.positions[sk.edges[ids]].mean(axis=1)
-        vals = np.concatenate(
-            [domain.facet_values(mids), _scheduled_values(model, mids, schedule)], axis=1
+        bad = np.zeros(len(ids), dtype=bool)
+        stream = model_mod.stream_layers(model, mids, schedule, buffers)
+        columns = itertools.chain(
+            [(0, domain.facet_values(mids))], ((sk.m + off, vals) for off, vals in stream)
         )
-        rows = sk.edge_signs[ids]
-        ok = np.where(rows == 0, np.abs(vals) <= tol, (vals > 0.0) == (rows > 0))
-        edge_ok[start:stop] = ok.all(axis=1)
-    failed = [int(e) for e in ae[~edge_ok]]
-    return MidpointReport(len(ae), int(edge_ok.sum()), len(failed), failed, tol)
+        for first, values in columns:
+            expect = signs[:, first : first + values.shape[1]]
+            miss, zero = (f[: values.size].reshape(values.shape) for f in flags)
+            # a non-zero entry must match the evaluated sign, zero counting as minus
+            np.not_equal(
+                np.greater(values, 0.0, out=miss), np.greater(expect, 0, out=zero), out=miss
+            )
+            # a zero entry must lie within tol of the hyperplane (NaN does not)
+            r, c = np.nonzero(np.equal(expect, 0, out=zero))
+            miss[r, c] = ~(np.abs(values[r, c]) <= tol)
+            bad |= miss.any(axis=1)
+        return bad
+
+    edge_bad = np.concatenate(list(_map_blocks(block, len(ae), workers, scratch)))
+    failed = [int(e) for e in ae[edge_bad]]
+    return MidpointReport(len(ae), len(ae) - len(failed), len(failed), failed, tol)
 
 
 def oracle_single_layer_vertices(model, domain, cond_limit=1e12):
@@ -258,35 +328,41 @@ def sample_domain(domain, n, seed, start=0):
     raise ValueError(f"cannot sample domain kind {domain.kind!r}")
 
 
-def sampled_region_oracle(model, domain, n, seed, schedule=None):
+def sampled_region_oracle(model, domain, n, seed, schedule=None, workers=None):
     """Region signatures hit by n uniform samples; a one-sided oracle.
 
     Every returned signature must appear among the extracted regions, but
     thin regions may be missed, so coverage below 1 is expected. Samples are
-    drawn, signed and deduplicated in blocks of BLOCK_ROWS, so memory does
-    not grow with n beyond the distinct rows each block keeps.
+    drawn and signed in blocks of BLOCK_ROWS on `workers` threads, and each
+    block is deduplicated in order, so memory does not grow with n beyond
+    the distinct rows each block keeps.
     """
     check_sample_count(n)
     if schedule is None:
         schedule = model_mod.NeuronSchedule.for_model(model, include_output=False)
     m = domain.m
-    layers = model_mod.layer_columns(schedule)
-    pos = np.empty((min(n, BLOCK_ROWS), m + len(schedule)), dtype=bool)
-    kept = [np.zeros((0, pos.shape[1]), dtype=np.int8)]
-    for start, stop in _row_blocks(n):
+    width = m + len(schedule)
+    rows = min(n, BLOCK_ROWS)
+
+    def block(start, stop, scratch):
+        signs, buffers = scratch
         pts = sample_domain(domain, stop - start, seed, start)
-        block = pos[: stop - start]
-        np.greater(domain.facet_values(pts), 0.0, out=block[:, :m])
-        if layers:
-            pres = model_mod.batch_preactivations(model, pts)
-            col = m
-            for layer, cols, width in layers:
-                np.greater(pres[layer - 1][:, cols], 0.0, out=block[:, col : col + width])
-                col += width
+        signs = signs[: stop - start]
+        pos = signs.view(np.bool_)
+        np.greater(domain.facet_values(pts), 0.0, out=pos[:, :m])
+        for offset, values in model_mod.stream_layers(model, pts, schedule, buffers):
+            np.greater(values, 0.0, out=pos[:, m + offset : m + offset + values.shape[1]])
         # +1 where positive, else -1: an exact zero counts as minus, as in
         # signvec.signs_of_values
-        rows = block.view(np.int8) * np.int8(2) - np.int8(1)
-        kept.append(signvec.group_rows(rows)[0])
+        signs *= np.int8(2)
+        signs -= np.int8(1)
+        return signs
+
+    # group_rows runs here, on the calling thread (the tracer wraps it), and
+    # copies the rows it keeps out of the block's scratch before its reuse
+    kept = [np.zeros((0, width), dtype=np.int8)]
+    scratch = functools.partial(_scratch, model, schedule, rows, width)
+    kept.extend(signvec.group_rows(signs)[0] for signs in _map_blocks(block, n, workers, scratch))
     uniq, _, _ = signvec.group_rows(np.concatenate(kept))
     return uniq
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import centered_output_net, extract_random
-from relucomplex import cli, poset, subdivide
+from relucomplex import cli, poset, subdivide, validate as validate_mod
 from relucomplex.model import diamond_model, save_model
 
 
@@ -199,6 +199,44 @@ def test_flag_ranges_checked_before_extraction(tmp_path, capsys, monkeypatch, ar
     assert not (tmp_path / "o").exists()
 
 
+def test_validate_threads_do_not_change_validation_json(tmp_path, monkeypatch):
+    # blocks of 50 rows, and two cores reported whatever this host has: the
+    # default run checks many blocks on two workers, --threads 1 on one
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "2")
+    monkeypatch.setattr(validate_mod, "BLOCK_ROWS", 50)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    counts = []
+    real = validate_mod.worker_count
+
+    def counted(cap=None):
+        counts.append(real(cap))
+        return counts[-1]
+
+    monkeypatch.setattr(validate_mod, "worker_count", counted)
+    for name, flags in (("one", ["--threads", "1"]), ("default", [])):
+        assert run_cli(
+            "validate", "--random", "2,3,8,1", "--seed", "2", "--samples", "3000",
+            "--out", tmp_path / name, *flags,
+        ) == 0
+    assert counts == [1, 2]
+    assert (tmp_path / "one" / "validation.json").read_bytes() == (
+        tmp_path / "default" / "validation.json"
+    ).read_bytes()
+
+
+def test_import_loads_no_pool_or_logging():
+    # both cost set-up time on every command: the validation pool is
+    # imported when it is first needed
+    proc = run_python(
+        "-c",
+        "import sys, relucomplex, relucomplex.cli; "
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_validate_walks_the_parent_chain_once(tmp_path, monkeypatch):
     # regions and counts share one chain: D - 1 parent steps, not 2(D - 1)
     calls = []
@@ -307,15 +345,20 @@ def test_removed_flag_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
-def run_module(*args):
-    """`python -m relucomplex ARGS` in a child process that imports the
-    package this test imported, whatever PYTHONPATH the test run had."""
+def run_python(*args):
+    """`python ARGS` in a child process that imports the package this test
+    imported, whatever PYTHONPATH the test run had."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "relucomplex", *map(str, args)],
+        [sys.executable, *map(str, args)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_module(*args):
+    """`python -m relucomplex ARGS` in a child process (see run_python)."""
+    return run_python("-m", "relucomplex", *args)
 
 
 def test_console_script(tmp_path):

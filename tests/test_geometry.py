@@ -351,18 +351,24 @@ def test_face_count_check_3d(corrupt):
     net = plane_net()
     domain, schedule, sk, out_entry = extract_with_output(net, -1.0, 1.0)
     mesh = boundary_subcomplex(sk, out_entry)
+    ids = mesh.vertex_ids.tolist()
     if corrupt == "edge":
         mesh.edges = np.concatenate([mesh.edges, mesh.edges[:1]])
         mesh.edge_signs = np.concatenate([mesh.edge_signs, mesh.edge_signs[:1]])
         counts = "5 edges but 4 vertices"
     else:
+        # a twin of local vertex 0, with a skeleton id of its own
         mesh.positions = np.concatenate([mesh.positions, mesh.positions[:1]])
+        mesh.vertex_ids = np.append(mesh.vertex_ids, sk.n_vertices)
+        ids.append(sk.n_vertices)
         e = np.flatnonzero(np.any(mesh.edges == 0, axis=1))[0]
         mesh.edges[e] = np.where(mesh.edges[e] == 0, 4, mesh.edges[e])
         counts = "4 edges but 5 vertices"
-    # the level set's own entry is hidden as '+' while faces are grouped
-    with pytest.raises(FaceAssemblyError, match=rf"face \+{{{sk.sign_width}}} has {counts}"):
+    # the key shows the level set's own entry as 0, and the vertices by skeleton id
+    key = "+" * (sk.sign_width - 1) + "0"
+    with pytest.raises(FaceAssemblyError) as exc:
         assemble_faces(mesh, sk, sk.m, net, schedule)
+    assert str(exc.value) == f"face {key} has {counts} {ids}"
 
 
 def run_plane_boundary(tmp_path, name, *flags):

@@ -19,6 +19,8 @@ from relucomplex.model import (
     prune_stably_negative,
     random_model,
     save_model,
+    stream_buffers,
+    stream_layers,
 )
 from relucomplex.validate import sample_domain
 from relucomplex.skeleton import init_hypercube
@@ -162,6 +164,31 @@ def test_batch_matches_per_point_bitwise():
         batched = batch_preactivation(net, pts, nref)
         looped = np.array([forward_trace(net, p).value(nref) for p in pts])
         assert np.array_equal(batched, looped)
+
+
+def test_stream_layers_match_batch_bitwise():
+    # layer by layer in two reused buffers, every scheduled value is the
+    # one batch_preactivations gives, for any subset of rows
+    net = random_model(3, 3, 10, 1, seed=2)
+    pts = sample_domain(init_hypercube(3, -1, 1)[0], 300, 11)
+    pres = batch_preactivations(net, pts)
+    full = NeuronSchedule.for_model(net, include_output=True)
+    schedules = [
+        NeuronSchedule((), False),
+        full,
+        NeuronSchedule(full.neurons[:14], False),  # ends inside layer 2
+        NeuronSchedule((NeuronRef(2, 1), NeuronRef(2, 4), NeuronRef(3, 0)), False),
+    ]
+    for schedule in schedules:
+        want = np.zeros((len(pts), len(schedule)))
+        for k, nr in enumerate(schedule):
+            want[:, k] = pres[nr.layer - 1][:, nr.index]
+        buffers = stream_buffers(net, schedule, len(pts))
+        for rows in (slice(None), slice(5, 6), slice(17, 250)):
+            got = np.full_like(want[rows], np.nan)
+            for offset, values in stream_layers(net, pts[rows], schedule, buffers):
+                got[:, offset : offset + values.shape[1]] = values
+            assert np.array_equal(got, want[rows])
 
 
 def test_classify_neurons():

@@ -225,6 +225,36 @@ def test_residuals_blocks_agree(monkeypatch, kind, include_output):
     assert reports[0]["n_vertices"] == sk.n_vertices_alive > 7
 
 
+@pytest.mark.parametrize("kind", ["cube", "simplex"])
+def test_results_do_not_depend_on_worker_count(monkeypatch, kind):
+    # blocks of 7 rows: dozens of blocks, two of them in flight at a time
+    monkeypatch.setattr(validate_mod, "BLOCK_ROWS", 7)
+    if kind == "cube":
+        domain, sk = init_hypercube(2, -1.0, 1.0)
+    else:
+        domain, sk = init_simplex(3, 0.7)
+    net = centered_output_net(domain.dim, 2, 6, seed=1)
+    schedule = NeuronSchedule.for_model(net, include_output=True)
+    sk, _ = extract_complex(net, domain, sk, schedule)
+    ae = sk.alive_edge_ids()
+    # corrupted edges in different blocks, so their order in the report shows
+    bad = [int(ae[k]) for k in (3, len(ae) // 2, len(ae) - 2)]
+    for e in bad:
+        sk.edge_signs[e, np.flatnonzero(sk.edge_signs[e])[-1]] *= -1
+    runs = {}
+    for workers in (1, 2):
+        runs[workers] = (
+            sampled_region_oracle(net, domain, 1000, 4, schedule, workers),
+            residuals(sk, net, domain, schedule, workers).to_json(),
+            midpoint_check(sk, net, domain, 1e-8, schedule, workers),
+        )
+    (rows1, res1, mid1), (rows2, res2, mid2) = runs[1], runs[2]
+    assert np.array_equal(rows1, rows2) and len(rows1) > 1
+    assert res1 == res2 and res1["n_vertices"] > 7
+    assert mid1 == mid2
+    assert mid1.failed_edges == bad
+
+
 def test_sampled_region_oracle_memory_is_bounded():
     # samples are drawn and signed block by block, so 4x the samples may
     # only cost the extra sample points (D float64 each) plus a small slack
@@ -243,6 +273,54 @@ def test_sampled_region_oracle_memory_is_bounded():
     peak(block)  # warm up lazy allocations
     small, large = peak(4 * block), peak(16 * block)
     assert large <= small + 12 * block * domain.dim * 8 + 64 * 1024
+
+
+def stacked_net(extra, width=32, seed=0):
+    """random_model(2, 2, width, 1, seed) with `extra` hidden layers put in
+    before the output that stay positive on [-1, 1]^2: they widen every sign
+    row by `width` columns but add no vertex, edge or zero."""
+    base = random_model(2, 2, width, 1, seed)
+    rng = np.random.default_rng(seed)
+    stable = [
+        LayerSpec(0.01 * rng.standard_normal((width, width)), np.full(width, 10.0))
+        for _ in range(extra)
+    ]
+    return MlpSpec(base.layers[:-1] + tuple(stable) + base.layers[-1:], 2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("check", ["residuals", "midpoint"])
+def test_validation_memory_tracks_layer_width(monkeypatch, check, workers):
+    # each block streams through the net one layer at a time, so 6 more
+    # layers of the same width may only cost their int8 sign columns (one
+    # gathered copy per worker), not float columns for every neuron: one
+    # float copy of the 6 layers' values would take 6 * 32 * 256 * 8 bytes,
+    # three times the slack, which covers thread start-up and timing
+    block = 256
+    monkeypatch.setattr(validate_mod, "BLOCK_ROWS", block)
+    domain, _ = init_hypercube(2, -1.0, 1.0)
+
+    def peak(extra):
+        net = stacked_net(extra)
+        _, sk = init_hypercube(2, -1.0, 1.0)
+        schedule = NeuronSchedule.for_model(net)
+        sk, _ = extract_complex(net, domain, sk, schedule)
+        tracemalloc.start()
+        try:
+            if check == "residuals":
+                residuals(sk, net, domain, schedule, workers)
+            else:
+                assert midpoint_check(sk, net, domain, 1e-8, schedule, workers).n_fail == 0
+            return tracemalloc.get_traced_memory()[1], sk
+        finally:
+            tracemalloc.stop()
+
+    peak(0)  # warm up lazy allocations
+    (shallow, sk0), (deep, sk6) = peak(0), peak(6)
+    assert (sk6.n_vertices_alive, sk6.n_edges_alive) == (sk0.n_vertices_alive, sk0.n_edges_alive)
+    assert sk0.n_vertices_alive > block  # two blocks at least, one per worker
+    added = workers * block * (sk6.sign_width - sk0.sign_width)
+    assert deep <= shallow + added + 128 * 1024
 
 
 def synth_stats(n_vertices, seconds):
