@@ -43,6 +43,7 @@ from .subdivide import (
     extract_complex,
     pair_splitting_faces,
     prune_future,
+    subdivide_layer,
     subdivide_once,
 )
 from .poset import (

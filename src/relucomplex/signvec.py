@@ -30,15 +30,18 @@ def signs_of_values(values):
     exact zero, maps to ``-``. Zeros are never produced here: they are
     assigned structurally when a new vertex is placed on a hyperplane.
     Returns ``(int8 array, degenerate count)``, where the count is the
-    number of values with ``|v| < EPS_DEGENERATE``. Raises ValueError on a
-    non-finite value.
+    number of values with ``|v| < EPS_DEGENERATE``; for a 2-D block of
+    values (one column per neuron) it is an array with one count per
+    column. Raises ValueError on a non-finite value.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size and not np.all(np.isfinite(values)):
         raise ValueError("non-finite value in sign evaluation")
     signs = np.where(values > 0.0, 1, -1).astype(np.int8)
-    n_deg = int(np.count_nonzero(np.abs(values) < EPS_DEGENERATE))
-    return signs, n_deg
+    degenerate = np.abs(values) < EPS_DEGENERATE
+    if values.ndim == 2:
+        return signs, degenerate.sum(axis=0)
+    return signs, int(np.count_nonzero(degenerate))
 
 
 _SIGN_CHARS = {-1: "-", 0: "0", 1: "+"}

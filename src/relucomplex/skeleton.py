@@ -6,7 +6,10 @@ values in {-1, 0, +1}; rows align with vertex/edge ids. Arrays grow in place:
 each lives in a buffer with spare capacity, rows are appended into spare rows
 (capacity grows geometrically when they run out), and the extraction loop
 reserves the full sign width once, so a new neuron's sign column is written
-into a spare column rather than copying the matrices.
+into a spare column rather than copying the matrices. A whole layer's sign
+columns can be written in one pass and staged: they become live one column
+per neuron, and rows appended meanwhile carry their staged entries. Appended
+sign rows may come as blocks of columns, each written in place.
 """
 
 from dataclasses import dataclass, field
@@ -91,6 +94,8 @@ class Skeleton:
         self._nv = len(self._positions)
         self._ne = len(self._edges)
         self._width = self._vertex_signs.shape[1]
+        # columns written in every row: the live width plus staged columns
+        self._filled = self._width
         self.degenerate_count = 0
 
     # -- live views -----------------------------------------------------------
@@ -168,47 +173,87 @@ class Skeleton:
         """Make room for sign rows of `width` entries, so that column appends
         up to that width write in place."""
         if width > self._vertex_signs.shape[1]:
-            self._vertex_signs = _widen(self._vertex_signs, self._nv, self._width, width)
-            self._edge_signs = _widen(self._edge_signs, self._ne, self._width, width)
+            self._vertex_signs = _widen(self._vertex_signs, self._nv, self._filled, width)
+            self._edge_signs = _widen(self._edge_signs, self._ne, self._filled, width)
 
-    def append_sign_column(self, vertex_col, edge_col):
+    def append_sign_column(self, vertex_cols=None, edge_cols=None):
+        """Make the next sign column live.
+
+        The column is given as one entry per vertex and per edge row, or it
+        comes first in blocks of k columns (one row per vertex and per edge
+        row). A block is written after the live width in one pass; its other
+        k - 1 columns stay staged, and each later call without arguments
+        makes the next of them live. Rows appended while columns are staged
+        carry their staged entries too.
+        """
         w = self._width
-        if w == self._vertex_signs.shape[1]:
-            self.reserve_sign_width(_grown(w + 1))
-        self._vertex_signs[: self._nv, w] = vertex_col
-        self._edge_signs[: self._ne, w] = edge_col
+        if vertex_cols is not None:
+            if self._filled != w:
+                raise SkeletonError("staged sign columns are not all live yet")
+            vertex_cols, edge_cols = _block(vertex_cols), _block(edge_cols)
+            end = w + vertex_cols.shape[1]
+            if vertex_cols.shape != (self._nv, end - w) or edge_cols.shape != (self._ne, end - w):
+                raise SkeletonError(
+                    f"sign columns must have {self._nv} and {self._ne} rows of one width"
+                )
+            if end > self._vertex_signs.shape[1]:
+                self.reserve_sign_width(_grown(end))
+            self._vertex_signs[: self._nv, w:end] = vertex_cols
+            self._edge_signs[: self._ne, w:end] = edge_cols
+            self._filled = end
+        elif self._filled == w:
+            raise SkeletonError("no staged sign column to make live")
         self._width = w + 1
 
-    def append_vertices(self, positions, signs):
+    def kill_edges(self, ids):
+        """Mark edges dead. Their staged sign entries become 0, so that
+        their rows read 0 in every column that goes live later, as a dead
+        row does."""
+        self._edge_alive[ids] = False
+        self._edge_signs[ids, self._width : self._filled] = 0
+
+    def staged_vertex_signs(self, ids):
+        """Staged sign entries (the columns after the live width) of vertices."""
+        return self._vertex_signs[ids, self._width : self._filled]
+
+    def _sign_blocks(self, blocks, n, kind):
+        """Sign rows of n new vertices or edges as int8 column blocks."""
+        blocks = [np.asarray(b, dtype=np.int8) for b in blocks]
+        if any(b.ndim != 2 or len(b) != n for b in blocks) or (
+            sum(b.shape[1] for b in blocks) != self._filled
+        ):
+            raise SkeletonError(f"{kind} sign rows must be {n} x {self._filled}")
+        return blocks
+
+    def append_vertices(self, positions, *signs):
+        """Append vertices. Their sign rows are given whole, or as blocks of
+        columns that lie side by side; each block is written in place."""
         positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-        signs = np.asarray(signs, dtype=np.int8)
-        if signs.shape != (len(positions), self._width):
-            raise SkeletonError(f"vertex sign rows must be {len(positions)} x {self._width}")
+        signs = self._sign_blocks(signs, len(positions), "vertex")
         first, last = self._nv, self._nv + len(positions)
         if last > len(self._positions):
             self._positions, self._vertex_signs, self._vertex_alive = _lengthen(
                 (self._positions, self._vertex_signs, self._vertex_alive), first, _grown(last)
             )
         self._positions[first:last] = positions
-        self._vertex_signs[first:last, : self._width] = signs
+        _write_blocks(self._vertex_signs, first, last, signs)
         self._vertex_alive[first:last] = True
         self._nv = last
         return np.arange(first, last)
 
-    def append_edges(self, pairs, signs):
+    def append_edges(self, pairs, *signs):
+        """Append edges; their sign rows are given as in `append_vertices`."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if pairs.size and np.any(pairs[:, 0] >= pairs[:, 1]):
             raise SkeletonError("edge endpoints must satisfy lo < hi")
-        signs = np.asarray(signs, dtype=np.int8)
-        if signs.shape != (len(pairs), self._width):
-            raise SkeletonError(f"edge sign rows must be {len(pairs)} x {self._width}")
+        signs = self._sign_blocks(signs, len(pairs), "edge")
         first, last = self._ne, self._ne + len(pairs)
         if last > len(self._edges):
             self._edges, self._edge_signs, self._edge_alive = _lengthen(
                 (self._edges, self._edge_signs, self._edge_alive), first, _grown(last)
             )
         self._edges[first:last] = pairs
-        self._edge_signs[first:last, : self._width] = signs
+        _write_blocks(self._edge_signs, first, last, signs)
         self._edge_alive[first:last] = True
         self._ne = last
         return np.arange(first, last)
@@ -234,6 +279,20 @@ def _lengthen(bufs, n_rows, capacity):
         new[:n_rows] = buf[:n_rows]
         out.append(new)
     return out
+
+
+def _write_blocks(buf, first, last, blocks):
+    """Write column blocks side by side into rows first:last of buf."""
+    col = 0
+    for block in blocks:
+        buf[first:last, col : col + block.shape[1]] = block
+        col += block.shape[1]
+
+
+def _block(cols):
+    """Sign entries as an int8 block of columns; a 1-D array is one column."""
+    cols = np.asarray(cols, dtype=np.int8)
+    return cols[:, None] if cols.ndim == 1 else cols
 
 
 def _widen(buf, n_rows, n_cols, width):

@@ -8,13 +8,21 @@ interpolation and replace the edge by its two halves (4), and connect new
 vertices across splitting 2-faces, which are identified implicitly by
 perturbing the splitting edges' sign-vectors and pairing equal results (5).
 
-Step (1) reads one column of the current layer's pre-activation matrix
-(`LayerValueCache`), which holds one row per vertex and is computed once
-per layer. When the column has one sign on every alive vertex, the neuron
-splits no edge: steps (2) and (3) write that sign as a constant column and
-steps (4) and (5) are skipped.
+`subdivide_layer` runs the iterations of one layer's neurons together.
+When the layer starts, steps (1)-(3) are done for all of its neurons at
+once: one read of the layer's pre-activation matrix (`LayerValueCache`,
+one row per vertex, computed once per layer) at the alive vertices gives
+their sign block, and each alive edge's signs follow from its endpoints'
+up to the first neuron where they differ, which is the neuron that splits
+it. Both blocks are written into staged sign columns in one pass, and each
+edge row records the neuron that splits it. Each neuron then makes its
+column live and runs steps (4) and (5) on the edges it splits only; a
+neuron that splits nothing costs no per-row work. The vertices and edges
+it creates carry their staged columns (and split neuron) from the cache
+values at the new vertices and from their endpoints.
 """
 
+import itertools
 import time
 from dataclasses import dataclass, asdict
 
@@ -66,7 +74,7 @@ class LayerValueCache:
     """Pre-activations of the current layer at every vertex.
 
     One matrix per layer, one row per skeleton vertex id and one column per
-    neuron of the layer, so each neuron's step (1) is a column read. Vertex
+    neuron of the layer, so a layer's step (1) is one read of it. Vertex
     positions never change, so a row is computed once per layer: the matrix
     is built with one affine map when the layer starts, and `extend` writes
     rows for new vertices only, into spare rows that grow like the
@@ -124,97 +132,212 @@ def _next_layer(model, pre, layer):
 def subdivide_once(sk, model, neuron, cache=None):
     """Process one neuron; mutates `sk` in place and returns IterationStats.
 
-    `cache` is the LayerValueCache of a running extraction; without one, a
-    fresh cache is built for this call.
+    The one-neuron case of `subdivide_layer`.
     """
-    t0 = time.perf_counter()
-    neuron.validate(model)
-    m = sk.m
-    nv_before = sk.n_vertices_alive
-    ne_before = sk.n_edges_alive
+    return subdivide_layer(sk, model, [neuron], cache)[0]
 
-    # (1) pre-activations at alive vertices
-    av = sk.alive_vertex_ids()
+
+def subdivide_layer(sk, model, neurons, cache=None, *, validate_each=False):
+    """Process the neurons of one layer in order; mutates `sk` in place and
+    returns one IterationStats per neuron.
+
+    `cache` is the LayerValueCache of a running extraction; without one, a
+    fresh cache is built for this call. With validate_each,
+    `skeleton.check_invariants` runs after every neuron. A neuron's
+    `seconds` is the time since the previous neuron's stats (checks
+    excluded); the first neuron's includes the work of the layer start.
+    """
+    clock = time.perf_counter()
+    if not neurons:
+        return []
+    layer = neurons[0].layer
+    for neuron in neurons:
+        neuron.validate(model)
+        if neuron.layer != layer:
+            raise ValueError(f"neuron {neuron} is not in layer {layer}")
     if cache is None:
         cache = LayerValueCache(model, sk.positions)
     elif cache.n_rows != sk.n_vertices:
         raise ValueError("value cache is out of sync with the skeleton")
-    cache.advance_to(neuron.layer)
-    vals_alive = cache.preactivation(neuron, av)
+    cache.advance_to(layer)
+    ((_, cols, k),) = model_mod.layer_columns(neurons)
 
-    # (2) extend vertex sign-vectors; exact zeros break toward minus
-    signs_alive, n_deg = signvec.signs_of_values(vals_alive)
-    sk.degenerate_count += n_deg
-    vcol = np.full(sk.n_vertices, -1, dtype=np.int8)
-    vcol[av] = signs_alive
+    n_deg, split_at = _stage_layer(sk, cache, neurons, cols, k)
 
-    # (3) splitting edges: alive edges whose endpoint signs differ. Alive
-    # edges join alive vertices only, so when those all share one sign (or
-    # none is alive), every alive edge takes it and none splits.
-    ae = sk.alive_edge_ids()
-    ecol = np.zeros(sk.n_edges, dtype=np.int8)
-    if np.all(signs_alive == signs_alive[:1]):
-        ecol[ae] = signs_alive[:1]
-        n_split = 0
-    else:
-        sa = vcol[sk.edges[ae, 0]]
-        sb = vcol[sk.edges[ae, 1]]
-        differ = sa != sb
-        split_eids = ae[differ]
+    stats = []
+    # alive counts before each neuron (cells die only between layers)
+    nv_alive, ne_alive = sk.n_vertices_alive, sk.n_edges_alive
+    for p, neuron in enumerate(neurons):
+        if p:  # the first column went live with the staged block
+            sk.append_sign_column()
+        nv_before, ne_before = nv_alive, ne_alive
+        sk.degenerate_count += int(n_deg[p])
+        split_eids = np.flatnonzero(split_at[: sk.n_edges] == p)
         n_split = len(split_eids)
-        ecol[ae[~differ]] = sa[~differ]
-    sk.append_sign_column(vcol, ecol)
+        n_inter = 0
+        if n_split:
+            first = sk.n_edges
+            n_inter, at = _split_edges(sk, cache, neurons, cols, p, split_eids, n_deg)
+            if sk.n_edges > len(split_at):
+                (split_at,) = skeleton_mod._lengthen(
+                    (split_at,), first, skeleton_mod._grown(sk.n_edges)
+                )
+            split_at[first : sk.n_edges] = at
 
-    n_inter = 0
-    if n_split:
-        # (4) interpolate new vertices (ascending splitting-edge id) and
-        # replace each splitting edge by its two halves
-        ends = sk.edges[split_eids]
-        from_pos = vcol[ends[:, 0]] > 0
-        v_pos = np.where(from_pos, ends[:, 0], ends[:, 1])
-        v_neg = np.where(from_pos, ends[:, 1], ends[:, 0])
-        val_pos = cache.preactivation(neuron, v_pos)
-        val_neg = cache.preactivation(neuron, v_neg)
-        ts = val_pos / (val_pos - val_neg)
-        x0 = sk.positions[v_pos] + ts[:, None] * (sk.positions[v_neg] - sk.positions[v_pos])
-
-        pre_rows = sk.edge_signs[split_eids, :-1]
-        zeros = np.zeros((n_split, 1), dtype=np.int8)
-        new_vids = sk.append_vertices(x0, np.concatenate([pre_rows, zeros], axis=1))
-        cache.extend(x0)
-
-        sk.edge_alive[split_eids] = False
-        plus = np.concatenate([pre_rows, np.ones((n_split, 1), dtype=np.int8)], axis=1)
-        minus = np.concatenate([pre_rows, -np.ones((n_split, 1), dtype=np.int8)], axis=1)
-        sk.append_edges(np.column_stack([v_pos, new_vids]), plus)
-        sk.append_edges(np.column_stack([v_neg, new_vids]), minus)
-
-        # (5) intersecting edges across splitting 2-faces
-        pairs, esigns = pair_splitting_faces(pre_rows, new_vids, m)
-        n_inter = len(pairs)
-        if n_inter:
-            sk.append_edges(pairs, esigns)
-
-    seconds = time.perf_counter() - t0
-    mem = sk.nbytes() + 2 * (sk.dim - 1) * n_split * sk.sign_width
-    stats = IterationStats(
-        neuron.layer,
-        neuron.index,
-        nv_before,
-        sk.n_vertices_alive,
-        ne_before,
-        sk.n_edges_alive,
-        n_split,
-        n_inter,
-        n_deg,
-        seconds,
-        mem,
-    )
-    if stats.vertices_after != stats.vertices_before + n_split:
-        raise skeleton_mod.SkeletonError("vertex count identity violated")
-    if stats.edges_after != stats.edges_before + n_split + n_inter:
-        raise skeleton_mod.SkeletonError("edge count identity violated")
+        seconds = time.perf_counter() - clock
+        mem = sk.nbytes() + 2 * (sk.dim - 1) * n_split * sk.sign_width
+        nv_alive, ne_alive = sk.n_vertices_alive, sk.n_edges_alive
+        st = IterationStats(
+            layer,
+            neuron.index,
+            nv_before,
+            nv_alive,
+            ne_before,
+            ne_alive,
+            n_split,
+            n_inter,
+            int(n_deg[p]),
+            seconds,
+            mem,
+        )
+        if st.vertices_after != st.vertices_before + n_split:
+            raise skeleton_mod.SkeletonError("vertex count identity violated")
+        if st.edges_after != st.edges_before + n_split + n_inter:
+            raise skeleton_mod.SkeletonError("edge count identity violated")
+        stats.append(st)
+        if validate_each:
+            skeleton_mod.check_invariants(sk)
+        clock = time.perf_counter()
     return stats
+
+
+def _stage_layer(sk, cache, neurons, cols, k):
+    """Steps (1)-(3) for all k neurons of the layer, written as staged sign
+    columns: the alive vertices' sign block (exact zeros break toward
+    minus; dead rows read -1), and each alive edge's merged endpoint signs
+    (dead rows read 0). Returns each neuron's degenerate count and each
+    edge row's split position (k for none), in a buffer with spare rows
+    that grows like the skeleton's."""
+    av = sk.alive_vertex_ids()
+    signs, n_deg = _signs(cache.values(av)[:, cols], neurons, av, sk.positions[av])
+    vblock = np.full((sk.n_vertices, k), -1, dtype=np.int8)
+    vblock[av] = signs
+    ae = sk.alive_edge_ids()
+    ends = np.take(sk.edges, ae, axis=0)
+    eblock = np.zeros((sk.n_edges, k), dtype=np.int8)
+    split_at = np.full(skeleton_mod._grown(sk.n_edges), k, dtype=_position_type(k))
+    eblock[ae], split_at[ae] = _edge_columns(
+        np.take(vblock, ends[:, 0], axis=0), np.take(vblock, ends[:, 1], axis=0), 0
+    )
+    sk.append_sign_column(vblock, eblock)
+    return n_deg, split_at
+
+
+def _split_edges(sk, cache, neurons, cols, p, split_eids, n_deg):
+    """Steps (4) and (5) of neuron p of the layer, on the edges it splits.
+
+    The split edges die, their staged entries cleared. New rows carry their
+    staged columns: a new vertex's from its cache values (their degenerate
+    counts are added to `n_deg`), a new edge's from its endpoints. Returns
+    the number of intersecting edges and the new edges' split positions, in
+    id order.
+    """
+    v_pos, v_neg, new_vids, pre_rows = _place_vertices(
+        sk, cache, neurons, cols, p, split_eids, n_deg
+    )
+    sk.kill_edges(split_eids)
+    # (5) intersecting edges across splitting 2-faces
+    pairs, inter_rows = pair_splitting_faces(pre_rows, new_vids, sk.m)
+
+    # the new edges in id order: the halves that replace the split edges,
+    # toward their positive ends, then toward their negative ends, then the
+    # intersecting edges. Their staged columns come from their endpoints,
+    # in one pass, and each part's sign rows are written in place as blocks
+    n_split = len(new_vids)
+    staged, at = _edge_columns(
+        sk.staged_vertex_signs(np.concatenate([v_pos, v_neg, pairs[:, 0]])),
+        sk.staged_vertex_signs(np.concatenate([new_vids, new_vids, pairs[:, 1]])),
+        p + 1,
+    )
+    for part, (ends, entry) in enumerate(((v_pos, 1), (v_neg, -1))):
+        sk.append_edges(
+            np.column_stack([ends, new_vids]),
+            pre_rows,
+            np.full((n_split, 1), entry, dtype=np.int8),
+            staged[part * n_split : (part + 1) * n_split],
+        )
+    sk.append_edges(pairs, inter_rows, staged[2 * n_split :])
+    return len(pairs), at
+
+
+def _place_vertices(sk, cache, neurons, cols, p, split_eids, n_deg):
+    """The vertices of step (4) for neuron p: one on each splitting edge
+    (ascending edge id) by linear interpolation, appended with its staged
+    columns. Returns each edge's positive and negative end, the new vertex
+    ids and the edges' sign rows before the neuron's column."""
+    neuron = neurons[p]
+    ends = sk.edges[split_eids]
+    from_pos = sk.vertex_signs[ends[:, 0], -1] > 0
+    v_pos = np.where(from_pos, ends[:, 0], ends[:, 1])
+    v_neg = np.where(from_pos, ends[:, 1], ends[:, 0])
+    val_pos = cache.preactivation(neuron, v_pos)
+    val_neg = cache.preactivation(neuron, v_neg)
+    ts = val_pos / (val_pos - val_neg)
+    x0 = sk.positions[v_pos] + ts[:, None] * (sk.positions[v_neg] - sk.positions[v_pos])
+
+    first, n_split = sk.n_vertices, len(split_eids)
+    new_vids = np.arange(first, first + n_split)
+    cache.extend(x0)
+    later, later_deg = _signs(
+        cache.values(slice(first, first + n_split))[:, cols][:, p + 1 :],
+        neurons[p + 1 :],
+        new_vids,
+        x0,
+    )
+    n_deg[p + 1 :] += later_deg
+    w = sk.sign_width
+    pre_rows = sk.edge_signs[split_eids, : w - 1]
+    sk.append_vertices(x0, pre_rows, np.zeros((n_split, 1), dtype=np.int8), later)
+    return v_pos, v_neg, new_vids, pre_rows
+
+
+def _signs(values, neurons, vids, positions):
+    """signvec.signs_of_values of a block with one row per vertex (`vids`,
+    at `positions`) and one column per neuron; a non-finite value raises
+    ValueError naming its neuron, vertex and position."""
+    try:
+        return signvec.signs_of_values(values)
+    except ValueError:
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        neuron = neurons[col]
+        raise ValueError(
+            f"non-finite pre-activation of neuron {neuron.layer}:{neuron.index} at "
+            f"vertex {vids[row]}, position {positions[row].tolist()}"
+        ) from None
+
+
+def _edge_columns(signs_a, signs_b, first):
+    """Edge entries for the layer's neurons from `first` on, from their
+    endpoints' signs (one column per neuron, no zeros): the shared sign
+    where they agree, 0 where they differ. An edge splits at the first
+    column where they differ, and from then on it is dead and its row is
+    cleared (`Skeleton.kill_edges`). Returns the entries and each edge's
+    split position, `first` + that column (or + the block width when the
+    endpoints never differ)."""
+    n, w = signs_a.shape
+    differ = np.ones((n, w + 1), dtype=bool)
+    np.not_equal(signs_a, signs_b, out=differ[:, :w])
+    merged = signs_a + signs_b
+    merged >>= 1  # (a + b) / 2: the shared sign, or 0
+    at = differ.argmax(axis=1).astype(_position_type(first + w))
+    at += first
+    return merged, at
+
+
+def _position_type(k):
+    """The smallest signed type that holds the split positions 0..k of a
+    layer of k neurons: one byte per edge row for up to 127 neurons."""
+    return np.min_scalar_type(-k - 1)
 
 
 def pair_splitting_faces(pre_rows, new_vids, m):
@@ -324,14 +447,10 @@ def extract_complex(
     sk.reserve_sign_width(sk.m + len(neurons))
     cache = LayerValueCache(model, sk.positions)
     stats = []
-    for i, neuron in enumerate(neurons):
-        stats.append(subdivide_once(sk, model, neuron, cache=cache))
-        if validate_each:
-            skeleton_mod.check_invariants(sk)
-        if (
-            level_set_prune
-            and i + 1 < len(neurons)
-            and neurons[i + 1].layer > neuron.layer
-        ):
-            prune_future(sk, model, neurons[i + 1 :], cache=cache)
+    for _, run in itertools.groupby(neurons, key=lambda neuron: neuron.layer):
+        run = list(run)
+        stats.extend(subdivide_layer(sk, model, run, cache, validate_each=validate_each))
+        rest = neurons[len(stats) :]
+        if level_set_prune and rest and rest[0].layer > run[0].layer:
+            prune_future(sk, model, rest, cache=cache)
     return skeleton_mod.compact(sk), stats

@@ -334,8 +334,8 @@ def sampled_region_oracle(model, domain, n, seed, schedule=None, workers=None):
     Every returned signature must appear among the extracted regions, but
     thin regions may be missed, so coverage below 1 is expected. Samples are
     drawn and signed in blocks of BLOCK_ROWS on `workers` threads, and each
-    block is deduplicated in order, so memory does not grow with n beyond
-    the distinct rows each block keeps.
+    block is merged, in order, into the distinct rows found so far, so
+    memory does not grow with n beyond those rows and one block.
     """
     check_sample_count(n)
     if schedule is None:
@@ -358,12 +358,12 @@ def sampled_region_oracle(model, domain, n, seed, schedule=None, workers=None):
         signs -= np.int8(1)
         return signs
 
-    # group_rows runs here, on the calling thread (the tracer wraps it), and
-    # copies the rows it keeps out of the block's scratch before its reuse
-    kept = [np.zeros((0, width), dtype=np.int8)]
+    # the merge runs here, on the calling thread (the tracer wraps
+    # group_rows), and copies the block out of its scratch before its reuse
+    uniq = np.zeros((0, width), dtype=np.int8)
     scratch = functools.partial(_scratch, model, schedule, rows, width)
-    kept.extend(signvec.group_rows(signs)[0] for signs in _map_blocks(block, n, workers, scratch))
-    uniq, _, _ = signvec.group_rows(np.concatenate(kept))
+    for signs in _map_blocks(block, n, workers, scratch):
+        uniq = signvec.group_rows(np.concatenate([uniq, signs]))[0]
     return uniq
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import centered_output_net, extract_random
+from conftest import centered_output_net, check_nonfinite_message, extract_random, overflow_net
 from relucomplex import cli, poset, subdivide, validate as validate_mod
 from relucomplex.model import diamond_model, save_model
 
@@ -57,6 +57,20 @@ def test_extract_model_and_random_exclusive(tmp_path):
     assert run_cli(
         "extract", "--model", "x.json", "--random", "2,1,2,1", "--out", tmp_path
     ) == 2
+
+
+def test_extract_non_finite_value(tmp_path, capsys):
+    # a finite net whose second layer overflows: exit 2, naming the neuron,
+    # the vertex and its position
+    net = overflow_net()
+    save_model(net, tmp_path / "big.json")
+    code = run_cli(
+        "extract", "--model", tmp_path / "big.json", "--include-output", "--out", tmp_path / "o"
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite pre-activation of neuron 2:0 at vertex ")
+    check_nonfinite_message(err, net)
 
 
 def test_extract_invalid_model(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import centered_output_net, extract_random
+from conftest import centered_output_net, check_nonfinite_message, extract_random, overflow_net
 from relucomplex.model import (
     LayerSpec,
     MlpSpec,
@@ -9,16 +12,20 @@ from relucomplex.model import (
     NeuronSchedule,
     batch_preactivation,
     batch_preactivations,
+    diamond_model,
     random_model,
 )
+from relucomplex import signvec, skeleton as skeleton_mod
 from relucomplex.signvec import row_keys, sign_text
-from relucomplex.skeleton import check_invariants, compact, init_hypercube
+from relucomplex.skeleton import SkeletonError, check_invariants, compact, init_hypercube
 from relucomplex.subdivide import (
+    IterationStats,
     LayerValueCache,
     PairingError,
     extract_complex,
     pair_splitting_faces,
     prune_future,
+    subdivide_layer,
     subdivide_once,
 )
 from relucomplex.validate import match_point_sets, oracle_single_layer_vertices
@@ -209,6 +216,9 @@ class RecomputingCache:
         assert layer >= self.layer
         self.layer = layer
 
+    def values(self, rows):
+        return batch_preactivations(self.model, self.positions[rows])[self.layer - 1]
+
     def preactivation(self, neuron, rows):
         assert neuron.layer == self.layer
         return batch_preactivation(self.model, self.positions[rows], neuron)
@@ -260,6 +270,218 @@ def test_cache_matches_recomputing_reference(dim, prune):
     # both paths ran: some neurons split edges, some have a constant column
     assert any(st.n_splitting for st in stats_a)
     assert any(st.n_splitting == 0 for st in stats_a)
+
+
+def reference_subdivide_once(sk, model, neuron, cache):
+    """One neuron the per-neuron way: one full-width sign column, written
+    into every row, and the split and pairing steps for that neuron alone."""
+    t0 = time.perf_counter()
+    neuron.validate(model)
+    m = sk.m
+    nv_before = sk.n_vertices_alive
+    ne_before = sk.n_edges_alive
+
+    av = sk.alive_vertex_ids()
+    cache.advance_to(neuron.layer)
+    vals_alive = cache.preactivation(neuron, av)
+    signs_alive, n_deg = signvec.signs_of_values(vals_alive)
+    sk.degenerate_count += n_deg
+    vcol = np.full(sk.n_vertices, -1, dtype=np.int8)
+    vcol[av] = signs_alive
+
+    ae = sk.alive_edge_ids()
+    ecol = np.zeros(sk.n_edges, dtype=np.int8)
+    if np.all(signs_alive == signs_alive[:1]):
+        ecol[ae] = signs_alive[:1]
+        n_split = 0
+    else:
+        sa = vcol[sk.edges[ae, 0]]
+        sb = vcol[sk.edges[ae, 1]]
+        differ = sa != sb
+        split_eids = ae[differ]
+        n_split = len(split_eids)
+        ecol[ae[~differ]] = sa[~differ]
+    sk.append_sign_column(vcol, ecol)
+
+    n_inter = 0
+    if n_split:
+        ends = sk.edges[split_eids]
+        from_pos = vcol[ends[:, 0]] > 0
+        v_pos = np.where(from_pos, ends[:, 0], ends[:, 1])
+        v_neg = np.where(from_pos, ends[:, 1], ends[:, 0])
+        val_pos = cache.preactivation(neuron, v_pos)
+        val_neg = cache.preactivation(neuron, v_neg)
+        ts = val_pos / (val_pos - val_neg)
+        x0 = sk.positions[v_pos] + ts[:, None] * (sk.positions[v_neg] - sk.positions[v_pos])
+
+        pre_rows = sk.edge_signs[split_eids, :-1]
+        zeros = np.zeros((n_split, 1), dtype=np.int8)
+        new_vids = sk.append_vertices(x0, np.concatenate([pre_rows, zeros], axis=1))
+        cache.extend(x0)
+
+        sk.edge_alive[split_eids] = False
+        plus = np.concatenate([pre_rows, np.ones((n_split, 1), dtype=np.int8)], axis=1)
+        minus = np.concatenate([pre_rows, -np.ones((n_split, 1), dtype=np.int8)], axis=1)
+        sk.append_edges(np.column_stack([v_pos, new_vids]), plus)
+        sk.append_edges(np.column_stack([v_neg, new_vids]), minus)
+
+        pairs, esigns = pair_splitting_faces(pre_rows, new_vids, m)
+        n_inter = len(pairs)
+        if n_inter:
+            sk.append_edges(pairs, esigns)
+
+    mem = sk.nbytes() + 2 * (sk.dim - 1) * n_split * sk.sign_width
+    return IterationStats(
+        neuron.layer, neuron.index, nv_before, sk.n_vertices_alive, ne_before,
+        sk.n_edges_alive, n_split, n_inter, n_deg, time.perf_counter() - t0, mem,
+    )
+
+
+def reference_extract(net, domain, sk, schedule, prune):
+    """extract_complex by per-neuron reference steps, without the final
+    compaction. Also returns whether some edge split at a later neuron of
+    the layer that created it."""
+    neurons = list(schedule)
+    sk.reserve_sign_width(sk.m + len(neurons))
+    cache = LayerValueCache(net, sk.positions)
+    stats = []
+    same_layer_split = False
+    layer_first_edge = 0
+    for i, nref in enumerate(neurons):
+        if i == 0 or nref.layer != neurons[i - 1].layer:
+            layer_first_edge = sk.n_edges
+        alive = sk.edge_alive.copy()
+        stats.append(reference_subdivide_once(sk, net, nref, cache))
+        split = np.flatnonzero(alive & ~sk.edge_alive[: len(alive)])
+        same_layer_split |= bool(np.any(split >= layer_first_edge))
+        if prune and i + 1 < len(neurons) and neurons[i + 1].layer > nref.layer:
+            prune_future(sk, net, neurons[i + 1 :], cache=cache)
+    return sk, stats, same_layer_split
+
+
+def without_seconds(stats):
+    return [{k: v for k, v in st.to_json().items() if k != "seconds"} for st in stats]
+
+
+REFERENCE_CASES = {
+    "2d_output": (lambda: centered_output_net(2, 3, 8, seed=2), 2, True, False),
+    "3d_level_set_pruned": (lambda: centered_output_net(3, 3, 8, seed=2), 3, True, True),
+    "4d": (lambda: random_model(4, 3, 6, 1, seed=1), 4, False, False),
+    # 128 neurons in one layer: the split positions run up to 128, one past
+    # the largest int8
+    "2d_128_wide": (lambda: random_model(2, 1, 128, 1, seed=0), 2, False, False),
+    "diamond_degenerate": (diamond_model, 2, True, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_layer_step_matches_per_neuron_reference(case, monkeypatch):
+    # the layer step (one sign block per layer, splits by their known
+    # neuron) against one full-width column and split step per neuron,
+    # compared before compaction so dead rows count too
+    make, dim, include_output, prune = REFERENCE_CASES[case]
+    net = make()
+    schedule = NeuronSchedule.for_model(net, include_output=include_output)
+    domain, a = init_hypercube(dim, -1.0, 1.0)
+    monkeypatch.setattr(skeleton_mod, "compact", lambda sk: sk)
+    a, stats_a = extract_complex(net, domain, a, schedule, level_set_prune=prune)
+    monkeypatch.undo()
+    _, b = init_hypercube(dim, -1.0, 1.0)
+    b, stats_b, same_layer_split = reference_extract(net, domain, b, schedule, prune)
+
+    fields = ("positions", "vertex_signs", "vertex_alive", "edges", "edge_signs", "edge_alive")
+    for name in fields:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert without_seconds(stats_a) == without_seconds(stats_b)
+    assert a.degenerate_count == b.degenerate_count
+    assert a.nbytes() == b.nbytes()
+    # an edge made by one neuron is split by a later neuron of its layer
+    assert same_layer_split
+    if case == "diamond_degenerate":
+        assert a.degenerate_count == 4
+    if prune:
+        assert not b.vertex_alive.all()
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_layer_step_peak_memory_within_reference():
+    # holding a sign buffer across an append keeps the buffer it replaces
+    # alive, which raises the peak of a pruned 3-D extraction by several
+    # percent over the per-neuron reference
+    net = centered_output_net(3, 4, 20, seed=0)
+    schedule = NeuronSchedule.for_model(net, include_output=True)
+
+    def layer_step():
+        domain, sk = init_hypercube(3, -1.0, 1.0)
+        extract_complex(net, domain, sk, schedule, level_set_prune=True)
+
+    def reference():
+        domain, sk = init_hypercube(3, -1.0, 1.0)
+        compact(reference_extract(net, domain, sk, schedule, True)[0])
+
+    layer_step()  # one-time allocations (caches, lazy imports) happen here
+    reference()
+    assert traced_peak(layer_step) <= 1.02 * traced_peak(reference)
+
+
+def test_layer_step_with_cache_and_checks():
+    # one call per layer with validate_each gives the same skeleton as the
+    # one-neuron calls; a neuron of another layer is refused
+    net = centered_output_net(2, 2, 6, seed=4)
+    schedule = NeuronSchedule.for_model(net, include_output=True)
+    _, a = init_hypercube(2, -1.0, 1.0)
+    cache = LayerValueCache(net, a.positions)
+    stats_a = []
+    for layer in (1, 2, 3):
+        run = [nref for nref in schedule if nref.layer == layer]
+        stats_a += subdivide_layer(a, net, run, cache, validate_each=True)
+    _, b = init_hypercube(2, -1.0, 1.0)
+    stats_b = [subdivide_once(b, net, nref) for nref in schedule]
+    for name in ("positions", "vertex_signs", "edges", "edge_signs", "edge_alive"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert without_seconds(stats_a) == without_seconds(stats_b)
+    assert subdivide_layer(a, net, [], cache) == []
+    with pytest.raises(ValueError, match="not in layer 1"):
+        subdivide_layer(b, net, [NeuronRef(1, 0), NeuronRef(2, 0)])
+
+
+def test_staged_sign_columns():
+    # a block of two columns: one live at once, the other on the next call;
+    # rows appended meanwhile carry the staged entry
+    _, sk = init_hypercube(1, 0.0, 1.0)
+    sk.append_sign_column([[1, -1], [1, 1]], [[1, 0]])
+    assert sk.sign_width == 3 and sk.vertex_signs[:, -1].tolist() == [1, 1]
+    assert sk.staged_vertex_signs([0, 1]).tolist() == [[-1], [1]]
+    with pytest.raises(SkeletonError, match="not all live"):
+        sk.append_sign_column([1, 1], [1])
+    with pytest.raises(SkeletonError, match="1 x 4"):
+        sk.append_vertices([[0.5]], [[1, 1, 1]])
+    sk.append_vertices([[0.5]], [[1, 1, 1, 0]])
+    sk.append_sign_column()
+    assert [sign_text(r) for r in sk.vertex_signs] == ["0++-", "+0++", "+++0"]
+    assert sign_text(sk.edge_signs[0]) == "+++0"
+    with pytest.raises(SkeletonError, match="no staged"):
+        sk.append_sign_column()
+    with pytest.raises(SkeletonError, match="rows of one width"):
+        sk.append_sign_column([[1], [1], [1]], [[1, 1]])
+
+
+def test_non_finite_value_names_neuron_vertex_and_position():
+    net = overflow_net()
+    domain, sk = init_hypercube(2, -1.0, 1.0)
+    schedule = NeuronSchedule.for_model(net, include_output=True)
+    with pytest.raises(ValueError) as err:
+        extract_complex(net, domain, sk, schedule)
+    assert str(err.value).startswith("non-finite pre-activation of neuron 2:0 at vertex ")
+    check_nonfinite_message(str(err.value), net)
 
 
 @pytest.mark.parametrize(
