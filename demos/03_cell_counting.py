@@ -21,9 +21,10 @@ for dim in (2, 3):
 # exact, so the sampled set is always a subset
 net = random_model(2, 4, 10, 1, seed=0)
 domain, sk = init_hypercube(2, -1.0, 1.0)
-sk, _ = extract_complex(net, domain, sk, NeuronSchedule.for_model(net))
+schedule = NeuronSchedule.for_model(net)
+sk, _ = extract_complex(net, domain, sk, schedule)
 regions = set(row_keys(region_signatures(sk, sk.m)))
 for n in (10**2, 10**4, 10**6):
-    sampled = set(row_keys(sampled_region_oracle(net, domain, n, seed=0)))
+    sampled = set(row_keys(sampled_region_oracle(net, domain, n, 0, schedule)))
     print("n=%-8d sampled %3d of %d regions (subset: %s)" % (
         n, len(sampled), len(regions), sampled <= regions))

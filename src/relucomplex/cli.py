@@ -72,7 +72,8 @@ def _build_parser():
     p = add_parser("count", help="count cells per dimension")
     add_common(p)
     p.add_argument("--up-to", type=int, default=None, help="highest dimension to count (default D)")
-    p.add_argument("--max-cells", type=int, default=None, help="memory budget in cells")
+    p.add_argument("--max-cells", type=int, default=None,
+                   help="stop (exit 3) once a dimension has more than this many cells")
 
     p = add_parser("boundary", help="extract the output level set (SVG for D=2, OBJ for D=3)")
     add_common(p, include_output_default=True)
@@ -249,12 +250,10 @@ def _run_extraction(args):
     return net, domain, schedule, sk, stats, seconds
 
 
-def _write_summary(outdir, net, domain, sk, stats, seconds, threads):
+def _write_summary(outdir, net, domain, schedule, sk, stats, seconds, threads):
     from . import validate as validate_mod
 
-    report = validate_mod.residuals(
-        sk, net, domain, workers=validate_mod.worker_count(threads)
-    )
+    report = validate_mod.residuals(sk, net, domain, schedule, validate_mod.worker_count(threads))
     summary = {
         "n_vertices": sk.n_vertices_alive,
         "n_edges": sk.n_edges_alive,
@@ -301,7 +300,7 @@ def cmd_extract(args):
     net, domain, schedule, sk, stats, seconds = _run_extraction(args)
     out = _outdir(args)
     geometry.export_csv(sk, out)
-    _write_summary(out, net, domain, sk, stats, seconds, args.threads)
+    _write_summary(out, net, domain, schedule, sk, stats, seconds, args.threads)
     if args.stats:
         _write_stats(out, stats)
     print(f"extracted {sk.n_vertices_alive} vertices, {sk.n_edges_alive} edges "

@@ -157,7 +157,7 @@ def _perp_units(n):
     return u / np.linalg.norm(u, axis=1)[:, None]
 
 
-def assemble_faces(mesh, sk, m, model, schedule=None, planar_tol=1e-9, inside_sign=-1):
+def assemble_faces(mesh, sk, m, model, schedule, planar_tol=1e-9, inside_sign=-1):
     """Fill in the boundary 2-cells of a 3-D level set, all faces at once.
 
     Faces are found by perturbing each boundary edge's free zero (the one
@@ -168,12 +168,11 @@ def assemble_faces(mesh, sk, m, model, schedule=None, planar_tol=1e-9, inside_si
     face normals point out of the inside (negative output). With
     `inside_sign=+1` the inside is the positive side and every loop is
     reversed. Raises FaceAssemblyError when a face's vertices stray more
-    than `planar_tol` from that plane.
+    than `planar_tol` from that plane. `schedule` is the one the skeleton
+    was extracted with.
     """
     if sk.dim != 3:
         raise ValueError("face assembly requires D = 3")
-    if schedule is None:
-        schedule = model_mod.infer_schedule(model, sk.t)
     if mesh.n_edges == 0:
         mesh.faces = []
         return mesh
@@ -242,18 +241,16 @@ def area_perimeter_2d(sk, out_entry, m, inside_sign=-1):
     return ShapeMetrics(area, perimeter, compactness(area, perimeter))
 
 
-def area_divergence_2d(sk, out_entry, m, model, domain, schedule=None, inside_sign=-1):
+def area_divergence_2d(sk, out_entry, m, model, domain, schedule, inside_sign=-1):
     """Inside area via the divergence theorem; cross-check for the shoelace.
 
     Integrates x.n/2 over the closed boundary of the inside region:
     level-set edges use the inside cell's affine output gradient as the
     outward direction, domain-facet edges of inside cells use the facet's
-    outward normal.
+    outward normal. `schedule` is the one the skeleton was extracted with.
     """
     if sk.dim != 2:
         raise ValueError("area_divergence_2d requires D = 2")
-    if schedule is None:
-        schedule = model_mod.infer_schedule(model, sk.t)
     out_index = schedule[out_entry - m].index
     ae = sk.alive_edge_ids()
     rows = sk.edge_signs[ae]

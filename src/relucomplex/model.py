@@ -1,10 +1,13 @@
 """Fully-connected ReLU networks: load/save, seeded generation, evaluation,
 and structural pruning.
 
-Every evaluation path funnels through one einsum-based affine kernel whose
-per-row result does not depend on the batch it was computed in (BLAS gemm is
-not row-stable across batch sizes). Batched and per-point evaluations are
-therefore bitwise identical.
+Every evaluation is one forward walk, `forward`: the only code that chains
+the affine kernel and ReLU across layers. It starts at the input or at any
+layer's pre-activations, so the extraction's value cache, level-set pruning,
+the streaming oracles and whole-batch evaluation all run the same steps. The
+kernel is einsum-based and its per-row result does not depend on the batch
+it was computed in (BLAS gemm is not row-stable across batch sizes), so
+batched, streamed and per-point evaluations are bitwise identical.
 """
 
 import json
@@ -90,9 +93,6 @@ class MlpSpec:
     def out_dim(self):
         return self.layers[-1].out_dim
 
-    def hidden_neuron_count(self):
-        return sum(layer.out_dim for layer in self.layers[:-1])
-
     def parameter_count(self):
         return sum(l.weights.size + l.bias.size for l in self.layers)
 
@@ -160,19 +160,6 @@ class NeuronSchedule:
         return m + self.position(NeuronRef(layer, output_index))
 
 
-def infer_schedule(model, t):
-    """Reconstruct the default schedule from a processed-neuron count."""
-    hidden = model.hidden_neuron_count()
-    if t == hidden:
-        return NeuronSchedule.for_model(model, include_output=False)
-    if t == hidden + model.out_dim:
-        return NeuronSchedule.for_model(model, include_output=True)
-    full = NeuronSchedule.for_model(model, include_output=True)
-    if t <= len(full):
-        return NeuronSchedule(full.neurons[:t], include_output=False)
-    raise ValueError(f"cannot map {t} processed neurons onto this model")
-
-
 def layer_columns(schedule):
     """(layer, columns, width) per layer, in schedule order (layer-major).
 
@@ -207,30 +194,43 @@ def _affine(points, weights, bias, out=None):
     return out
 
 
+def forward(model, values, first, last, buffers=None):
+    """Yield `(layer, pre-activations)` for layers first..last, in order.
+
+    `values` holds the points when first == 1, else layer first - 1's
+    pre-activations at them. Without `buffers`, each layer's values are a
+    fresh array. With the two `stream_buffers`, layers are computed into
+    them in turn, ReLU in place, and a layer's values are valid only until
+    the generator resumes. The input is never written to.
+    """
+    n = len(values)
+    pre = values
+    for l in range(first, last + 1):
+        if l > 1:  # ReLU in place only in a buffer of this walk
+            pre = np.maximum(pre, 0.0, out=pre if buffers and l > first else None)
+        spec = model.layers[l - 1]
+        out = buffers and buffers[l % 2][: n * spec.out_dim].reshape(n, spec.out_dim)
+        pre = _affine(pre, spec.weights, spec.bias, out=out)
+        yield l, pre
+
+
 def layer_inputs(model, points, layer):
     """Post-activations x^(layer-1): the input the given layer sees."""
-    acts = np.asarray(points, dtype=np.float64)
-    for l in range(1, layer):
-        spec = model.layers[l - 1]
-        acts = np.maximum(_affine(acts, spec.weights, spec.bias), 0.0)
-    return acts
+    pre = np.asarray(points, dtype=np.float64)
+    for _, pre in forward(model, pre, 1, layer - 1):
+        pass
+    return np.maximum(pre, 0.0) if layer > 1 else pre
 
 
 def batch_preactivations(model, points):
     """Pre-activation arrays for all layers; entry l has shape (n, D^(l+1))."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    acts = points
-    pres = []
-    for l, spec in enumerate(model.layers, start=1):
-        pre = _affine(acts, spec.weights, spec.bias)
-        pres.append(pre)
-        if l < model.depth:
-            acts = np.maximum(pre, 0.0)
-    return pres
+    return [pre for _, pre in forward(model, points, 1, model.depth)]
 
 
 def stream_buffers(model, schedule, rows):
-    """The two float buffers `stream_layers` needs for up to `rows` points."""
+    """The two float buffers `forward` fills in place for up to `rows`
+    points, as far as the last layer of `schedule`."""
     last = max((layer for layer, _, _ in layer_columns(schedule)), default=0)
     width = max((model.layers[l].out_dim for l in range(last)), default=0)
     return np.empty(rows * width), np.empty(rows * width)
@@ -241,26 +241,18 @@ def stream_layers(model, points, schedule, buffers):
 
     `values` holds the pre-activations of the layer's scheduled neurons at
     `points` (bitwise those of `batch_preactivations`), and `offset` is the
-    schedule position of its first neuron. Layers are computed into the two
-    caller-owned `buffers` (`stream_buffers`) in turn, ReLU in place, so
-    nothing of block size is allocated unless a layer's scheduled neurons
-    are not contiguous. `values` is valid until the generator resumes.
+    schedule position of its first neuron. The walk runs in the caller-owned
+    `buffers` (`stream_buffers`), so nothing of block size is allocated
+    unless a layer's scheduled neurons are not contiguous. `values` is valid
+    until the generator resumes.
     """
     wanted = {layer: cols for layer, cols, _ in layer_columns(schedule)}
-    last = max(wanted, default=0)
-    n = len(points)
-    acts = points
     offset = 0
-    for l in range(1, last + 1):
-        spec = model.layers[l - 1]
-        pre = buffers[l % 2][: n * spec.out_dim].reshape(n, spec.out_dim)
-        _affine(acts, spec.weights, spec.bias, out=pre)
+    for l, pre in forward(model, points, 1, max(wanted, default=0), buffers):
         if l in wanted:
             values = pre[:, wanted[l]]
             yield offset, values
             offset += values.shape[1]
-        if l < last:
-            acts = np.maximum(pre, 0.0, out=pre)
 
 
 @dataclass(frozen=True)
@@ -303,12 +295,9 @@ def batch_preactivation(model, points, neuron):
     points = np.asarray(points, dtype=np.float64)
     if points.size == 0:
         return np.zeros(0, dtype=np.float64)
-    points = np.atleast_2d(points)
-    acts = layer_inputs(model, points, neuron.layer)
-    spec = model.layers[neuron.layer - 1]
-    return _affine(
-        acts, spec.weights[neuron.index : neuron.index + 1], spec.bias[neuron.index]
-    )[:, 0]
+    for _, pre in forward(model, np.atleast_2d(points), 1, neuron.layer):
+        pass
+    return pre[:, neuron.index]
 
 
 # -- generation and serialization ---------------------------------------------

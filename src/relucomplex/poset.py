@@ -74,12 +74,20 @@ def build_parent_cells(cells, m):
     return CellSet(cells.dim + 1, uniq, children)
 
 
-def _parents_counting(rows, m, chunk_rows=1 << 18):
-    """Deduplicated parent rows without child links, chunked for memory."""
+#: edge (or higher cell) rows perturbed and deduplicated at a time in counting
+COUNT_CHUNK_ROWS = 1 << 18
+
+
+def _parents_counting(rows, m, max_cells=None):
+    """Deduplicated parent rows without child links, chunked for memory. Once
+    one chunk's distinct parents (some of the dimension's cells) are more
+    than `max_cells`, returns those at once, skipping the rest."""
     pieces = []
-    for start in range(0, len(rows), chunk_rows):
-        cand, _ = signvec.perturb_rows(rows[start : start + chunk_rows], m)
+    for start in range(0, len(rows), COUNT_CHUNK_ROWS):
+        cand, _ = signvec.perturb_rows(rows[start : start + COUNT_CHUNK_ROWS], m)
         uniq, _, _ = signvec.group_rows(cand)
+        if max_cells is not None and len(uniq) > max_cells:
+            return uniq
         pieces.append(uniq)
     merged, _, _ = signvec.group_rows(np.concatenate(pieces, axis=0))
     return merged
@@ -90,15 +98,16 @@ def cells_up_to(sk, m, up_to, max_cells=None):
 
     Dims 0 and 1 are read off the skeleton; each higher one is a perturb and
     deduplicate step (canonical key order) from the one below. At up_to == D
-    the rows are the regions and must carry no zeros. On budget overrun
-    raises CountBudgetError carrying the counts completed so far.
+    the rows are the regions and must carry no zeros. Once a dimension is
+    known to hold more than `max_cells` cells, raises CountBudgetError
+    carrying the counts completed so far.
     """
     if not 0 <= up_to <= sk.dim:
         raise ValueError(f"up_to must be in 0..{sk.dim}, got {up_to}")
     counts = [sk.n_vertices_alive, sk.n_edges_alive][: up_to + 1]
     rows = sk.edge_signs[sk.alive_edge_ids()] if up_to else sk.vertex_signs[sk.alive_vertex_ids()]
     for k in range(2, up_to + 1):
-        rows = _parents_counting(rows, m)
+        rows = _parents_counting(rows, m, max_cells)
         if max_cells is not None and len(rows) > max_cells:
             raise CountBudgetError(f"{len(rows)} cells exceed budget {max_cells}", counts)
         counts.append(len(rows))

@@ -393,41 +393,58 @@ def compact(sk):
     out = Skeleton(
         sk.dim,
         sk.m,
-        sk.positions[vkeep].copy(),
-        sk.vertex_signs[vkeep].copy(),
+        sk.positions[vkeep],
+        sk.vertex_signs[vkeep],
         vmap[sk.edges[ekeep]],
-        sk.edge_signs[ekeep].copy(),
+        sk.edge_signs[ekeep],
     )
     out.degenerate_count = sk.degenerate_count
     check_invariants(out)
     return out
 
 
+#: rows per block in `check_invariants`, which bounds its temporaries
+CHECK_BLOCK_ROWS = 1 << 13
+
+
+def _first_bad(ids, is_bad):
+    """The first of `ids` that `is_bad` flags (a flag or a row of flags per
+    id), scanning blocks of CHECK_BLOCK_ROWS ids in order; None if none."""
+    for start in range(0, len(ids), CHECK_BLOCK_ROWS):
+        block = ids[start : start + CHECK_BLOCK_ROWS]
+        bad = is_bad(block)
+        if bad.any():
+            return int(block[np.unravel_index(np.argmax(bad), bad.shape)[0]])
+    return None
+
+
 def check_invariants(sk):
-    """Verify the four structural invariants; O(|V| + |E|). Raises SkeletonError."""
+    """Verify the four structural invariants; O(|V| + |E|). Raises
+    SkeletonError naming the first bad vertex or edge of the first failing
+    check. Each check runs over blocks of CHECK_BLOCK_ROWS rows."""
     if sk.vertex_signs.shape != (sk.n_vertices, sk.sign_width):
         raise SkeletonError("vertex sign matrix shape mismatch")
     if sk.edge_signs.shape != (sk.n_edges, sk.sign_width):
         raise SkeletonError("edge sign matrix width mismatch")
-    ae = sk.alive_edge_ids()
-    if ae.size:
-        ends = sk.edges[ae]
-        if not np.all(sk.vertex_alive[ends].all(axis=1)):
-            raise SkeletonError("alive edge references dead vertex")
-        if np.any(ends[:, 0] >= ends[:, 1]):
-            raise SkeletonError("edge endpoint ordering violated")
-    av = sk.alive_vertex_ids()
-    vzeros = np.count_nonzero(sk.vertex_signs[av] == 0, axis=1)
-    if av.size and not np.all(vzeros == sk.dim):
-        bad = av[vzeros != sk.dim][0]
-        raise SkeletonError(f"vertex {bad} has {vzeros[vzeros != sk.dim][0]} zeros, expected {sk.dim}")
-    ezeros = np.count_nonzero(sk.edge_signs[ae] == 0, axis=1)
-    if ae.size and not np.all(ezeros == sk.dim - 1):
-        bad = ae[ezeros != sk.dim - 1][0]
+    av, ae = sk.alive_vertex_ids(), sk.alive_edge_ids()
+    vs, es, edges = sk.vertex_signs, sk.edge_signs, sk.edges
+
+    def zeros(signs, ids):
+        return np.count_nonzero(np.take(signs, ids, axis=0) == 0, axis=-1)
+
+    def disagree(ids):
+        # as signvec.merge_edge_rows, but opposite signs flag the edge, not raise
+        lo, hi = np.take(edges, ids, axis=0).T
+        a, b = np.take(vs, lo, axis=0), np.take(vs, hi, axis=0)
+        return (a * b < 0) | (np.sign(a + b) != np.take(es, ids, axis=0))
+
+    if (bad := _first_bad(ae, lambda b: ~sk.vertex_alive[np.take(edges, b, axis=0)])) is not None:
+        raise SkeletonError(f"alive edge {bad} references dead vertex")
+    if (bad := _first_bad(ae, lambda b: edges[b, 0] >= edges[b, 1])) is not None:
+        raise SkeletonError(f"edge {bad} endpoint ordering violated")
+    if (bad := _first_bad(av, lambda b: zeros(vs, b) != sk.dim)) is not None:
+        raise SkeletonError(f"vertex {bad} has {zeros(vs, bad)} zeros, expected {sk.dim}")
+    if (bad := _first_bad(ae, lambda b: zeros(es, b) != sk.dim - 1)) is not None:
         raise SkeletonError(f"edge {bad} zero count is not {sk.dim - 1}")
-    if ae.size:
-        merged = signvec.merge_edge_rows(
-            sk.vertex_signs[sk.edges[ae, 0]], sk.vertex_signs[sk.edges[ae, 1]]
-        )
-        if not np.array_equal(merged, sk.edge_signs[ae]):
-            raise SkeletonError("edge sign-vector disagrees with its endpoints")
+    if (bad := _first_bad(ae, disagree)) is not None:
+        raise SkeletonError(f"edge {bad} sign-vector disagrees with its endpoints")

@@ -75,20 +75,18 @@ class LayerValueCache:
 
     One matrix per layer, one row per skeleton vertex id and one column per
     neuron of the layer, so a layer's step (1) is one read of it. Vertex
-    positions never change, so a row is computed once per layer: the matrix
-    is built with one affine map when the layer starts, and `extend` writes
-    rows for new vertices only, into spare rows that grow like the
-    skeleton's buffers. The affine kernel is row- and column-stable, so every
-    value is bitwise the one a per-neuron evaluation at that vertex gives.
+    positions never change, so a row is computed once per layer: when the
+    layer starts, `model.forward` walks the matrix on from the layer before,
+    and `extend` walks new vertices from their positions, into spare rows
+    that grow like the skeleton's buffers. The affine kernel is row- and
+    column-stable, so every value is bitwise the one a per-neuron evaluation
+    at that vertex gives.
     """
 
     def __init__(self, model, positions):
         self.model = model
-        self.layer = 1
-        spec = model.layers[0]
-        self._pre = model_mod._affine(
-            np.asarray(positions, dtype=np.float64), spec.weights, spec.bias
-        )
+        walk = model_mod.forward(model, np.asarray(positions, dtype=np.float64), 1, 1)
+        self.layer, self._pre = next(walk)
         self._n = len(self._pre)
 
     @property
@@ -102,9 +100,9 @@ class LayerValueCache:
     def advance_to(self, layer):
         if layer < self.layer:
             raise ValueError("cache cannot move backwards through layers")
-        while self.layer < layer:
-            self._pre = _next_layer(self.model, self._pre[: self._n], self.layer)
-            self.layer += 1
+        walk = model_mod.forward(self.model, self._pre[: self._n], self.layer + 1, layer)
+        for self.layer, self._pre in walk:
+            pass
 
     def preactivation(self, neuron, rows):
         if neuron.layer != self.layer:
@@ -112,21 +110,15 @@ class LayerValueCache:
         return self._pre[rows, neuron.index]
 
     def extend(self, positions):
-        acts = model_mod.layer_inputs(self.model, positions, self.layer)
-        spec = self.model.layers[self.layer - 1]
-        first, last = self._n, self._n + len(acts)
+        for _, pre in model_mod.forward(self.model, positions, 1, self.layer):
+            pass
+        first, last = self._n, self._n + len(pre)
         if last > len(self._pre):
             (self._pre,) = skeleton_mod._lengthen(
                 (self._pre,), first, skeleton_mod._grown(last)
             )
-        self._pre[first:last] = model_mod._affine(acts, spec.weights, spec.bias)
+        self._pre[first:last] = pre
         self._n = last
-
-
-def _next_layer(model, pre, layer):
-    """Pre-activations of layer + 1 from those of `layer` at the same points."""
-    spec = model.layers[layer]
-    return model_mod._affine(np.maximum(pre, 0.0), spec.weights, spec.bias)
 
 
 def subdivide_once(sk, model, neuron, cache=None):
@@ -386,10 +378,10 @@ def prune_future(sk, model, remaining, cache=None):
     dropped when only the zero level set of the output entry is wanted.
     `cache` (the running extraction's LayerValueCache; without one, a fresh
     cache is built, as in `subdivide_once`) is advanced to the first
-    remaining neuron's layer, and a forward pass over the alive vertices'
+    remaining neuron's layer, and `model.forward` from the alive vertices'
     rows of it gives the deeper layers.
     """
-    remaining = sorted(remaining)  # layer-major, as the forward pass runs
+    remaining = sorted(remaining)  # layer-major, as the walk runs
     if not remaining:
         return PruneStats(0, 0, sk.n_edges_alive, sk.n_vertices_alive)
     if cache is None:
@@ -404,15 +396,14 @@ def prune_future(sk, model, remaining, cache=None):
     # layer to those whose endpoints still agree on every sign
     same = sk.alive_edge_ids()
     ends = alive_row[sk.edges[same]]
+    wanted = {layer: cols for layer, cols, _ in model_mod.layer_columns(remaining)}
     pre = cache.values(av)
-    layer = cache.layer
-    for target, cols, _ in model_mod.layer_columns(remaining):
-        while layer < target:
-            pre = _next_layer(model, pre, layer)
-            layer += 1
-        positive = pre[:, cols] > 0.0
-        agree = np.all(positive[ends[:, 0]] == positive[ends[:, 1]], axis=1)
-        same, ends = same[agree], ends[agree]
+    walk = model_mod.forward(model, pre, cache.layer + 1, remaining[-1].layer)
+    for layer, pre in itertools.chain([(cache.layer, pre)], walk):
+        if layer in wanted:
+            positive = pre[:, wanted[layer]] > 0.0
+            agree = np.all(positive[ends[:, 0]] == positive[ends[:, 1]], axis=1)
+            same, ends = same[agree], ends[agree]
     sk.edge_alive[same] = False
 
     alive_ends = sk.edges[sk.alive_edge_ids()]

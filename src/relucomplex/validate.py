@@ -113,17 +113,15 @@ def _scratch(model, schedule, rows, width):
     return np.empty((rows, width), dtype=np.int8), model_mod.stream_buffers(model, schedule, rows)
 
 
-def residuals(sk, model, domain, schedule=None, workers=None):
+def residuals(sk, model, domain, schedule, workers=None):
     """Re-evaluate every zero entry of every alive vertex.
 
     Facet zeros score |w.x - b|, neuron zeros |pre-activation|. Aggregates
     come back per group (facets, then one group per layer). Vertices are
     evaluated in blocks of BLOCK_ROWS on `workers` threads; each block's
     picked values are kept in row order, and every max and mean is taken
-    once over them.
+    once over them. `schedule` is the one the skeleton was extracted with.
     """
-    if schedule is None:
-        schedule = model_mod.infer_schedule(model, sk.t)
     names = ["facets"] + [f"layer_{layer}" for layer, _, _ in model_mod.layer_columns(schedule)]
     av = sk.alive_vertex_ids()
     rows = min(len(av), BLOCK_ROWS)
@@ -190,16 +188,15 @@ class MidpointReport:
         }
 
 
-def midpoint_check(sk, model, domain, tol=1e-8, schedule=None, workers=None):
+def midpoint_check(sk, model, domain, tol, schedule, workers=None):
     """Evaluate every facet and processed neuron at each alive edge midpoint.
 
     Non-zero entries of the edge sign-vector must match the evaluated sign
     (exact zero counting as minus); zero entries must satisfy |value| <= tol.
     Edges are checked in blocks of BLOCK_ROWS on `workers` threads.
+    `schedule` is the one the skeleton was extracted with.
     """
     check_tolerance(tol)
-    if schedule is None:
-        schedule = model_mod.infer_schedule(model, sk.t)
     ae = sk.alive_edge_ids()
     if len(ae) == 0:
         return MidpointReport(0, 0, 0, [], tol)
@@ -328,18 +325,18 @@ def sample_domain(domain, n, seed, start=0):
     raise ValueError(f"cannot sample domain kind {domain.kind!r}")
 
 
-def sampled_region_oracle(model, domain, n, seed, schedule=None, workers=None):
+def sampled_region_oracle(model, domain, n, seed, schedule, workers=None):
     """Region signatures hit by n uniform samples; a one-sided oracle.
 
     Every returned signature must appear among the extracted regions, but
     thin regions may be missed, so coverage below 1 is expected. Samples are
     drawn and signed in blocks of BLOCK_ROWS on `workers` threads, and each
     block is merged, in order, into the distinct rows found so far, so
-    memory does not grow with n beyond those rows and one block.
+    memory does not grow with n beyond those rows and one block. Rows have
+    one entry per facet and per neuron of `schedule`, as the extracted
+    regions of that schedule do.
     """
     check_sample_count(n)
-    if schedule is None:
-        schedule = model_mod.NeuronSchedule.for_model(model, include_output=False)
     m = domain.m
     width = m + len(schedule)
     rows = min(n, BLOCK_ROWS)

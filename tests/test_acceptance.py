@@ -176,7 +176,7 @@ def test_criterion_6_region_containment():
     for seed in range(N_SEEDS):
         net, domain, schedule, sk, _ = extract_random(2, 4, 10, seed=seed)
         regions = set(row_keys(region_signatures(sk, sk.m)))
-        sampled = set(row_keys(sampled_region_oracle(net, domain, 10**6, seed)))
+        sampled = set(row_keys(sampled_region_oracle(net, domain, 10**6, seed, schedule)))
         assert sampled <= regions, f"seed {seed}: sampled signature not extracted"
         n_sampled += len(sampled)
         n_regions += len(regions)

@@ -155,7 +155,7 @@ def test_prune_model_cmd(tmp_path):
     assert run_cli("prune-model", "--model", path, "--out", tmp_path / "p") == 0
     report = json.loads((tmp_path / "p" / "prune_report.json").read_text())
     assert report["parameters_after"] <= report["parameters_before"]
-    assert len(report["labels"]) == net.hidden_neuron_count()
+    assert len(report["labels"]) == sum(net.widths[1:-1])
     assert (tmp_path / "p" / "pruned_model.json").exists()
 
 

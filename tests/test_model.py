@@ -13,8 +13,8 @@ from relucomplex.model import (
     batch_preactivations,
     classify_neurons_on_boundary,
     diamond_model,
+    forward,
     forward_trace,
-    infer_schedule,
     load_model,
     prune_stably_negative,
     random_model,
@@ -191,6 +191,29 @@ def test_stream_layers_match_batch_bitwise():
             assert np.array_equal(got, want[rows])
 
 
+def test_forward_from_any_layer_matches_batch_bitwise():
+    # started at a middle layer (as the value cache and level-set pruning
+    # start it), in fresh arrays or in two reused buffers, on any rows
+    # including none, every layer is the one batch_preactivations gives
+    net = random_model(3, 3, 10, 2, seed=4)
+    pts = sample_domain(init_hypercube(3, -1, 1)[0], 200, 5)
+    pres = batch_preactivations(net, pts)
+    schedule = NeuronSchedule.for_model(net, include_output=True)
+    for first in range(1, net.depth + 1):
+        for rows in (slice(None), slice(3, 4), slice(0, 0)):
+            values = pts[rows] if first == 1 else pres[first - 2][rows]
+            before = values.copy()
+            n = len(before)
+            for buffers in (None, stream_buffers(net, schedule, n)):
+                layers = []
+                for layer, pre in forward(net, values, first, net.depth, buffers):
+                    assert pre.shape == (n, net.layers[layer - 1].out_dim)
+                    assert np.array_equal(pre, pres[layer - 1][rows]), (first, layer)
+                    layers.append(layer)
+                assert layers == list(range(first, net.depth + 1))
+                assert np.array_equal(values, before)  # the input is never written
+
+
 def test_classify_neurons():
     # hidden pre-activations: x - 10 never fires on [-1, 1]^2, x + 3 always does
     w1 = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -278,15 +301,6 @@ def test_schedule_validation():
         NeuronSchedule((NeuronRef(1, 0), NeuronRef(1, 0)))
     with pytest.raises(ValueError):
         sched.output_entry(m=4)
-
-
-def test_infer_schedule():
-    net = random_model(2, 2, 3, 1, seed=0)
-    assert infer_schedule(net, 6).include_output is False
-    assert infer_schedule(net, 7).include_output is True
-    assert len(infer_schedule(net, 4)) == 4
-    with pytest.raises(ValueError):
-        infer_schedule(net, 9)
 
 
 def test_diamond_model_values():

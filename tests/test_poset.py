@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relucomplex import poset, signvec
 from relucomplex.model import LayerSpec, MlpSpec, NeuronSchedule, random_model
 from relucomplex.poset import (
     CountBudgetError,
@@ -120,9 +121,10 @@ def test_region_count_matches_count_cells():
 def test_sampled_signatures_contained():
     net = random_model(2, 2, 6, 1, seed=6)
     domain, sk = init_hypercube(2, -1.0, 1.0)
-    sk, _ = extract_complex(net, domain, sk, NeuronSchedule.for_model(net))
+    schedule = NeuronSchedule.for_model(net)
+    sk, _ = extract_complex(net, domain, sk, schedule)
     regions = set(row_keys(region_signatures(sk, sk.m)))
-    sampled = set(row_keys(sampled_region_oracle(net, domain, 20000, 1)))
+    sampled = set(row_keys(sampled_region_oracle(net, domain, 20000, 1, schedule)))
     assert sampled <= regions
 
 
@@ -133,6 +135,31 @@ def test_count_budget():
     with pytest.raises(CountBudgetError) as err:
         count_cells(sk, sk.m, 3, max_cells=10)
     assert err.value.partial_counts == [sk.n_vertices_alive, sk.n_edges_alive]
+
+
+def test_count_budget_stops_at_the_first_chunk_over_it(monkeypatch):
+    # one chunk's distinct parents are cells of the dimension, so a chunk
+    # over the budget ends the count before the later chunks and the merge
+    net = random_model(3, 2, 8, 1, seed=0)
+    domain, sk = init_hypercube(3, -1.0, 1.0)
+    sk, _ = extract_complex(net, domain, sk, NeuronSchedule.for_model(net))
+    monkeypatch.setattr(poset, "COUNT_CHUNK_ROWS", 20)
+    grouped = []
+    real = signvec.group_rows
+
+    def counted(rows):
+        grouped.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(signvec, "group_rows", counted)
+    with pytest.raises(CountBudgetError) as err:
+        count_cells(sk, sk.m, 3, max_cells=10)
+    assert err.value.partial_counts == [sk.n_vertices_alive, sk.n_edges_alive]
+    assert sk.n_edges_alive > 20 and len(grouped) == 1
+    # without a budget the same chunks count every cell
+    grouped.clear()
+    counts = count_cells(sk, sk.m, 3)
+    assert counts[2] > 10 and len(grouped) > 2
 
 
 def test_up_to_bounds():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import centered_output_net
-from relucomplex.model import NeuronSchedule
+from relucomplex import skeleton as skeleton_mod
+from relucomplex.model import NeuronSchedule, random_model
 from relucomplex.skeleton import (
     Halfspace,
     SkeletonError,
@@ -110,6 +111,46 @@ def test_check_invariants_detects_corruption():
     sk.vertex_signs[0, 0] = 1
     with pytest.raises(SkeletonError):
         check_invariants(sk)
+
+
+def corrupt_late_row(sk, kind):
+    """Break one invariant in a row near the end of a compacted skeleton."""
+    v, e = sk.n_vertices - 1, sk.n_edges - 1
+    if kind == "dead_vertex":
+        sk.vertex_alive[v] = False  # the newest vertex: all its edges are late
+    elif kind == "ordering":
+        sk.edges[e] = sk.edges[e, ::-1]
+    elif kind == "vertex_zeros":
+        sk.vertex_signs[v, np.argmax(sk.vertex_signs[v] == 0)] = 1
+    elif kind == "edge_zeros":
+        sk.edge_signs[e, np.argmax(sk.edge_signs[e] == 0)] = 1
+    elif kind == "merge":  # a sign the endpoints do not give
+        sk.edge_signs[e, np.argmax(sk.edge_signs[e] != 0)] *= -1
+    else:  # the newest vertex moves to the other side of a hyperplane
+        sk.vertex_signs[v, np.flatnonzero(sk.vertex_signs[v])[-1]] *= -1
+
+
+@pytest.mark.parametrize(
+    "kind", ["dead_vertex", "ordering", "vertex_zeros", "edge_zeros", "merge", "conflict"]
+)
+def test_check_invariants_in_blocks_names_the_same_row(kind, monkeypatch):
+    # the check runs over row blocks; a bad row in a later block gives the
+    # message the whole-array check (one block) gives, naming that row
+    net = random_model(2, 2, 8, 1, seed=0)
+    domain, sk = init_hypercube(2, -1.0, 1.0)
+    sk, _ = extract_complex(net, domain, sk, NeuronSchedule.for_model(net))
+    assert sk.n_edges < skeleton_mod.CHECK_BLOCK_ROWS
+    corrupt_late_row(sk, kind)
+    with pytest.raises(SkeletonError) as whole:
+        check_invariants(sk)
+    monkeypatch.setattr(skeleton_mod, "CHECK_BLOCK_ROWS", 7)
+    with pytest.raises(SkeletonError) as blocked:
+        check_invariants(sk)
+    assert str(blocked.value) == str(whole.value)
+    if kind == "conflict":  # endpoints on opposite sides name their edge
+        assert "sign-vector disagrees" in str(whole.value)
+    named = int(str(whole.value).split()[1 if kind != "dead_vertex" else 2])
+    assert named >= 7, str(whole.value)
 
 
 def test_append_edges_ordering_enforced():

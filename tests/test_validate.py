@@ -13,6 +13,7 @@ from relucomplex.model import (
     batch_preactivations,
     random_model,
 )
+from relucomplex.poset import region_signatures
 from relucomplex.signvec import group_rows
 from relucomplex.skeleton import init_hypercube, init_simplex
 from relucomplex.subdivide import IterationStats, extract_complex
@@ -79,6 +80,21 @@ def test_midpoint_random_2d(seed):
     assert rep.n_fail == 0
 
 
+def test_gapped_schedule_validates():
+    # every other neuron: the sign width does not tell which neurons were
+    # processed, so the evaluators take the schedule of the extraction
+    net = random_model(2, 2, 6, 1, seed=3)
+    schedule = NeuronSchedule(NeuronSchedule.for_model(net).neurons[::2], False)
+    domain, sk = init_hypercube(2, -1.0, 1.0)
+    sk, _ = extract_complex(net, domain, sk, schedule)
+    assert sk.t == 6
+    assert residuals(sk, net, domain, schedule).max_abs < 1e-12
+    assert midpoint_check(sk, net, domain, 1e-8, schedule).n_fail == 0
+    regions = region_signatures(sk, sk.m)
+    sampled = sampled_region_oracle(net, domain, 2000, 0, schedule)
+    assert len(group_rows(np.concatenate([regions, sampled]))[0]) == len(regions)
+
+
 def test_oracle_no_hyperplanes():
     # single-neuron layer whose hyperplane misses the domain: only corners
     net = MlpSpec((LayerSpec(np.array([[1.0, 0.0]]), np.array([10.0])),), 2)
@@ -118,8 +134,8 @@ def test_sample_domain_inside():
 def test_sampled_region_oracle_trivial():
     net = MlpSpec((LayerSpec(np.array([[1.0, 0.0]]), np.array([10.0])),), 2)
     domain, _ = init_hypercube(2, 0.0, 1.0)
-    # default hidden-only schedule is empty for a single-layer net
-    rows = sampled_region_oracle(net, domain, 1000, 0)
+    # the hidden-only schedule is empty for a single-layer net
+    rows = sampled_region_oracle(net, domain, 1000, 0, NeuronSchedule.for_model(net))
     assert rows.shape == (1, 4)
     full = NeuronSchedule.for_model(net, include_output=True)
     rows = sampled_region_oracle(net, domain, 1000, 0, full)
@@ -165,7 +181,7 @@ def test_sampled_region_oracle_blocks_match_one_shot(monkeypatch, kind):
         assert got.dtype == np.int8 and got.shape == want.shape, name
         assert np.array_equal(got, want), name
         assert len(want) > 1 or name == "empty", name
-    empty = sampled_region_oracle(net, domain, 0, 4)
+    empty = sampled_region_oracle(net, domain, 0, 4, NeuronSchedule.for_model(net))
     assert empty.shape == (0, domain.m + 12) and empty.dtype == np.int8
 
 
@@ -183,7 +199,7 @@ def test_validate_rejects_negative_inputs():
     with pytest.raises(ValueError, match="sample count must be >= 0"):
         sample_domain(domain, -5, 0)
     with pytest.raises(ValueError, match="sample count must be >= 0"):
-        sampled_region_oracle(net, domain, -5, 0)
+        sampled_region_oracle(net, domain, -5, 0, schedule)
     with pytest.raises(ValueError, match="midpoint tolerance must be >= 0"):
         midpoint_check(sk, net, domain, -1.0, schedule)
     # zero is a valid tolerance: only exact zeros pass
@@ -261,11 +277,12 @@ def test_sampled_region_oracle_memory_is_bounded():
     block = validate_mod.BLOCK_ROWS
     net = random_model(2, 2, 8, 1, seed=0)
     domain, _ = init_hypercube(2, -1.0, 1.0)
+    schedule = NeuronSchedule.for_model(net)
 
     def peak(n):
         tracemalloc.start()
         try:
-            sampled_region_oracle(net, domain, n, 0)
+            sampled_region_oracle(net, domain, n, 0, schedule)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
