@@ -4,7 +4,6 @@
 
 from relucomplex.model import NeuronSchedule, random_model
 from relucomplex.poset import count_cells, euler_characteristic, region_signatures
-from relucomplex.signvec import row_keys
 from relucomplex.skeleton import init_hypercube
 from relucomplex.subdivide import extract_complex
 from relucomplex.validate import sampled_region_oracle
@@ -23,8 +22,8 @@ net = random_model(2, 4, 10, 1, seed=0)
 domain, sk = init_hypercube(2, -1.0, 1.0)
 schedule = NeuronSchedule.for_model(net)
 sk, _ = extract_complex(net, domain, sk, schedule)
-regions = set(row_keys(region_signatures(sk, sk.m)))
+regions = {row.tobytes() for row in region_signatures(sk, sk.m)}
 for n in (10**2, 10**4, 10**6):
-    sampled = set(row_keys(sampled_region_oracle(net, domain, n, 0, schedule)))
+    sampled = {row.tobytes() for row in sampled_region_oracle(net, domain, n, 0, schedule)}
     print("n=%-8d sampled %3d of %d regions (subset: %s)" % (
         n, len(sampled), len(regions), sampled <= regions))

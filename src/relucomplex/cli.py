@@ -73,7 +73,8 @@ def _build_parser():
     add_common(p)
     p.add_argument("--up-to", type=int, default=None, help="highest dimension to count (default D)")
     p.add_argument("--max-cells", type=int, default=None,
-                   help="stop (exit 3) once a dimension has more than this many cells")
+                   help="stop (exit 3) once a dimension built by perturbation "
+                        "(2 and up) has more than this many cells")
 
     p = add_parser("boundary", help="extract the output level set (SVG for D=2, OBJ for D=3)")
     add_common(p, include_output_default=True)
@@ -105,15 +106,17 @@ def _build_parser():
 
 
 def _raw_flag(argv, flag):
-    """Value of `flag` in argv, as `flag VALUE` or `flag=VALUE`; None when absent."""
+    """Value of the last `flag` in argv, as `flag VALUE` or `flag=VALUE`,
+    as argparse lets the last one win; None when absent."""
+    value = None
     for i, token in enumerate(argv):
         if token == flag:
             if i + 1 == len(argv):
                 raise ValueError(f"{flag} needs a value")
-            return argv[i + 1]
-        if token.startswith(flag + "="):
-            return token[len(flag) + 1 :]
-    return None
+            value = argv[i + 1]
+        elif token.startswith(flag + "="):
+            value = token[len(flag) + 1 :]
+    return value
 
 
 def _apply_config(argv):
@@ -142,16 +145,17 @@ def _apply_config(argv):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    # --threads and --config act before argparse runs: the thread cap must be
-    # in the environment before numpy loads, and the config supplies defaults
+    # --config and --threads act before argparse runs: the config supplies
+    # defaults (--threads among them), and the thread cap must be in the
+    # environment before numpy loads
     try:
+        argv = _apply_config(argv)
         threads = _raw_flag(argv, "--threads")
         if threads is not None:
             if not (threads.isdecimal() and int(threads) >= 1):
                 raise ValueError(f"--threads takes a positive integer, got {threads!r}")
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
                 os.environ[var] = threads
-        argv = _apply_config(argv)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -235,6 +239,8 @@ def _run_extraction(args):
     index = args.output_index
     if args.command in ("boundary", "prune-model") and not 0 <= index < net.out_dim:
         raise ValueError(f"--output-index must be in 0..{net.out_dim - 1}, got {index}")
+    if args.command == "boundary" and net.in_dim not in (2, 3):
+        raise ValueError(f"boundary export supports D = 2 and D = 3, got D = {net.in_dim}")
     domain, sk = _make_domain(args, net.in_dim)
     include_output = getattr(args, "include_output", False)
     schedule = model_mod.NeuronSchedule.for_model(net, include_output=include_output)
@@ -352,13 +358,11 @@ def cmd_boundary(args):
         box = ([domain.meta["lo"]] * 2, [domain.meta["hi"]] * 2) if cube else None
         geometry.export_svg(sk, out / "boundary.svg", out_entry, box=box)
         artifact = "boundary.svg"
-    elif sk.dim == 3:
+    else:
         geometry.assemble_faces(mesh, sk, sk.m, net, schedule, inside_sign=inside)
         metrics["n_faces"] = len(mesh.faces)
         geometry.export_obj(mesh, out / "boundary.obj")
         artifact = "boundary.obj"
-    else:
-        raise ValueError("boundary export supports D = 2 and D = 3")
     _write_json(out / "metrics.json", metrics)
     print(f"boundary: {mesh.n_vertices} vertices, {mesh.n_edges} edges -> {out / artifact}")
     return EXIT_OK

@@ -11,6 +11,8 @@ and every operation here works on a whole batch of rows at once:
 evaluation (`signs_of_values`), perturbation to parent cells
 (`perturb_rows`), merging vertex rows into edge rows (`merge_edge_rows`),
 deduplication in canonical order (`group_rows`) and text (`sign_texts`).
+The int8 row is the one key: `group_rows` groups on its bytes, and a set of
+rows compares as the set of their ``row.tobytes()``.
 """
 
 import numpy as np
@@ -24,43 +26,38 @@ class SignConflictError(ValueError):
 
 
 def signs_of_values(values):
-    """Signs of freshly evaluated (pre-)activations.
+    """Signs of a block of freshly evaluated (pre-)activations, one column
+    per neuron.
 
     Strictly positive values map to ``+``; everything else, including an
     exact zero, maps to ``-``. Zeros are never produced here: they are
     assigned structurally when a new vertex is placed on a hyperplane.
-    Returns ``(int8 array, degenerate count)``, where the count is the
-    number of values with ``|v| < EPS_DEGENERATE``; for a 2-D block of
-    values (one column per neuron) it is an array with one count per
-    column. Raises ValueError on a non-finite value.
+    Returns ``(int8 block, degenerate counts)``, with one count per column:
+    the number of its values with ``|v| < EPS_DEGENERATE``. Raises
+    ValueError on a non-finite value.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size and not np.all(np.isfinite(values)):
         raise ValueError("non-finite value in sign evaluation")
     signs = np.where(values > 0.0, 1, -1).astype(np.int8)
-    degenerate = np.abs(values) < EPS_DEGENERATE
-    if values.ndim == 2:
-        return signs, degenerate.sum(axis=0)
-    return signs, int(np.count_nonzero(degenerate))
-
-
-_SIGN_CHARS = {-1: "-", 0: "0", 1: "+"}
-
-
-def sign_text(row):
-    """Textual form of an int8 sign row ('-', '0', '+')."""
-    return "".join(_SIGN_CHARS[int(v)] for v in np.asarray(row).ravel())
+    return signs, (np.abs(values) < EPS_DEGENERATE).sum(axis=0)
 
 
 _SIGN_BYTES = np.frombuffer(b"-0+", dtype=np.uint8)
 
 
 def sign_texts(rows):
-    """sign_text of every row of an int8 sign matrix, by one table lookup."""
+    """Text of every row of an int8 sign matrix ('-', '0', '+'), by one
+    table lookup."""
     rows = np.asarray(rows, dtype=np.int8)
     w = rows.shape[1]
     text = _SIGN_BYTES[rows + 1].tobytes().decode("ascii")
-    return [text[i : i + w] for i in range(0, len(text), w)]
+    return [text[i * w : (i + 1) * w] for i in range(len(rows))]
+
+
+def sign_text(row):
+    """Text of one int8 sign row: the one-row case of `sign_texts`."""
+    return sign_texts([row])[0]
 
 
 def merge_edge_rows(rows_a, rows_b):
@@ -110,44 +107,14 @@ def perturb_rows(rows, m):
     return cand, source
 
 
-def pack_rows(rows):
-    """Pack sign rows into 2-bit codes, 4 entries per byte, high bits first.
-
-    Codes are 0 (minus), 1 (zero), 2 (plus), so byte-wise comparison of the
-    packed form agrees with lexicographic sign order.
-    """
-    rows = np.asarray(rows, dtype=np.int8)
-    n, w = rows.shape
-    codes = (rows + 1).astype(np.uint8)
-    padded_w = -(-w // 4) * 4
-    if padded_w != w:
-        codes = np.concatenate(
-            [codes, np.zeros((n, padded_w - w), dtype=np.uint8)], axis=1
-        )
-    codes = codes.reshape(n, padded_w // 4, 4)
-    shifts = np.array([6, 4, 2, 0], dtype=np.uint8)
-    return (codes << shifts).sum(axis=2, dtype=np.uint16).astype(np.uint8)
-
-
-def row_keys(rows):
-    """Per-row canonical byte keys for an int8 sign matrix.
-
-    Each key is a big-endian 2-byte length prefix followed by the packed
-    2-bit entries, so keys are injective on rows shorter than ``2**16`` and
-    keys of equal-length rows order lexicographically as ``- < 0 < +``.
-    """
-    rows = np.asarray(rows, dtype=np.int8)
-    prefix = rows.shape[1].to_bytes(2, "big")
-    packed = pack_rows(rows)
-    return [prefix + packed[i].tobytes() for i in range(rows.shape[0])]
-
-
 def group_rows(rows):
     """Deduplicate rows in canonical key order.
 
-    Returns ``(unique_rows, inverse, counts)`` with ``unique_rows`` sorted
-    lexicographically in ``- < 0 < +`` order (the order of their
-    `row_keys`) and ``inverse`` mapping each input row to its group.
+    Returns ``(unique_rows, inverse, counts)`` with ``inverse`` mapping each
+    input row to its group. ``unique_rows`` are in the canonical order:
+    lexicographic over entries, with ``- < 0 < +``. The key is each row's
+    bytes shifted by one (``rows + 1``, codes 0, 1, 2), so byte order is
+    that order.
     """
     rows = np.ascontiguousarray(rows, dtype=np.int8)
     n, w = rows.shape

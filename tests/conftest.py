@@ -18,6 +18,12 @@ from relucomplex.subdivide import extract_complex
 from relucomplex.validate import sample_domain
 
 
+def sign_tuples(rows):
+    """Each int8 sign row as a tuple: hashable, for comparing sets of rows,
+    and ordered lexicographically with - < 0 < +, as `group_rows` sorts."""
+    return [tuple(r) for r in np.asarray(rows, dtype=np.int8).tolist()]
+
+
 def extract_random(dim, depth, width, seed, lo=-1.0, hi=1.0, include_output=False, **kw):
     """Random net + hypercube domain + full extraction; returns everything."""
     net = random_model(dim, depth, width, 1, seed)

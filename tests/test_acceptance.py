@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import centered_output_net, extract_random
+from conftest import centered_output_net, extract_random, sign_tuples
 from relucomplex.geometry import (
     area_perimeter_2d,
     boundary_subcomplex,
@@ -33,7 +33,6 @@ from relucomplex.model import (
     prune_stably_negative,
 )
 from relucomplex.poset import count_cells, euler_characteristic, region_signatures
-from relucomplex.signvec import row_keys
 from relucomplex.skeleton import init_hypercube
 from relucomplex.subdivide import extract_complex
 from relucomplex.validate import (
@@ -175,8 +174,8 @@ def test_criterion_6_region_containment():
     per_seed = []
     for seed in range(N_SEEDS):
         net, domain, schedule, sk, _ = extract_random(2, 4, 10, seed=seed)
-        regions = set(row_keys(region_signatures(sk, sk.m)))
-        sampled = set(row_keys(sampled_region_oracle(net, domain, 10**6, seed, schedule)))
+        regions = set(sign_tuples(region_signatures(sk, sk.m)))
+        sampled = set(sign_tuples(sampled_region_oracle(net, domain, 10**6, seed, schedule)))
         assert sampled <= regions, f"seed {seed}: sampled signature not extracted"
         n_sampled += len(sampled)
         n_regions += len(regions)
@@ -222,12 +221,12 @@ def test_criterion_8_level_set_prune_equivalence():
             work[prune] = sum(s.edges_before for s in stats)
         a, b = meshes[False], meshes[True]
         assert a.n_vertices == b.n_vertices > 0, f"seed {seed}"
-        ka = dict(zip(row_keys(a.signs), a.positions))
-        kb = dict(zip(row_keys(b.signs), b.positions))
+        ka = dict(zip(sign_tuples(a.signs), a.positions))
+        kb = dict(zip(sign_tuples(b.signs), b.positions))
         assert set(ka) == set(kb), f"seed {seed}: vertex sign-vectors differ"
         for key in ka:
             assert np.max(np.abs(ka[key] - kb[key])) <= 1e-9, f"seed {seed}"
-        assert set(row_keys(a.edge_signs)) == set(row_keys(b.edge_signs)), f"seed {seed}"
+        assert set(sign_tuples(a.edge_signs)) == set(sign_tuples(b.edge_signs)), f"seed {seed}"
         assert work[True] < work[False], f"seed {seed}: no reduction"
     assert report(
         8, True,

@@ -111,6 +111,14 @@ def test_count_budget_truncation(tmp_path):
     ) == 3
     counts = json.loads((tmp_path / "counts.json").read_text())
     assert counts["truncated"] is True and len(counts["dims"]) == 2
+    # dimensions 0 and 1 are the extracted vertices and edges: --max-cells
+    # bounds only the dimensions built by perturbation
+    assert run_cli(
+        "count", "--random", "2,2,8,1", "--max-cells", "5", "--up-to", "1",
+        "--out", tmp_path / "skeleton",
+    ) == 0
+    counts = json.loads((tmp_path / "skeleton" / "counts.json").read_text())
+    assert counts["dims"] == [59, 101] and "truncated" not in counts
 
 
 def test_boundary_diamond(tmp_path):
@@ -199,15 +207,23 @@ def test_validate_rejects_negative_inputs(tmp_path, capsys, monkeypatch, flags, 
         (["boundary", "--output-index", "3"], "error: --output-index must be in 0..0, got 3"),
         (["prune-model", "--output-index", "-1"],
          "error: --output-index must be in 0..0, got -1"),
+        (["boundary", "--random", "4,2,6,1"],
+         "error: boundary export supports D = 2 and D = 3, got D = 4"),
+        (["boundary", "--random", "1,2,6,1"],
+         "error: boundary export supports D = 2 and D = 3, got D = 1"),
     ],
-    ids=["up_to_negative", "up_to_above_dim", "max_cells", "boundary_output", "prune_output"],
+    ids=[
+        "up_to_negative", "up_to_above_dim", "max_cells", "boundary_output", "prune_output",
+        "boundary_4d", "boundary_1d",
+    ],
 )
 def test_flag_ranges_checked_before_extraction(tmp_path, capsys, monkeypatch, argv, expected):
     def no_extraction(*args, **kwargs):
         raise AssertionError("extraction ran before the range check")
 
     monkeypatch.setattr(subdivide, "extract_complex", no_extraction)
-    code = run_cli(*argv, "--random", "2,2,4,1", "--out", tmp_path / "o")
+    # a --random in argv comes later, so it wins over the 2-D default
+    code = run_cli(argv[0], "--random", "2,2,4,1", *argv[1:], "--out", tmp_path / "o")
     assert code == 2
     assert capsys.readouterr().err.startswith(expected)
     assert not (tmp_path / "o").exists()
@@ -294,12 +310,19 @@ def test_config_mirror(tmp_path):
 
 @pytest.mark.parametrize(
     "case",
-    ["threads_last", "threads_not_int", "config_missing", "config_malformed", "config_not_object"],
+    [
+        "threads_last", "threads_not_int", "config_missing", "config_malformed",
+        "config_not_object", "config_threads_zero",
+    ],
 )
 def test_raw_flag_input_errors(tmp_path, capsys, case):
     # --threads and --config are read before argparse; bad input still exits 2
     cfg = tmp_path / "cfg.json"
-    contents = {"config_malformed": "{broken", "config_not_object": "[1, 2]"}
+    contents = {
+        "config_malformed": "{broken",
+        "config_not_object": "[1, 2]",
+        "config_threads_zero": '{"threads": 0}',
+    }
     if case in contents:
         cfg.write_text(contents[case])
     flags = {"threads_last": ["--threads"], "threads_not_int": ["--threads", "abc"]}.get(
@@ -312,6 +335,7 @@ def test_raw_flag_input_errors(tmp_path, capsys, case):
         "config_missing": "error: [Errno 2] No such file or directory",
         "config_malformed": f"error: --config {cfg}: Expecting property name",
         "config_not_object": f"error: --config {cfg}: expected a JSON object",
+        "config_threads_zero": "error: --threads takes a positive integer, got '0'",
     }[case]
     assert capsys.readouterr().err.startswith(expected)
     assert not (tmp_path / "o").exists()
@@ -331,6 +355,22 @@ def test_raw_flag_equals_form(tmp_path, monkeypatch, case):
             monkeypatch.setenv(var, "2")
         assert run_cli("extract", "--random", "2,2,4,1", "--out", tmp_path / "t", "--threads=1") == 0
         assert [os.environ[var] for var in blas_vars] == ["1", "1", "1"]
+
+
+@pytest.mark.parametrize(
+    "config, flags, expected",
+    [({"threads": 3}, [], "3"), ({"threads": 2}, ["--threads", "1"], "1")],
+    ids=["config", "explicit_wins"],
+)
+def test_threads_from_config_cap_the_blas_pool(tmp_path, monkeypatch, config, flags, expected):
+    # the config is merged before --threads is read, and the last one wins
+    blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in blas_vars:
+        monkeypatch.setenv(var, "7")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"random": "2,2,4,1", "out": str(tmp_path / "o"), **config}))
+    assert run_cli("extract", "--config", cfg, *flags) == 0
+    assert [os.environ[var] for var in blas_vars] == [expected] * 3
 
 
 @pytest.mark.parametrize("case", ["config", "threads"])

@@ -170,7 +170,9 @@ def test_area_rejects_duplicated_edge():
     parents = signvec.perturb_rows(sk.edge_signs[e : e + 1], sk.m)[0]
     with pytest.raises(FaceAssemblyError) as exc:
         area_perimeter_2d(sk, out_entry, sk.m)
-    assert any(f"face {sign_text(key)} has " in str(exc.value) for key in parents)
+    texts = signvec.sign_texts(parents)
+    assert texts == [sign_text(key) for key in parents]
+    assert any(f"face {text} has " in str(exc.value) for text in texts)
 
 
 @pytest.mark.parametrize("rewired", [False, True], ids=["isolated", "on_an_edge"])
@@ -333,7 +335,9 @@ def test_non_planar_face_raises(monkeypatch):
     with pytest.raises(FaceAssemblyError) as exc:
         assemble_faces(mesh, sk, sk.m, net, schedule)
     message = str(exc.value)
-    assert sign_text(key) in message
+    text = "".join("-0+"[s + 1] for s in key)
+    assert sign_text(key) == signvec.sign_texts(key[None])[0] == text
+    assert f"non-planar face loop {text}: " in message
     assert str(sorted(mesh.vertex_ids.tolist())) in message
     assert "7.5e-07" in message
     # a zero gradient leaves no plane: the NaN deviation must fail too

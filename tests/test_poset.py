@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import sign_tuples
 from relucomplex import poset, signvec
 from relucomplex.model import LayerSpec, MlpSpec, NeuronSchedule, random_model
 from relucomplex.poset import (
@@ -12,7 +13,7 @@ from relucomplex.poset import (
     euler_characteristic,
     region_signatures,
 )
-from relucomplex.signvec import row_keys, sign_text
+from relucomplex.signvec import sign_text
 from relucomplex.skeleton import init_hypercube
 from relucomplex.subdivide import extract_complex
 from relucomplex.validate import sampled_region_oracle
@@ -44,7 +45,7 @@ def test_square_vertices_to_edges():
     verts, edges = cellsets_from_skeleton(sk)
     parents = build_parent_cells(verts, sk.m)
     assert parents.dim == 1 and len(parents) == 4
-    assert sorted(map(sign_text, parents.signs)) == sorted(map(sign_text, edges.signs))
+    assert sorted(sign_tuples(parents.signs)) == sorted(sign_tuples(edges.signs))
     for ch in parents.children:
         assert len(ch) == 2
 
@@ -90,7 +91,7 @@ def test_child_zero_sets_strictly_contain_parent():
 def test_cellset_keys_strictly_increasing():
     _, sk = extract_lines([[1.0, 1.0], [1.0, -1.0]], [-0.5, 0.1])
     _, edges = cellsets_from_skeleton(sk)
-    keys = row_keys(edges.signs)
+    keys = sign_tuples(edges.signs)
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
@@ -123,8 +124,8 @@ def test_sampled_signatures_contained():
     domain, sk = init_hypercube(2, -1.0, 1.0)
     schedule = NeuronSchedule.for_model(net)
     sk, _ = extract_complex(net, domain, sk, schedule)
-    regions = set(row_keys(region_signatures(sk, sk.m)))
-    sampled = set(row_keys(sampled_region_oracle(net, domain, 20000, 1, schedule)))
+    regions = set(sign_tuples(region_signatures(sk, sk.m)))
+    sampled = set(sign_tuples(sampled_region_oracle(net, domain, 20000, 1, schedule)))
     assert sampled <= regions
 
 

@@ -7,9 +7,7 @@ from relucomplex.signvec import (
     SignConflictError,
     group_rows,
     merge_edge_rows,
-    pack_rows,
     perturb_rows,
-    row_keys,
     sign_text,
     sign_texts,
     signs_of_values,
@@ -23,7 +21,7 @@ def sign_matrices(width=6, min_rows=1, max_rows=8):
         st.lists(sign_values, min_size=width, max_size=width),
         min_size=min_rows,
         max_size=max_rows,
-    ).map(lambda rows: np.array(rows, dtype=np.int8))
+    ).map(lambda rows: np.array(rows, dtype=np.int8).reshape(-1, width))
 
 
 def parents_reference(row, m):
@@ -38,44 +36,69 @@ def parents_reference(row, m):
 
 
 def test_sign_order():
-    # '-' < '0' < '+' in text, in byte keys and in group_rows order
+    # '-' < '0' < '+' in text and in group_rows order, also past the first entry
     rows = np.array([[1], [0], [-1]], dtype=np.int8)
     assert sign_texts(rows) == ["+", "0", "-"]
-    keys = row_keys(rows)
-    assert keys[2] < keys[1] < keys[0]
     assert group_rows(rows)[0].ravel().tolist() == [-1, 0, 1]
+    rows = np.array([[0, 1], [0, -1], [-1, 1], [0, 0]], dtype=np.int8)
+    assert sign_texts(group_rows(rows)[0]) == ["-+", "0-", "00", "0+"]
 
 
 def test_sign_of_value():
     vals = np.array([0.3, -0.2, 0.0, 1e-13, -4.0, -1e-13])
-    rows, ndeg = signs_of_values(vals)
+    rows, ndeg = signs_of_values(vals[:, None])
     # exact zeros break toward minus; |v| < EPS_DEGENERATE is counted
     assert rows.dtype == np.int8
-    assert rows.tolist() == [1, -1, -1, 1, -1, -1]
-    assert ndeg == 3
-    rows, ndeg = signs_of_values([])
-    assert rows.shape == (0,) and ndeg == 0
+    assert rows[:, 0].tolist() == [1, -1, -1, 1, -1, -1]
+    assert ndeg.tolist() == [3]
+
+
+def test_signs_of_values_block_shapes():
+    # one count per column, also for a block without rows
+    rows, ndeg = signs_of_values(np.zeros((0, 3)))
+    assert rows.shape == (0, 3) and rows.dtype == np.int8
+    assert ndeg.tolist() == [0, 0, 0]
+    rows, ndeg = signs_of_values([[0.5, 0.0, -1e-13]])
+    assert rows.tolist() == [[1, -1, -1]] and ndeg.tolist() == [0, 1, 1]
+    vals = np.array([[1.0, 0.0, 2.0], [-1.0, 1e-14, 0.0], [0.0, 3.0, -2.0]])
+    rows, ndeg = signs_of_values(vals)
+    assert rows.tolist() == [[1, -1, 1], [-1, 1, -1], [-1, 1, -1]]
+    assert ndeg.tolist() == [1, 2, 1]
 
 
 def test_sign_of_value_nonfinite():
     for bad in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError):
-            signs_of_values([1.0, bad])
+        for block in ([[1.0, bad]], [[1.0], [bad]], [[0.0, 1.0], [2.0, bad]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                signs_of_values(block)
 
 
-@given(st.lists(st.floats(-1e3, 1e3), max_size=20))
-def test_signs_of_values_matches_scalar(vals):
-    rows, ndeg = signs_of_values(vals)
-    assert rows.tolist() == [1 if v > 0.0 else -1 for v in vals]
-    assert ndeg == sum(abs(v) < EPS_DEGENERATE for v in vals)
+@given(st.lists(st.floats(-1e3, 1e3), max_size=20), st.integers(1, 4))
+def test_signs_of_values_matches_scalar(vals, cols):
+    vals = vals[: len(vals) // cols * cols]
+    block = np.array(vals, dtype=np.float64).reshape(-1, cols)
+    rows, ndeg = signs_of_values(block)
+    assert rows.shape == block.shape
+    assert rows.ravel().tolist() == [1 if v > 0.0 else -1 for v in vals]
+    expect = [sum(abs(v) < EPS_DEGENERATE for v in vals[c::cols]) for c in range(cols)]
+    assert ndeg.tolist() == expect
 
 
-@given(sign_matrices())
+@given(sign_matrices(min_rows=0))
 def test_text_round_trip(rows):
     texts = sign_texts(rows)
+    # sign_text is the one-row case of sign_texts
     assert texts == [sign_text(r) for r in rows]
+    assert all(sign_text(r) == sign_texts(r[None])[0] for r in rows)
     parsed = np.array([["-0+".index(c) - 1 for c in t] for t in texts], dtype=np.int8)
-    assert np.array_equal(parsed, rows)
+    assert np.array_equal(parsed.reshape(rows.shape), rows)
+
+
+def test_sign_text_examples():
+    assert sign_text(np.array([-1, 0, 1], dtype=np.int8)) == "-0+"
+    assert sign_text([1, 1, 0]) == "++0"
+    assert sign_text(np.zeros(0, dtype=np.int8)) == ""
+    assert sign_texts(np.zeros((2, 0), dtype=np.int8)) == ["", ""]
 
 
 def test_perturb_rows_interior_vertex():
@@ -153,24 +176,6 @@ def test_group_rows_properties(rows):
     # strictly increasing in lexicographic '-' < '0' < '+' order
     as_tuples = [tuple(r) for r in uniq.tolist()]
     assert as_tuples == sorted(set(map(tuple, rows.tolist())))
-    # and in the order of their byte keys
-    keys = row_keys(uniq)
-    assert keys == sorted(set(keys)) and len(set(row_keys(rows))) == len(uniq)
-
-
-def test_row_keys_examples():
-    a, b = row_keys(np.array([[-1, 0, 1], [-1, 0, 1]], dtype=np.int8))
-    assert a == b and a[:2] == (3).to_bytes(2, "big")
-    assert a[2:] == pack_rows(np.array([[-1, 0, 1]], dtype=np.int8))[0].tobytes()
-    with pytest.raises(OverflowError):
-        row_keys(np.ones((1, 1 << 16), dtype=np.int8))
-
-
-@given(sign_matrices(width=7), sign_matrices(width=7))
-def test_row_keys_injective_and_ordered(a, b):
-    ka, kb = row_keys(a[:1]), row_keys(b[:1])
-    assert (ka == kb) == np.array_equal(a[0], b[0])
-    assert (ka < kb) == (tuple(a[0].tolist()) < tuple(b[0].tolist()))
 
 
 def test_merge_edge_rows():

@@ -4,7 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import centered_output_net, check_nonfinite_message, extract_random, overflow_net
+from conftest import (
+    centered_output_net,
+    check_nonfinite_message,
+    extract_random,
+    overflow_net,
+    sign_tuples,
+)
 from relucomplex.model import (
     LayerSpec,
     MlpSpec,
@@ -16,7 +22,7 @@ from relucomplex.model import (
     random_model,
 )
 from relucomplex import signvec, skeleton as skeleton_mod
-from relucomplex.signvec import row_keys, sign_text
+from relucomplex.signvec import sign_text
 from relucomplex.skeleton import SkeletonError, check_invariants, compact, init_hypercube
 from relucomplex.subdivide import (
     IterationStats,
@@ -127,6 +133,9 @@ def test_pair_splitting_faces_unpaired_face():
     pre_rows, new_vids = split_square()
     with pytest.raises(PairingError, match=r"2-face \+\+\+\+ occurred 1 times, expected 2"):
         pair_splitting_faces(pre_rows[:1], new_vids[:1], m=4)
+    # the named key is the face's text, one row or in a batch alike
+    face = signvec.perturb_rows(pre_rows[:1], 4)[0]
+    assert sign_text(face[0]) == signvec.sign_texts(face)[0] == "++++"
 
 
 def test_extract_empty_schedule():
@@ -284,8 +293,9 @@ def reference_subdivide_once(sk, model, neuron, cache):
     av = sk.alive_vertex_ids()
     cache.advance_to(neuron.layer)
     vals_alive = cache.preactivation(neuron, av)
-    signs_alive, n_deg = signvec.signs_of_values(vals_alive)
-    sk.degenerate_count += n_deg
+    signs_alive, n_deg = signvec.signs_of_values(vals_alive[:, None])
+    signs_alive = signs_alive[:, 0]
+    sk.degenerate_count += int(n_deg[0])
     vcol = np.full(sk.n_vertices, -1, dtype=np.int8)
     vcol[av] = signs_alive
 
@@ -563,8 +573,8 @@ def test_prune_equivalence_small():
         outs[prune] = (mesh, sum(s.edges_before for s in stats))
     mesh0, work0 = outs[False]
     mesh1, work1 = outs[True]
-    assert set(row_keys(mesh0.signs)) == set(row_keys(mesh1.signs))
-    assert set(row_keys(mesh0.edge_signs)) == set(row_keys(mesh1.edge_signs))
+    assert set(sign_tuples(mesh0.signs)) == set(sign_tuples(mesh1.signs))
+    assert set(sign_tuples(mesh0.edge_signs)) == set(sign_tuples(mesh1.edge_signs))
     assert work1 < work0
 
 
