@@ -33,7 +33,7 @@ for vid in sk.alive_vertex_ids():
 print("edges:")
 for eid in sk.alive_edge_ids():
     lo, hi = sk.edges[eid]
-    print("  e%-2d (v%d, v%d)  %s" % (eid, lo, hi, sign_text(sk.edge_signs[eid])))
+    print("  e%-2d (v%d, v%d)  %s" % (eid, lo, hi, sign_text(sk.edge_signs_of(eid))))
 
 # the zero entries name exactly the hyperplanes each cell lies on:
 # the new vertices carry a facet zero plus the neuron zero, and the

@@ -37,7 +37,7 @@ def _build_parser():
     def add_parser(name, **kwargs):
         return subparsers.add_parser(name, allow_abbrev=False, **kwargs)
 
-    def add_common(p, include_output_default=False):
+    def add_common(p, level_set=False):
         g = p.add_argument_group("model")
         g.add_argument("--model", help="path to a model JSON file")
         g.add_argument("--random", metavar="IN,DEPTH,WIDTH,OUT",
@@ -49,14 +49,14 @@ def _build_parser():
         g.add_argument("--hi", type=float, default=1.0, help="cube upper bound")
         g.add_argument("--scale", type=float, default=1.0, help="simplex scale")
         g = p.add_argument_group("schedule")
-        if include_output_default:
+        if level_set:  # commands on an output's level set always include the output layer
             g.add_argument("--include-output", action="store_true", default=True,
                            help=argparse.SUPPRESS)
+            g.add_argument("--output-index", type=int, default=0,
+                           help="output neuron whose level set is used")
         else:
             g.add_argument("--include-output", action="store_true",
                            help="append output-layer neurons as folded hyperplanes")
-        g.add_argument("--output-index", type=int, default=0,
-                       help="output neuron whose level set is used")
         g.add_argument("--level-set-prune", action="store_true",
                        help="prune non-boundary cells after each layer")
         p.add_argument("--out", default="out", help="output directory")
@@ -77,12 +77,12 @@ def _build_parser():
                         "(2 and up) has more than this many cells")
 
     p = add_parser("boundary", help="extract the output level set (SVG for D=2, OBJ for D=3)")
-    add_common(p, include_output_default=True)
+    add_common(p, level_set=True)
     p.add_argument("--inside-positive", action="store_true",
                    help="treat positive output as the inside")
 
     p = add_parser("prune-model", help="drop stably-negative neurons; write pruned model")
-    add_common(p, include_output_default=True)
+    add_common(p, level_set=True)
 
     p = add_parser("validate", help="residual and midpoint validation")
     add_common(p)
@@ -236,8 +236,8 @@ def _run_extraction(args):
         raise ValueError(f"--up-to must be in 0..{net.in_dim}, got {up_to}")
     if max_cells is not None and max_cells < 0:
         raise ValueError(f"--max-cells must be >= 0, got {max_cells}")
-    index = args.output_index
-    if args.command in ("boundary", "prune-model") and not 0 <= index < net.out_dim:
+    index = getattr(args, "output_index", 0)
+    if not 0 <= index < net.out_dim:
         raise ValueError(f"--output-index must be in 0..{net.out_dim - 1}, got {index}")
     if args.command == "boundary" and net.in_dim not in (2, 3):
         raise ValueError(f"boundary export supports D = 2 and D = 3, got D = {net.in_dim}")

@@ -72,7 +72,8 @@ def boundary_subcomplex(sk, out_entry):
     av = sk.alive_vertex_ids()
     bv = av[sk.vertex_signs[av, out_entry] == 0]
     ae = sk.alive_edge_ids()
-    be = ae[sk.edge_signs[ae, out_entry] == 0]
+    rows = sk.edge_signs_of(ae)
+    on_level = rows[:, out_entry] == 0
     local = np.full(sk.n_vertices, -1, dtype=np.int64)
     local[bv] = np.arange(len(bv))
     return BoundaryMesh(
@@ -80,8 +81,8 @@ def boundary_subcomplex(sk, out_entry):
         bv,
         sk.positions[bv].copy(),
         sk.vertex_signs[bv].copy(),
-        local[sk.edges[be]],
-        sk.edge_signs[be].copy(),
+        local[sk.edges[ae[on_level]]],
+        rows[on_level],
     )
 
 
@@ -215,7 +216,7 @@ def area_perimeter_2d(sk, out_entry, m, inside_sign=-1):
     if sk.dim != 2:
         raise ValueError("area_perimeter_2d requires D = 2")
     ae = sk.alive_edge_ids()
-    rows = sk.edge_signs[ae]
+    rows = sk.edge_signs_of(ae)
     be = ae[rows[:, out_entry] == 0]
     if len(be) == 0:
         raise EmptyBoundaryError("level set does not intersect the domain")
@@ -253,7 +254,7 @@ def area_divergence_2d(sk, out_entry, m, model, domain, schedule, inside_sign=-1
         raise ValueError("area_divergence_2d requires D = 2")
     out_index = schedule[out_entry - m].index
     ae = sk.alive_edge_ids()
-    rows = sk.edge_signs[ae]
+    rows = sk.edge_signs_of(ae)
     zero = np.argmax(rows == 0, axis=1)
     a, b = sk.positions[sk.edges[ae]].transpose(1, 0, 2)
     length = np.linalg.norm(b - a, axis=1)
@@ -333,7 +334,7 @@ def export_csv(sk, outdir):
             fh,
             sk.alive_vertex_ids(),
             lambda ids: [",".join(map(_fmt, x)) for x in sk.positions[ids].tolist()],
-            sk.vertex_signs,
+            lambda ids: sk.vertex_signs[ids],
         )
     with open(outdir / "edges.csv", "w") as fh:
         fh.write("id,v_lo,v_hi,sign\n")
@@ -341,17 +342,18 @@ def export_csv(sk, outdir):
             fh,
             sk.alive_edge_ids(),
             lambda ids: [f"{lo},{hi}" for lo, hi in sk.edges[ids].tolist()],
-            sk.edge_signs,
+            sk.edge_signs_of,
         )
 
 
 def _write_csv_rows(fh, ids, fields, signs):
-    """Lines `id,<fields(ids)>,<sign text>` for each id, in batches."""
+    """Lines `id,<fields(ids)>,<sign text of signs(ids)>` for each id, in
+    batches."""
     for start in range(0, len(ids), CSV_BATCH_ROWS):
         batch = ids[start : start + CSV_BATCH_ROWS]
         fh.writelines(
             f"{i},{f},{s}\n"
-            for i, f, s in zip(batch.tolist(), fields(batch), signvec.sign_texts(signs[batch]))
+            for i, f, s in zip(batch.tolist(), fields(batch), signvec.sign_texts(signs(batch)))
         )
 
 
@@ -387,7 +389,9 @@ def export_svg(sk, path, out_entry=None, box=None):
         f'<g stroke="#999999" stroke-width="{_fmt(light)}" stroke-linecap="round">',
     ]
     ae = sk.alive_edge_ids()
-    on_level = np.zeros(len(ae), bool) if out_entry is None else sk.edge_signs[ae, out_entry] == 0
+    on_level = np.zeros(len(ae), bool)
+    if out_entry is not None:
+        on_level = sk.edge_signs_of(ae)[:, out_entry] == 0
     lines.extend(_svg_lines(sk, ae[~on_level]))
     lines.append("</g>")
     lines.append(

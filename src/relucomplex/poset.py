@@ -52,7 +52,7 @@ def cellsets_from_skeleton(sk):
     vpos[av[vorder]] = np.arange(len(av))
 
     ae = sk.alive_edge_ids()
-    erows = sk.edge_signs[ae]
+    erows = sk.edge_signs_of(ae)
     euniq, einv, ecounts = signvec.group_rows(erows)
     if len(euniq) != len(erows):
         raise ValueError("alive edges carry duplicate sign-vectors")
@@ -105,7 +105,10 @@ def cells_up_to(sk, m, up_to, max_cells=None):
     if not 0 <= up_to <= sk.dim:
         raise ValueError(f"up_to must be in 0..{sk.dim}, got {up_to}")
     counts = [sk.n_vertices_alive, sk.n_edges_alive][: up_to + 1]
-    rows = sk.edge_signs[sk.alive_edge_ids()] if up_to else sk.vertex_signs[sk.alive_vertex_ids()]
+    if up_to:
+        rows = sk.edge_signs_of(sk.alive_edge_ids())
+    else:
+        rows = sk.vertex_signs[sk.alive_vertex_ids()]
     for k in range(2, up_to + 1):
         rows = _parents_counting(rows, m, max_cells)
         if max_cells is not None and len(rows) > max_cells:

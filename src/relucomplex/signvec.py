@@ -9,8 +9,8 @@ carries exactly ``D - k`` zeros.
 Sign-vectors are int8 arrays with values in {-1, 0, +1}, one row per cell,
 and every operation here works on a whole batch of rows at once:
 evaluation (`signs_of_values`), perturbation to parent cells
-(`perturb_rows`), merging vertex rows into edge rows (`merge_edge_rows`),
-deduplication in canonical order (`group_rows`) and text (`sign_texts`).
+(`perturb_rows`), deduplication in canonical order (`group_rows`) and text
+(`sign_texts`).
 The int8 row is the one key: `group_rows` groups on its bytes, and a set of
 rows compares as the set of their ``row.tobytes()``.
 """
@@ -19,10 +19,6 @@ import numpy as np
 
 #: below this magnitude a freshly evaluated value counts as degenerate
 EPS_DEGENERATE = 1e-12
-
-
-class SignConflictError(ValueError):
-    """Two sign-vectors carry opposite non-zero signs at the same index."""
 
 
 def signs_of_values(values):
@@ -58,27 +54,6 @@ def sign_texts(rows):
 def sign_text(row):
     """Text of one int8 sign row: the one-row case of `sign_texts`."""
     return sign_texts([row])[0]
-
-
-def merge_edge_rows(rows_a, rows_b):
-    """Entrywise merge of aligned vertex rows into their edges' rows.
-
-    Each entry is ``0`` where both rows are zero, otherwise the unique
-    non-zero sign present. Raises SignConflictError, naming the first row
-    and index, if two vertices sit on opposite sides of a hyperplane (they
-    then share no edge).
-    """
-    rows_a = np.asarray(rows_a, dtype=np.int8)
-    rows_b = np.asarray(rows_b, dtype=np.int8)
-    # products and sums of values in {-1, 0, 1} fit in int8; one buffer
-    # serves both, so the peak is a single extra matrix
-    out = np.multiply(rows_a, rows_b)
-    if out.size and out.min() < 0:
-        r, c = np.argwhere(out < 0)[0]
-        raise SignConflictError(f"conflicting signs at row {r}, index {c}")
-    # without conflicts, a + b is 0 only where both are, else has their sign
-    np.add(rows_a, rows_b, out=out)
-    return np.sign(out, out=out)
 
 
 def perturb_rows(rows, m):

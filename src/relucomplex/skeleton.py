@@ -1,22 +1,22 @@
 """The evolving 1-skeleton and its bounded polyhedral domains.
 
 Storage is struct-of-arrays: one numpy array per field, dead cells flagged
-rather than removed, and deferred compaction. Sign matrices are int8 with
-values in {-1, 0, +1}; rows align with vertex/edge ids. Arrays grow in place:
-each lives in a buffer with spare capacity, rows are appended into spare rows
-(capacity grows geometrically when they run out), and the extraction loop
-reserves the full sign width once, so a new neuron's sign column is written
-into a spare column rather than copying the matrices. A whole layer's sign
-columns can be written in one pass and staged: they become live one column
-per neuron, and rows appended meanwhile carry their staged entries. Appended
-sign rows may come as blocks of columns, each written in place.
+rather than removed, and deferred compaction. Only vertex sign rows are
+stored, as an int8 matrix with values in {-1, 0, +1} and one row per vertex
+id. An edge's sign row is derived from its endpoints' rows when it is read:
+their shared sign, 0 where both are 0. Arrays grow in place: each lives in a
+buffer with spare capacity, rows are appended into spare rows (capacity
+grows geometrically when they run out), and the extraction loop reserves the
+full sign width once, so a new neuron's sign column is written into a spare
+column rather than copying the matrix. A whole layer's sign columns can be
+written in one pass and staged: they become live one column per neuron, and
+vertices appended meanwhile carry their staged entries. Appended sign rows
+may come as blocks of columns, each written in place.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import signvec
 
 
 class SkeletonError(RuntimeError):
@@ -72,24 +72,26 @@ class Domain:
 
 
 class Skeleton:
-    """Vertices (positions + signs) and edges (id pairs + signs).
+    """Vertices (positions + sign rows) and edges (id pairs).
 
     Edge endpoint pairs are stored (lo, hi) with lo < hi. `t` is the number
-    of neurons processed so far; all sign rows have width m + t.
+    of neurons processed so far; all sign rows have width m + t. Edge sign
+    rows are not stored: `edge_signs_of` derives them from the endpoints.
+    Sign rows given for the edges are checked against the derived ones and
+    dropped.
 
     Each per-cell array lives in a buffer with spare rows (and, for the sign
-    matrices, spare columns); the public arrays are views of the live block.
+    matrix, spare columns); the public arrays are views of the live block.
     A view stays valid until the next append, which may move the buffer.
     """
 
-    def __init__(self, dim, m, positions, vertex_signs, edges, edge_signs):
+    def __init__(self, dim, m, positions, vertex_signs, edges, edge_signs=None):
         self.dim = int(dim)
         self.m = int(m)
         self._positions = np.asarray(positions, dtype=np.float64)
         self._vertex_signs = np.asarray(vertex_signs, dtype=np.int8)
         self._vertex_alive = np.ones(len(self._positions), dtype=bool)
         self._edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        self._edge_signs = np.asarray(edge_signs, dtype=np.int8)
         self._edge_alive = np.ones(len(self._edges), dtype=bool)
         self._nv = len(self._positions)
         self._ne = len(self._edges)
@@ -97,6 +99,15 @@ class Skeleton:
         # columns written in every row: the live width plus staged columns
         self._filled = self._width
         self.degenerate_count = 0
+        if edge_signs is not None:
+            given, derived = np.asarray(edge_signs, dtype=np.int8), self.edge_signs
+            if given.shape != derived.shape:
+                raise SkeletonError(f"edge sign rows must be {self._ne} x {self._width}")
+            differ = np.flatnonzero(np.any(given != derived, axis=1))
+            if len(differ):
+                raise SkeletonError(
+                    f"edge {differ[0]} sign-vector differs from its endpoints' merge"
+                )
 
     # -- live views -----------------------------------------------------------
 
@@ -118,7 +129,8 @@ class Skeleton:
 
     @property
     def edge_signs(self):
-        return self._edge_signs[: self._ne, : self._width]
+        """Sign rows of all edges, derived on every read (`edge_signs_of`)."""
+        return self.edge_signs_of(slice(None))
 
     @property
     def edge_alive(self):
@@ -156,6 +168,16 @@ class Skeleton:
     def alive_edge_ids(self):
         return np.flatnonzero(self.edge_alive)
 
+    def edge_signs_of(self, ids, out=None):
+        """Sign rows of the edges `ids` (anything that indexes `edges`),
+        derived from their endpoints' rows: the shared sign, 0 where both
+        are 0. Entries where the endpoints differ (only a dead split edge's
+        do) read 0. `out`, if given, receives the rows."""
+        lo, hi = self.edges[ids].T
+        rows = np.take(self.vertex_signs, lo, axis=0, out=out)
+        rows += np.take(self.vertex_signs, hi, axis=0)
+        return np.sign(rows, out=rows)
+
     def nbytes(self):
         """Bytes of the live arrays (spare capacity is not counted)."""
         return (
@@ -163,7 +185,6 @@ class Skeleton:
             + self.vertex_signs.nbytes
             + self.vertex_alive.nbytes
             + self.edges.nbytes
-            + self.edge_signs.nbytes
             + self.edge_alive.nbytes
         )
 
@@ -173,87 +194,76 @@ class Skeleton:
         """Make room for sign rows of `width` entries, so that column appends
         up to that width write in place."""
         if width > self._vertex_signs.shape[1]:
-            self._vertex_signs = _widen(self._vertex_signs, self._nv, self._filled, width)
-            self._edge_signs = _widen(self._edge_signs, self._ne, self._filled, width)
+            new = np.empty((len(self._vertex_signs), width), dtype=np.int8)
+            new[: self._nv, : self._filled] = self._vertex_signs[: self._nv, : self._filled]
+            self._vertex_signs = new
 
-    def append_sign_column(self, vertex_cols=None, edge_cols=None):
+    def append_sign_column(self, vertex_cols=None):
         """Make the next sign column live.
 
-        The column is given as one entry per vertex and per edge row, or it
-        comes first in blocks of k columns (one row per vertex and per edge
-        row). A block is written after the live width in one pass; its other
-        k - 1 columns stay staged, and each later call without arguments
-        makes the next of them live. Rows appended while columns are staged
-        carry their staged entries too.
+        The column is given as one entry per vertex row, or it comes first
+        in a block of k columns (one row per vertex row). A block is written
+        after the live width in one pass; its other k - 1 columns stay
+        staged, and each later call without arguments makes the next of them
+        live. Vertices appended while columns are staged carry their staged
+        entries too.
         """
         w = self._width
         if vertex_cols is not None:
             if self._filled != w:
                 raise SkeletonError("staged sign columns are not all live yet")
-            vertex_cols, edge_cols = _block(vertex_cols), _block(edge_cols)
+            vertex_cols = np.asarray(vertex_cols, dtype=np.int8)
+            if vertex_cols.ndim == 1:
+                vertex_cols = vertex_cols[:, None]
             end = w + vertex_cols.shape[1]
-            if vertex_cols.shape != (self._nv, end - w) or edge_cols.shape != (self._ne, end - w):
-                raise SkeletonError(
-                    f"sign columns must have {self._nv} and {self._ne} rows of one width"
-                )
+            if len(vertex_cols) != self._nv:
+                raise SkeletonError(f"sign columns must have {self._nv} rows")
             if end > self._vertex_signs.shape[1]:
                 self.reserve_sign_width(_grown(end))
             self._vertex_signs[: self._nv, w:end] = vertex_cols
-            self._edge_signs[: self._ne, w:end] = edge_cols
             self._filled = end
         elif self._filled == w:
             raise SkeletonError("no staged sign column to make live")
         self._width = w + 1
 
-    def kill_edges(self, ids):
-        """Mark edges dead. Their staged sign entries become 0, so that
-        their rows read 0 in every column that goes live later, as a dead
-        row does."""
-        self._edge_alive[ids] = False
-        self._edge_signs[ids, self._width : self._filled] = 0
-
     def staged_vertex_signs(self, ids):
         """Staged sign entries (the columns after the live width) of vertices."""
         return self._vertex_signs[ids, self._width : self._filled]
-
-    def _sign_blocks(self, blocks, n, kind):
-        """Sign rows of n new vertices or edges as int8 column blocks."""
-        blocks = [np.asarray(b, dtype=np.int8) for b in blocks]
-        if any(b.ndim != 2 or len(b) != n for b in blocks) or (
-            sum(b.shape[1] for b in blocks) != self._filled
-        ):
-            raise SkeletonError(f"{kind} sign rows must be {n} x {self._filled}")
-        return blocks
 
     def append_vertices(self, positions, *signs):
         """Append vertices. Their sign rows are given whole, or as blocks of
         columns that lie side by side; each block is written in place."""
         positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-        signs = self._sign_blocks(signs, len(positions), "vertex")
         first, last = self._nv, self._nv + len(positions)
+        signs = [np.asarray(b, dtype=np.int8) for b in signs]
+        if any(b.ndim != 2 or len(b) != len(positions) for b in signs) or (
+            sum(b.shape[1] for b in signs) != self._filled
+        ):
+            raise SkeletonError(f"vertex sign rows must be {len(positions)} x {self._filled}")
         if last > len(self._positions):
             self._positions, self._vertex_signs, self._vertex_alive = _lengthen(
                 (self._positions, self._vertex_signs, self._vertex_alive), first, _grown(last)
             )
         self._positions[first:last] = positions
-        _write_blocks(self._vertex_signs, first, last, signs)
+        col = 0
+        for block in signs:
+            self._vertex_signs[first:last, col : col + block.shape[1]] = block
+            col += block.shape[1]
         self._vertex_alive[first:last] = True
         self._nv = last
         return np.arange(first, last)
 
-    def append_edges(self, pairs, *signs):
-        """Append edges; their sign rows are given as in `append_vertices`."""
+    def append_edges(self, pairs):
+        """Append edges, given as (lo, hi) vertex id pairs."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if pairs.size and np.any(pairs[:, 0] >= pairs[:, 1]):
             raise SkeletonError("edge endpoints must satisfy lo < hi")
-        signs = self._sign_blocks(signs, len(pairs), "edge")
         first, last = self._ne, self._ne + len(pairs)
         if last > len(self._edges):
-            self._edges, self._edge_signs, self._edge_alive = _lengthen(
-                (self._edges, self._edge_signs, self._edge_alive), first, _grown(last)
+            self._edges, self._edge_alive = _lengthen(
+                (self._edges, self._edge_alive), first, _grown(last)
             )
         self._edges[first:last] = pairs
-        _write_blocks(self._edge_signs, first, last, signs)
         self._edge_alive[first:last] = True
         self._ne = last
         return np.arange(first, last)
@@ -279,27 +289,6 @@ def _lengthen(bufs, n_rows, capacity):
         new[:n_rows] = buf[:n_rows]
         out.append(new)
     return out
-
-
-def _write_blocks(buf, first, last, blocks):
-    """Write column blocks side by side into rows first:last of buf."""
-    col = 0
-    for block in blocks:
-        buf[first:last, col : col + block.shape[1]] = block
-        col += block.shape[1]
-
-
-def _block(cols):
-    """Sign entries as an int8 block of columns; a 1-D array is one column."""
-    cols = np.asarray(cols, dtype=np.int8)
-    return cols[:, None] if cols.ndim == 1 else cols
-
-
-def _widen(buf, n_rows, n_cols, width):
-    """New buffer of `width` columns holding the live block buf[:n_rows, :n_cols]."""
-    new = np.empty((len(buf), width), dtype=buf.dtype)
-    new[:n_rows, :n_cols] = buf[:n_rows, :n_cols]
-    return new
 
 
 # -- domain initializers -------------------------------------------------------
@@ -333,15 +322,12 @@ def init_hypercube(dim, lo, hi):
         vsigns[bits[:, j] == 1, 2 * j + 1] = 0
 
     pairs = []
-    esigns = []
     for j in range(dim):
         base = ids[bits[:, j] == 0]
         pairs.append(np.column_stack([base, base | (1 << j)]))
-        esigns.append(signvec.merge_edge_rows(vsigns[base], vsigns[base | (1 << j)]))
     edges = np.concatenate(pairs, axis=0)
-    esigns = np.concatenate(esigns, axis=0)
     order = np.lexsort((edges[:, 1], edges[:, 0]))
-    return domain, Skeleton(dim, 2 * dim, positions, vsigns, edges[order], esigns[order])
+    return domain, Skeleton(dim, 2 * dim, positions, vsigns, edges[order])
 
 
 def init_simplex(dim, scale):
@@ -375,8 +361,7 @@ def init_simplex(dim, scale):
     vsigns[dim, dim] = 1
 
     pairs = np.array([(a, b) for a in range(n) for b in range(a + 1, n)], dtype=np.int64)
-    esigns = signvec.merge_edge_rows(vsigns[pairs[:, 0]], vsigns[pairs[:, 1]])
-    return domain, Skeleton(dim, dim + 1, positions, vsigns, pairs, esigns)
+    return domain, Skeleton(dim, dim + 1, positions, vsigns, pairs)
 
 
 # -- maintenance ---------------------------------------------------------------
@@ -396,7 +381,6 @@ def compact(sk):
         sk.positions[vkeep],
         sk.vertex_signs[vkeep],
         vmap[sk.edges[ekeep]],
-        sk.edge_signs[ekeep],
     )
     out.degenerate_count = sk.degenerate_count
     check_invariants(out)
@@ -421,30 +405,30 @@ def _first_bad(ids, is_bad):
 def check_invariants(sk):
     """Verify the four structural invariants; O(|V| + |E|). Raises
     SkeletonError naming the first bad vertex or edge of the first failing
-    check. Each check runs over blocks of CHECK_BLOCK_ROWS rows."""
+    check. Each check runs over blocks of CHECK_BLOCK_ROWS rows. Edge sign
+    rows are derived from their endpoints, so they agree with them by
+    construction; the checks on them are that the endpoints never carry
+    opposite signs and that each row has D - 1 zeros."""
     if sk.vertex_signs.shape != (sk.n_vertices, sk.sign_width):
         raise SkeletonError("vertex sign matrix shape mismatch")
-    if sk.edge_signs.shape != (sk.n_edges, sk.sign_width):
-        raise SkeletonError("edge sign matrix width mismatch")
     av, ae = sk.alive_vertex_ids(), sk.alive_edge_ids()
-    vs, es, edges = sk.vertex_signs, sk.edge_signs, sk.edges
+    vs, edges = sk.vertex_signs, sk.edges
 
-    def zeros(signs, ids):
-        return np.count_nonzero(np.take(signs, ids, axis=0) == 0, axis=-1)
+    def zeros(rows):
+        return np.count_nonzero(rows == 0, axis=-1)
 
-    def disagree(ids):
-        # as signvec.merge_edge_rows, but opposite signs flag the edge, not raise
+    def conflict(ids):
         lo, hi = np.take(edges, ids, axis=0).T
-        a, b = np.take(vs, lo, axis=0), np.take(vs, hi, axis=0)
-        return (a * b < 0) | (np.sign(a + b) != np.take(es, ids, axis=0))
+        return np.take(vs, lo, axis=0) * np.take(vs, hi, axis=0) < 0
 
     if (bad := _first_bad(ae, lambda b: ~sk.vertex_alive[np.take(edges, b, axis=0)])) is not None:
         raise SkeletonError(f"alive edge {bad} references dead vertex")
     if (bad := _first_bad(ae, lambda b: edges[b, 0] >= edges[b, 1])) is not None:
         raise SkeletonError(f"edge {bad} endpoint ordering violated")
-    if (bad := _first_bad(av, lambda b: zeros(vs, b) != sk.dim)) is not None:
-        raise SkeletonError(f"vertex {bad} has {zeros(vs, bad)} zeros, expected {sk.dim}")
-    if (bad := _first_bad(ae, lambda b: zeros(es, b) != sk.dim - 1)) is not None:
+    if (bad := _first_bad(av, lambda b: zeros(vs[b]) != sk.dim)) is not None:
+        raise SkeletonError(f"vertex {bad} has {zeros(vs[bad])} zeros, expected {sk.dim}")
+    # before the zero count: a derived row reads 0 where its endpoints conflict
+    if (bad := _first_bad(ae, conflict)) is not None:
+        raise SkeletonError(f"edge {bad} endpoints carry opposite signs")
+    if (bad := _first_bad(ae, lambda b: zeros(sk.edge_signs_of(b)) != sk.dim - 1)) is not None:
         raise SkeletonError(f"edge {bad} zero count is not {sk.dim - 1}")
-    if (bad := _first_bad(ae, disagree)) is not None:
-        raise SkeletonError(f"edge {bad} sign-vector disagrees with its endpoints")

@@ -12,14 +12,14 @@ perturbing the splitting edges' sign-vectors and pairing equal results (5).
 When the layer starts, steps (1)-(3) are done for all of its neurons at
 once: one read of the layer's pre-activation matrix (`LayerValueCache`,
 one row per vertex, computed once per layer) at the alive vertices gives
-their sign block, and each alive edge's signs follow from its endpoints'
-up to the first neuron where they differ, which is the neuron that splits
-it. Both blocks are written into staged sign columns in one pass, and each
-edge row records the neuron that splits it. Each neuron then makes its
-column live and runs steps (4) and (5) on the edges it splits only; a
-neuron that splits nothing costs no per-row work. The vertices and edges
-it creates carry their staged columns (and split neuron) from the cache
-values at the new vertices and from their endpoints.
+their sign block, written into staged sign columns in one pass. Only
+vertex sign rows are stored; an edge's row is derived from its endpoints'
+rows, so each alive edge needs only the first neuron where its endpoints'
+signs differ, which is the neuron that splits it. Each neuron then makes
+its column live and runs steps (4) and (5) on the edges it splits only; a
+neuron that splits nothing costs no per-row work. The vertices it creates
+carry their staged columns from the cache values at their positions, and
+the edges it creates record their split neuron from their endpoints.
 """
 
 import itertools
@@ -177,7 +177,10 @@ def subdivide_layer(sk, model, neurons, cache=None, *, validate_each=False):
             split_at[first : sk.n_edges] = at
 
         seconds = time.perf_counter() - clock
-        mem = sk.nbytes() + 2 * (sk.dim - 1) * n_split * sk.sign_width
+        # the estimate counts an int8 sign row per edge row too, though edge
+        # rows are derived rather than stored, so that its figures stay
+        # comparable with earlier runs until a measured peak replaces it
+        mem = sk.nbytes() + (sk.n_edges + 2 * (sk.dim - 1) * n_split) * sk.sign_width
         nv_alive, ne_alive = sk.n_vertices_alive, sk.n_edges_alive
         st = IterationStats(
             layer,
@@ -204,61 +207,47 @@ def subdivide_layer(sk, model, neurons, cache=None, *, validate_each=False):
 
 
 def _stage_layer(sk, cache, neurons, cols, k):
-    """Steps (1)-(3) for all k neurons of the layer, written as staged sign
-    columns: the alive vertices' sign block (exact zeros break toward
-    minus; dead rows read -1), and each alive edge's merged endpoint signs
-    (dead rows read 0). Returns each neuron's degenerate count and each
-    edge row's split position (k for none), in a buffer with spare rows
-    that grows like the skeleton's."""
+    """Steps (1)-(3) for all k neurons of the layer: the alive vertices'
+    sign block (exact zeros break toward minus; dead rows read -1), written
+    as staged sign columns. Returns each neuron's degenerate count and each
+    edge row's split position (k for none; dead rows too), in a buffer with
+    spare rows that grows like the skeleton's."""
     av = sk.alive_vertex_ids()
     signs, n_deg = _signs(cache.values(av)[:, cols], neurons, av, sk.positions[av])
     vblock = np.full((sk.n_vertices, k), -1, dtype=np.int8)
     vblock[av] = signs
     ae = sk.alive_edge_ids()
     ends = np.take(sk.edges, ae, axis=0)
-    eblock = np.zeros((sk.n_edges, k), dtype=np.int8)
     split_at = np.full(skeleton_mod._grown(sk.n_edges), k, dtype=_position_type(k))
-    eblock[ae], split_at[ae] = _edge_columns(
+    split_at[ae] = _split_positions(
         np.take(vblock, ends[:, 0], axis=0), np.take(vblock, ends[:, 1], axis=0), 0
     )
-    sk.append_sign_column(vblock, eblock)
+    sk.append_sign_column(vblock)
     return n_deg, split_at
 
 
 def _split_edges(sk, cache, neurons, cols, p, split_eids, n_deg):
     """Steps (4) and (5) of neuron p of the layer, on the edges it splits.
 
-    The split edges die, their staged entries cleared. New rows carry their
-    staged columns: a new vertex's from its cache values (their degenerate
-    counts are added to `n_deg`), a new edge's from its endpoints. Returns
-    the number of intersecting edges and the new edges' split positions, in
-    id order.
+    The split edges die. New vertices carry their staged columns from their
+    cache values (their degenerate counts are added to `n_deg`). The new
+    edges, in id order: the halves that replace the split edges, toward
+    their positive ends, then toward their negative ends, then the
+    intersecting edges. Returns the number of intersecting edges and the
+    new edges' split positions, from their endpoints' staged columns.
     """
     v_pos, v_neg, new_vids, pre_rows = _place_vertices(
         sk, cache, neurons, cols, p, split_eids, n_deg
     )
-    sk.kill_edges(split_eids)
+    sk.edge_alive[split_eids] = False
     # (5) intersecting edges across splitting 2-faces
-    pairs, inter_rows = pair_splitting_faces(pre_rows, new_vids, sk.m)
-
-    # the new edges in id order: the halves that replace the split edges,
-    # toward their positive ends, then toward their negative ends, then the
-    # intersecting edges. Their staged columns come from their endpoints,
-    # in one pass, and each part's sign rows are written in place as blocks
-    n_split = len(new_vids)
-    staged, at = _edge_columns(
-        sk.staged_vertex_signs(np.concatenate([v_pos, v_neg, pairs[:, 0]])),
-        sk.staged_vertex_signs(np.concatenate([new_vids, new_vids, pairs[:, 1]])),
-        p + 1,
+    pairs, _ = pair_splitting_faces(pre_rows, new_vids, sk.m)
+    halves = np.column_stack([np.concatenate([v_pos, v_neg]), np.tile(new_vids, 2)])
+    new_edges = np.concatenate([halves, pairs])
+    sk.append_edges(new_edges)
+    at = _split_positions(
+        sk.staged_vertex_signs(new_edges[:, 0]), sk.staged_vertex_signs(new_edges[:, 1]), p + 1
     )
-    for part, (ends, entry) in enumerate(((v_pos, 1), (v_neg, -1))):
-        sk.append_edges(
-            np.column_stack([ends, new_vids]),
-            pre_rows,
-            np.full((n_split, 1), entry, dtype=np.int8),
-            staged[part * n_split : (part + 1) * n_split],
-        )
-    sk.append_edges(pairs, inter_rows, staged[2 * n_split :])
     return len(pairs), at
 
 
@@ -287,8 +276,7 @@ def _place_vertices(sk, cache, neurons, cols, p, split_eids, n_deg):
         x0,
     )
     n_deg[p + 1 :] += later_deg
-    w = sk.sign_width
-    pre_rows = sk.edge_signs[split_eids, : w - 1]
+    pre_rows = sk.edge_signs_of(split_eids)[:, :-1]
     sk.append_vertices(x0, pre_rows, np.zeros((n_split, 1), dtype=np.int8), later)
     return v_pos, v_neg, new_vids, pre_rows
 
@@ -308,22 +296,17 @@ def _signs(values, neurons, vids, positions):
         ) from None
 
 
-def _edge_columns(signs_a, signs_b, first):
-    """Edge entries for the layer's neurons from `first` on, from their
-    endpoints' signs (one column per neuron, no zeros): the shared sign
-    where they agree, 0 where they differ. An edge splits at the first
-    column where they differ, and from then on it is dead and its row is
-    cleared (`Skeleton.kill_edges`). Returns the entries and each edge's
-    split position, `first` + that column (or + the block width when the
-    endpoints never differ)."""
+def _split_positions(signs_a, signs_b, first):
+    """Each edge's split position among the layer's neurons from `first` on,
+    from its endpoints' signs (one column per neuron, no zeros): `first` +
+    the first column where they differ, or + the block width when they
+    never do."""
     n, w = signs_a.shape
     differ = np.ones((n, w + 1), dtype=bool)
     np.not_equal(signs_a, signs_b, out=differ[:, :w])
-    merged = signs_a + signs_b
-    merged >>= 1  # (a + b) / 2: the shared sign, or 0
     at = differ.argmax(axis=1).astype(_position_type(first + w))
     at += first
-    return merged, at
+    return at
 
 
 def _position_type(k):

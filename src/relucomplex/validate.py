@@ -210,7 +210,7 @@ def midpoint_check(sk, model, domain, tol, schedule, workers=None):
     def block(start, stop, scratch):
         signs, buffers, flags = scratch
         ids = ae[start:stop]
-        signs = np.take(sk.edge_signs, ids, axis=0, out=signs[: len(ids)])
+        signs = sk.edge_signs_of(ids, out=signs[: len(ids)])
         mids = sk.positions[sk.edges[ids]].mean(axis=1)
         bad = np.zeros(len(ids), dtype=bool)
         stream = model_mod.stream_layers(model, mids, schedule, buffers)

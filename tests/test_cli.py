@@ -229,6 +229,19 @@ def test_flag_ranges_checked_before_extraction(tmp_path, capsys, monkeypatch, ar
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["extract", "count", "validate"])
+def test_output_index_only_for_level_set_commands(tmp_path, capsys, command):
+    # only boundary and prune-model read an output's level set
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            command, "--random", "2,2,4,1", "--include-output", "--output-index", "3",
+            "--out", tmp_path / "o",
+        )
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --output-index 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_validate_threads_do_not_change_validation_json(tmp_path, monkeypatch):
     # blocks of 50 rows, and two cores reported whatever this host has: the
     # default run checks many blocks on two workers, --threads 1 on one

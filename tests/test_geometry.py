@@ -1,3 +1,7 @@
+import importlib
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,7 +31,7 @@ from relucomplex.model import (
     save_model,
 )
 from relucomplex.signvec import sign_text
-from relucomplex.skeleton import init_hypercube
+from relucomplex.skeleton import SkeletonError, check_invariants, init_hypercube
 from relucomplex.subdivide import extract_complex, subdivide_once
 from relucomplex.validate import match_point_sets
 
@@ -82,7 +86,7 @@ def reference_divergence_area(sk, out_entry, m, model, domain, schedule, inside_
     out_index = schedule[out_entry - m].index
     total = 0.0
     for eid in sk.alive_edge_ids():
-        row = sk.edge_signs[eid]
+        row = sk.edge_signs_of(eid)
         zero = int(np.flatnonzero(row == 0)[0])
         a, b = sk.positions[sk.edges[eid]]
         length = float(np.linalg.norm(b - a))
@@ -166,8 +170,8 @@ def test_area_rejects_duplicated_edge():
     # a fresh complex: the module's diamond fixture must stay intact
     domain, schedule, sk, out_entry = extract_with_output(diamond_model(), -2.0, 2.0)
     e = sk.alive_edge_ids()[0]
-    sk.append_edges(sk.edges[e : e + 1], sk.edge_signs[e : e + 1])
-    parents = signvec.perturb_rows(sk.edge_signs[e : e + 1], sk.m)[0]
+    sk.append_edges(sk.edges[e : e + 1])
+    parents = signvec.perturb_rows(sk.edge_signs_of([e]), sk.m)[0]
     with pytest.raises(FaceAssemblyError) as exc:
         area_perimeter_2d(sk, out_entry, sk.m)
     texts = signvec.sign_texts(parents)
@@ -472,7 +476,7 @@ def reference_svg(sk, path, out_entry=None, box=None):
     for eid in sk.alive_edge_ids():
         a, b = sk.positions[sk.edges[eid]]
         line = f'<line x1="{fmt(a[0])}" y1="{fmt(a[1])}" x2="{fmt(b[0])}" y2="{fmt(b[1])}"/>'
-        if out_entry is not None and sk.edge_signs[eid, out_entry] == 0:
+        if out_entry is not None and sk.edge_signs_of(eid)[out_entry] == 0:
             heavy.append(line)
         else:
             lines.append(line)
@@ -507,6 +511,36 @@ def test_csv_export(tmp_path, diamond):
     assert len(elines) == sk.n_edges_alive + 1
 
 
+@pytest.fixture
+def session(monkeypatch):
+    """perfbench/session.py, imported without writing into perfbench/."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    return importlib.import_module("session")
+
+
+def test_csv_round_trip_checks_edge_rows(tmp_path, session):
+    # the benchmark rebuilds the extracted complex from its CSV files, edge
+    # sign rows included; they are checked against the derived rows
+    net = centered_output_net(2, 3, 8, seed=1)
+    domain, schedule, sk, _ = extract_with_output(net, -1.0, 1.0)
+    export_csv(sk, tmp_path)
+    back = session._load_skeleton_csv(tmp_path, sk.dim, sk.m)
+    check_invariants(back)
+    for name in ("positions", "vertex_signs", "edges", "edge_signs"):
+        assert np.array_equal(getattr(back, name), getattr(sk, name)), name
+
+    path = tmp_path / "edges.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    e = sk.n_edges // 2
+    row = lines[e + 1]
+    flip = row.rindex("+")  # in the sign text: ids hold only digits
+    lines[e + 1] = row[:flip] + "-" + row[flip + 1 :]
+    path.write_text("".join(lines))
+    with pytest.raises(SkeletonError, match=f"^edge {e} sign-vector differs"):
+        session._load_skeleton_csv(tmp_path, sk.dim, sk.m)
+
+
 def test_csv_matches_per_row_reference(tmp_path, monkeypatch):
     # an uncompacted skeleton: split edges and some vertices are dead, so ids
     # skip; spare sign columns make the sign views strided; small batches
@@ -531,7 +565,7 @@ def test_csv_matches_per_row_reference(tmp_path, monkeypatch):
         if sk.vertex_alive[v]
     ]
     elines = ["id,v_lo,v_hi,sign"] + [
-        f"{e},{sk.edges[e, 0]},{sk.edges[e, 1]},{sign_text(sk.edge_signs[e])}"
+        f"{e},{sk.edges[e, 0]},{sk.edges[e, 1]},{sign_text(sk.edge_signs_of(e))}"
         for e in range(sk.n_edges)
         if sk.edge_alive[e]
     ]

@@ -4,9 +4,7 @@ from hypothesis import given, strategies as st
 
 from relucomplex.signvec import (
     EPS_DEGENERATE,
-    SignConflictError,
     group_rows,
-    merge_edge_rows,
     perturb_rows,
     sign_text,
     sign_texts,
@@ -176,33 +174,3 @@ def test_group_rows_properties(rows):
     # strictly increasing in lexicographic '-' < '0' < '+' order
     as_tuples = [tuple(r) for r in uniq.tolist()]
     assert as_tuples == sorted(set(map(tuple, rows.tolist())))
-
-
-def test_merge_edge_rows():
-    a = np.array([[0, 1, 0], [-1, 0, 0]], dtype=np.int8)
-    b = np.array([[0, 0, 1], [-1, 0, -1]], dtype=np.int8)
-    merged = merge_edge_rows(a, b)
-    # zero only where both are zero, otherwise the non-zero sign present
-    assert merged.dtype == np.int8
-    assert merged.tolist() == [[0, 1, 1], [-1, 0, -1]]
-    assert np.array_equal(merge_edge_rows(b, a), merged)
-
-
-@given(st.data())
-def test_edge_sign_idempotent(data):
-    rows = data.draw(sign_matrices())
-    mask = data.draw(sign_matrices(min_rows=len(rows), max_rows=len(rows)))
-    assert np.array_equal(merge_edge_rows(rows, rows), rows)
-    # two faces of one cell, each keeping some of its entries, merge back to it
-    a = np.where(mask >= 0, rows, 0).astype(np.int8)
-    b = np.where(mask <= 0, rows, 0).astype(np.int8)
-    merged = merge_edge_rows(a, b)
-    assert np.array_equal(merged, rows)
-    assert np.array_equal(merge_edge_rows(merged, a), merged)
-
-
-def test_merge_edge_rows_conflict_names_row_and_index():
-    a = np.array([[1, 0, 1], [1, -1, 0]], dtype=np.int8)
-    b = np.array([[1, 0, 1], [1, 1, 0]], dtype=np.int8)
-    with pytest.raises(SignConflictError, match="row 1, index 1"):
-        merge_edge_rows(a, b)

@@ -281,9 +281,14 @@ def test_cache_matches_recomputing_reference(dim, prune):
     assert any(st.n_splitting == 0 for st in stats_a)
 
 
-def reference_subdivide_once(sk, model, neuron, cache):
+def reference_subdivide_once(sk, model, neuron, cache, erows=None):
     """One neuron the per-neuron way: one full-width sign column, written
-    into every row, and the split and pairing steps for that neuron alone."""
+    into every row, and the split and pairing steps for that neuron alone.
+
+    `erows`, if given, are edge sign rows the reference stores itself: one
+    column per neuron (0 on dead rows), and rows for new edges from the
+    split and pairing steps. The split edges' rows then come from them, not
+    from the endpoints. Returns the stats and the grown `erows`."""
     t0 = time.perf_counter()
     neuron.validate(model)
     m = sk.m
@@ -311,7 +316,9 @@ def reference_subdivide_once(sk, model, neuron, cache):
         split_eids = ae[differ]
         n_split = len(split_eids)
         ecol[ae[~differ]] = sa[~differ]
-    sk.append_sign_column(vcol, ecol)
+    sk.append_sign_column(vcol)
+    if erows is not None:
+        erows = np.concatenate([erows, ecol[:, None]], axis=1)
 
     n_inter = 0
     if n_split:
@@ -324,7 +331,10 @@ def reference_subdivide_once(sk, model, neuron, cache):
         ts = val_pos / (val_pos - val_neg)
         x0 = sk.positions[v_pos] + ts[:, None] * (sk.positions[v_neg] - sk.positions[v_pos])
 
-        pre_rows = sk.edge_signs[split_eids, :-1]
+        if erows is None:
+            pre_rows = sk.edge_signs_of(split_eids)[:, :-1]
+        else:
+            pre_rows = erows[split_eids, :-1]
         zeros = np.zeros((n_split, 1), dtype=np.int8)
         new_vids = sk.append_vertices(x0, np.concatenate([pre_rows, zeros], axis=1))
         cache.extend(x0)
@@ -332,28 +342,34 @@ def reference_subdivide_once(sk, model, neuron, cache):
         sk.edge_alive[split_eids] = False
         plus = np.concatenate([pre_rows, np.ones((n_split, 1), dtype=np.int8)], axis=1)
         minus = np.concatenate([pre_rows, -np.ones((n_split, 1), dtype=np.int8)], axis=1)
-        sk.append_edges(np.column_stack([v_pos, new_vids]), plus)
-        sk.append_edges(np.column_stack([v_neg, new_vids]), minus)
+        sk.append_edges(np.column_stack([v_pos, new_vids]))
+        sk.append_edges(np.column_stack([v_neg, new_vids]))
 
         pairs, esigns = pair_splitting_faces(pre_rows, new_vids, m)
         n_inter = len(pairs)
         if n_inter:
-            sk.append_edges(pairs, esigns)
+            sk.append_edges(pairs)
+        if erows is not None:
+            erows = np.concatenate([erows, plus, minus, esigns])
 
-    mem = sk.nbytes() + 2 * (sk.dim - 1) * n_split * sk.sign_width
-    return IterationStats(
+    # the estimate counts one int8 sign row per edge row
+    mem = sk.nbytes() + (sk.n_edges + 2 * (sk.dim - 1) * n_split) * sk.sign_width
+    stats = IterationStats(
         neuron.layer, neuron.index, nv_before, sk.n_vertices_alive, ne_before,
         sk.n_edges_alive, n_split, n_inter, n_deg, time.perf_counter() - t0, mem,
     )
+    return stats, erows
 
 
-def reference_extract(net, domain, sk, schedule, prune):
+def reference_extract(net, domain, sk, schedule, prune, edge_rows=False):
     """extract_complex by per-neuron reference steps, without the final
     compaction. Also returns whether some edge split at a later neuron of
-    the layer that created it."""
+    the layer that created it, and with edge_rows, the edge sign rows the
+    reference stores (see `reference_subdivide_once`; else None)."""
     neurons = list(schedule)
     sk.reserve_sign_width(sk.m + len(neurons))
     cache = LayerValueCache(net, sk.positions)
+    erows = sk.edge_signs if edge_rows else None
     stats = []
     same_layer_split = False
     layer_first_edge = 0
@@ -361,12 +377,13 @@ def reference_extract(net, domain, sk, schedule, prune):
         if i == 0 or nref.layer != neurons[i - 1].layer:
             layer_first_edge = sk.n_edges
         alive = sk.edge_alive.copy()
-        stats.append(reference_subdivide_once(sk, net, nref, cache))
+        st, erows = reference_subdivide_once(sk, net, nref, cache, erows)
+        stats.append(st)
         split = np.flatnonzero(alive & ~sk.edge_alive[: len(alive)])
         same_layer_split |= bool(np.any(split >= layer_first_edge))
         if prune and i + 1 < len(neurons) and neurons[i + 1].layer > nref.layer:
             prune_future(sk, net, neurons[i + 1 :], cache=cache)
-    return sk, stats, same_layer_split
+    return sk, stats, same_layer_split, erows
 
 
 def without_seconds(stats):
@@ -388,7 +405,9 @@ REFERENCE_CASES = {
 def test_layer_step_matches_per_neuron_reference(case, monkeypatch):
     # the layer step (one sign block per layer, splits by their known
     # neuron) against one full-width column and split step per neuron,
-    # compared before compaction so dead rows count too
+    # compared before compaction so dead rows count too. The reference
+    # stores its edge rows; the layer step's, derived from the endpoints,
+    # must equal them on every alive edge
     make, dim, include_output, prune = REFERENCE_CASES[case]
     net = make()
     schedule = NeuronSchedule.for_model(net, include_output=include_output)
@@ -397,11 +416,16 @@ def test_layer_step_matches_per_neuron_reference(case, monkeypatch):
     a, stats_a = extract_complex(net, domain, a, schedule, level_set_prune=prune)
     monkeypatch.undo()
     _, b = init_hypercube(dim, -1.0, 1.0)
-    b, stats_b, same_layer_split = reference_extract(net, domain, b, schedule, prune)
+    b, stats_b, same_layer_split, erows = reference_extract(
+        net, domain, b, schedule, prune, edge_rows=True
+    )
 
-    fields = ("positions", "vertex_signs", "vertex_alive", "edges", "edge_signs", "edge_alive")
+    fields = ("positions", "vertex_signs", "vertex_alive", "edges", "edge_alive")
     for name in fields:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert erows.shape == (a.n_edges, a.sign_width)
+    alive = a.alive_edge_ids()
+    assert np.array_equal(a.edge_signs_of(alive), erows[alive])
     assert without_seconds(stats_a) == without_seconds(stats_b)
     assert a.degenerate_count == b.degenerate_count
     assert a.nbytes() == b.nbytes()
@@ -467,21 +491,22 @@ def test_staged_sign_columns():
     # a block of two columns: one live at once, the other on the next call;
     # rows appended meanwhile carry the staged entry
     _, sk = init_hypercube(1, 0.0, 1.0)
-    sk.append_sign_column([[1, -1], [1, 1]], [[1, 0]])
+    sk.append_sign_column([[1, -1], [1, 1]])
     assert sk.sign_width == 3 and sk.vertex_signs[:, -1].tolist() == [1, 1]
     assert sk.staged_vertex_signs([0, 1]).tolist() == [[-1], [1]]
     with pytest.raises(SkeletonError, match="not all live"):
-        sk.append_sign_column([1, 1], [1])
+        sk.append_sign_column([1, 1])
     with pytest.raises(SkeletonError, match="1 x 4"):
         sk.append_vertices([[0.5]], [[1, 1, 1]])
     sk.append_vertices([[0.5]], [[1, 1, 1, 0]])
     sk.append_sign_column()
     assert [sign_text(r) for r in sk.vertex_signs] == ["0++-", "+0++", "+++0"]
+    # the edge's endpoints differ in the staged column: it reads 0 there
     assert sign_text(sk.edge_signs[0]) == "+++0"
     with pytest.raises(SkeletonError, match="no staged"):
         sk.append_sign_column()
-    with pytest.raises(SkeletonError, match="rows of one width"):
-        sk.append_sign_column([[1], [1], [1]], [[1, 1]])
+    with pytest.raises(SkeletonError, match="must have 3 rows"):
+        sk.append_sign_column([[1], [1]])
 
 
 def test_non_finite_value_names_neuron_vertex_and_position():
@@ -517,13 +542,16 @@ def test_constant_column(bias, sign, n_deg):
     assert sk.degenerate_count == before[2] + n_deg
     assert np.all(sk.vertex_signs[:, -1] == sign)
     assert np.all(sk.edge_signs[sk.edge_alive, -1] == sign)
-    assert np.all(sk.edge_signs[dead, -1] == 0)
+    # a dead split edge's row reads 0 at the neuron that split it (its
+    # endpoints lie on opposite sides), and follows its endpoints after it
+    assert np.all(sk.edge_signs[dead, -2] == 0)
+    assert np.all(sk.edge_signs[dead, -1] == sign)
     check_invariants(sk)
 
 
 def test_constant_column_nothing_alive():
     # pruning against a neuron that splits nothing kills every cell; the
-    # column is then -1 on every vertex row and 0 on every edge row
+    # column is then -1 on every vertex row, and so on every (dead) edge row
     net = line_net((1.0, 1.0), 10.0)
     _, sk = init_hypercube(2, -1.0, 1.0)
     stats = prune_future(sk, net, [NeuronRef(1, 0)])
@@ -531,7 +559,7 @@ def test_constant_column_nothing_alive():
     st = subdivide_once(sk, net, NeuronRef(1, 0))
     assert (st.vertices_after, st.edges_after, st.n_splitting) == (0, 0, 0)
     assert np.all(sk.vertex_signs[:, -1] == -1)
-    assert np.all(sk.edge_signs[:, -1] == 0)
+    assert np.all(sk.edge_signs[:, -1] == -1)
 
 
 def test_prune_future_empty_remaining():

@@ -206,19 +206,26 @@ def test_validate_rejects_negative_inputs():
     assert midpoint_check(sk, net, domain, 0.0, schedule).tol == 0.0
 
 
+def flip_vertex_sign(sk, v):
+    """Move vertex v to the other side of its last non-zero entry's
+    hyperplane; returns the alive edges at v, whose rows all change."""
+    sk.vertex_signs[v, np.flatnonzero(sk.vertex_signs[v])[-1]] *= -1
+    ae = sk.alive_edge_ids()
+    return ae[np.any(sk.edges[ae] == v, axis=1)].tolist()
+
+
 def test_midpoint_check_blocks_agree_on_corrupted_edge(monkeypatch):
     net, domain, schedule, sk, _ = extract_random(2, 3, 8, seed=2)
     ae = sk.alive_edge_ids()
-    bad = int(ae[len(ae) // 2 + 3])
-    col = int(np.flatnonzero(sk.edge_signs[bad])[-1])
-    sk.edge_signs[bad, col] *= -1
+    bad = flip_vertex_sign(sk, int(sk.edges[ae[len(ae) // 2 + 3], 1]))
+    assert len(bad) >= 2
     reports = []
     for block_rows in (7, 10**6):
         monkeypatch.setattr(validate_mod, "BLOCK_ROWS", block_rows)
         reports.append(midpoint_check(sk, net, domain, 1e-8, schedule))
     assert reports[0] == reports[1]
-    assert reports[0].failed_edges == [bad]
-    assert (reports[0].n_edges, reports[0].n_fail) == (len(ae), 1)
+    assert reports[0].failed_edges == bad
+    assert (reports[0].n_edges, reports[0].n_fail) == (len(ae), len(bad))
 
 
 @pytest.mark.parametrize("include_output", [False, True], ids=["hidden", "output"])
@@ -254,9 +261,11 @@ def test_results_do_not_depend_on_worker_count(monkeypatch, kind):
     sk, _ = extract_complex(net, domain, sk, schedule)
     ae = sk.alive_edge_ids()
     # corrupted edges in different blocks, so their order in the report shows
-    bad = [int(ae[k]) for k in (3, len(ae) // 2, len(ae) - 2)]
-    for e in bad:
-        sk.edge_signs[e, np.flatnonzero(sk.edge_signs[e])[-1]] *= -1
+    bad = set()
+    for k in (3, len(ae) // 2, len(ae) - 2):
+        bad.update(flip_vertex_sign(sk, int(sk.edges[ae[k], 1])))
+    bad = sorted(bad)
+    assert bad[0] // 7 < bad[-1] // 7
     runs = {}
     for workers in (1, 2):
         runs[workers] = (
