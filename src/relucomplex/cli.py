@@ -2,18 +2,27 @@
 
 Exit codes: 0 success, 2 input error, 3 empty result (or truncated counts),
 4 internal invariant violation.
-
-Heavy imports happen inside main() so --threads can cap the BLAS pool via
-environment variables before numpy loads.
 """
 
 import argparse
 import json
-import os
 import resource
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
+
+from . import (
+    __version__,
+    geometry,
+    model as model_mod,
+    poset,
+    signvec,
+    skeleton as skeleton_mod,
+    subdivide,
+    validate as validate_mod,
+)
 
 SCHEMA_VERSIONS = {"model_json": 1, "exports": 1}
 
@@ -23,9 +32,15 @@ EXIT_EMPTY = 3
 EXIT_INVARIANT = 4
 
 
+def _positive_int(text):
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser():
-    # no abbreviations: --threads and --config are read from raw argv by
-    # their full names, so argparse must not accept a prefix of them either
+    # no abbreviations: a prefix that is unique today would change meaning
+    # when a flag is added
     parser = argparse.ArgumentParser(
         prog="relucomplex",
         description="Extract the exact polyhedral complex of a ReLU network by edge subdivision.",
@@ -37,17 +52,21 @@ def _build_parser():
     def add_parser(name, **kwargs):
         return subparsers.add_parser(name, allow_abbrev=False, **kwargs)
 
-    def add_common(p, level_set=False):
-        g = p.add_argument_group("model")
-        g.add_argument("--model", help="path to a model JSON file")
-        g.add_argument("--random", metavar="IN,DEPTH,WIDTH,OUT",
-                       help="generate a random model with these sizes")
-        g.add_argument("--seed", type=int, default=0, help="seed for --random")
+    def add_domain(p):
         g = p.add_argument_group("domain")
         g.add_argument("--domain", choices=["cube", "simplex"], default="cube")
         g.add_argument("--lo", type=float, default=-1.0, help="cube lower bound")
         g.add_argument("--hi", type=float, default=1.0, help="cube upper bound")
         g.add_argument("--scale", type=float, default=1.0, help="simplex scale")
+
+    def add_common(p, level_set=False):
+        """Model, domain, schedule and output flags; returns the schedule group."""
+        g = p.add_argument_group("model")
+        g.add_argument("--model", help="path to a model JSON file")
+        g.add_argument("--random", metavar="IN,DEPTH,WIDTH,OUT",
+                       help="generate a random model with these sizes")
+        g.add_argument("--seed", type=int, default=0, help="seed for --random")
+        add_domain(p)
         g = p.add_argument_group("schedule")
         if level_set:  # commands on an output's level set always include the output layer
             g.add_argument("--include-output", action="store_true", default=True,
@@ -57,17 +76,23 @@ def _build_parser():
         else:
             g.add_argument("--include-output", action="store_true",
                            help="append output-layer neurons as folded hyperplanes")
-        g.add_argument("--level-set-prune", action="store_true",
-                       help="prune non-boundary cells after each layer")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--stats", action="store_true", help="write per-iteration stats.jsonl")
-        p.add_argument("--threads", type=int,
-                       help="cap the BLAS pool and the validation workers; "
-                            "results are independent of it")
         p.add_argument("--config", help="JSON file providing defaults for any flag")
+        return g
+
+    def add_level_set_prune(group):
+        group.add_argument("--level-set-prune", action="store_true",
+                           help="prune cells off the output's level set after each layer "
+                                "(needs the output layer)")
+
+    def add_threads(p):
+        p.add_argument("--threads", type=_positive_int,
+                       help="cap the validation workers; results are independent of it")
 
     p = add_parser("extract", help="extract the complex; write CSV exports and summary")
-    add_common(p)
+    add_level_set_prune(add_common(p))
+    add_threads(p)
 
     p = add_parser("count", help="count cells per dimension")
     add_common(p)
@@ -77,15 +102,16 @@ def _build_parser():
                         "(2 and up) has more than this many cells")
 
     p = add_parser("boundary", help="extract the output level set (SVG for D=2, OBJ for D=3)")
-    add_common(p, level_set=True)
+    add_level_set_prune(add_common(p, level_set=True))
     p.add_argument("--inside-positive", action="store_true",
                    help="treat positive output as the inside")
 
     p = add_parser("prune-model", help="drop stably-negative neurons; write pruned model")
-    add_common(p, level_set=True)
+    add_level_set_prune(add_common(p, level_set=True))
 
     p = add_parser("validate", help="residual and midpoint validation")
     add_common(p)
+    add_threads(p)
     p.add_argument("--midpoint-tol", type=float, default=1e-8)
     p.add_argument("--samples", type=int, default=100000,
                    help="sample count for the region containment check")
@@ -95,75 +121,41 @@ def _build_parser():
     p.add_argument("--widths", default="10,20", help="comma-separated widths")
     p.add_argument("--depth", type=int, default=4, help="hidden layer count")
     p.add_argument("--seeds", type=int, default=2, help="seeds per configuration")
-    p.add_argument("--domain", choices=["cube", "simplex"], default="cube")
-    p.add_argument("--lo", type=float, default=-1.0)
-    p.add_argument("--hi", type=float, default=1.0)
-    p.add_argument("--scale", type=float, default=1.0)
+    add_domain(p)
     p.add_argument("--out", default="out")
-    p.add_argument("--threads", type=int)
     p.add_argument("--config", help="JSON file providing defaults for any flag")
     return parser
 
 
-def _raw_flag(argv, flag):
-    """Value of the last `flag` in argv, as `flag VALUE` or `flag=VALUE`,
-    as argparse lets the last one win; None when absent."""
-    value = None
-    for i, token in enumerate(argv):
-        if token == flag:
-            if i + 1 == len(argv):
-                raise ValueError(f"{flag} needs a value")
-            value = argv[i + 1]
-        elif token.startswith(flag + "="):
-            value = token[len(flag) + 1 :]
-    return value
-
-
-def _apply_config(argv):
-    """--config JSON mirrors every flag: file values become defaults."""
-    path = _raw_flag(argv, "--config")
-    if path is not None:
-        with open(path) as fh:
-            try:
-                cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"--config {path}: {exc}") from None
-        if not isinstance(cfg, dict):
-            raise ValueError(f"--config {path}: expected a JSON object")
-        flat = []
-        for key, value in cfg.items():
-            flag = "--" + key.replace("_", "-")
-            if isinstance(value, bool):
-                if value:
-                    flat.append(flag)
-            else:
-                flat.extend([flag, str(value)])
-        # config first so explicit flags win
-        argv = argv[:1] + flat + argv[1:]
-    return argv
+def _with_config(argv, path):
+    """argv with the flags of the --config JSON at `path` put first, after
+    the command, so that explicit flags win."""
+    with open(path) as fh:
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"--config {path}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ValueError(f"--config {path}: expected a JSON object")
+    flat = []
+    for key, value in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            if value:
+                flat.append(flag)
+        elif isinstance(value, (int, float, str)):
+            flat.extend([flag, str(value)])
+        else:
+            raise ValueError(f"--config {path}: {key!r} must be a string, number or "
+                             f"boolean, got {json.dumps(value)}")
+    return argv[:1] + flat + argv[1:]
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    # --config and --threads act before argparse runs: the config supplies
-    # defaults (--threads among them), and the thread cap must be in the
-    # environment before numpy loads
-    try:
-        argv = _apply_config(argv)
-        threads = _raw_flag(argv, "--threads")
-        if threads is not None:
-            if not (threads.isdecimal() and int(threads) >= 1):
-                raise ValueError(f"--threads takes a positive integer, got {threads!r}")
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = threads
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.version:
-        from . import __version__
-
         print(f"relucomplex {__version__}")
         for name, ver in SCHEMA_VERSIONS.items():
             print(f"schema {name} v{ver}")
@@ -171,12 +163,14 @@ def main(argv=None):
     if args.command is None:
         parser.print_help()
         return EXIT_INPUT
-
-    from .geometry import EmptyBoundaryError, FaceAssemblyError
-    from .model import ModelFormatError
-    from .poset import CountBudgetError
-    from .skeleton import SkeletonError
-    from .subdivide import PairingError
+    if args.config is not None:
+        # argv[0] is the command: the top-level parser takes no other value
+        try:
+            argv = _with_config(argv, args.config)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        args = parser.parse_args(argv)
 
     try:
         handler = {
@@ -188,16 +182,16 @@ def main(argv=None):
             "bench": cmd_bench,
         }[args.command]
         return handler(args)
-    except (ModelFormatError, FileNotFoundError, ValueError) as exc:
+    except (model_mod.ModelFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except EmptyBoundaryError as exc:
+    except geometry.EmptyBoundaryError as exc:
         print(f"empty level set: {exc}", file=sys.stderr)
         return EXIT_EMPTY
-    except CountBudgetError as exc:
+    except poset.CountBudgetError as exc:
         print(f"count budget exceeded: {exc}", file=sys.stderr)
         return EXIT_EMPTY
-    except (PairingError, SkeletonError, FaceAssemblyError) as exc:
+    except (subdivide.PairingError, skeleton_mod.SkeletonError, geometry.FaceAssemblyError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
@@ -206,8 +200,6 @@ def main(argv=None):
 
 
 def _load_or_generate(args):
-    from . import model as model_mod
-
     if bool(args.model) == bool(args.random):
         raise ValueError("need exactly one of --model and --random")
     if args.model:
@@ -219,16 +211,16 @@ def _load_or_generate(args):
 
 
 def _make_domain(args, dim):
-    from . import skeleton as skeleton_mod
-
     if args.domain == "cube":
         return skeleton_mod.init_hypercube(dim, args.lo, args.hi)
     return skeleton_mod.init_simplex(dim, args.scale)
 
 
 def _run_extraction(args):
-    from . import model as model_mod, subdivide
-
+    level_set_prune = getattr(args, "level_set_prune", False)
+    if level_set_prune and not args.include_output:  # extract without the output layer
+        raise ValueError("--level-set-prune needs --include-output: it prunes to the "
+                         "output's level set")
     net = _load_or_generate(args)
     # flag ranges that depend on the model, checked before paying for extraction
     up_to, max_cells = getattr(args, "up_to", None), getattr(args, "max_cells", None)
@@ -242,23 +234,20 @@ def _run_extraction(args):
     if args.command == "boundary" and net.in_dim not in (2, 3):
         raise ValueError(f"boundary export supports D = 2 and D = 3, got D = {net.in_dim}")
     domain, sk = _make_domain(args, net.in_dim)
-    include_output = getattr(args, "include_output", False)
-    schedule = model_mod.NeuronSchedule.for_model(net, include_output=include_output)
+    schedule = model_mod.NeuronSchedule.for_model(net, include_output=args.include_output)
     t0 = time.perf_counter()
     sk, stats = subdivide.extract_complex(
         net,
         domain,
         sk,
         schedule,
-        level_set_prune=getattr(args, "level_set_prune", False),
+        level_set_prune=level_set_prune,
     )
     seconds = time.perf_counter() - t0
     return net, domain, schedule, sk, stats, seconds
 
 
 def _write_summary(outdir, net, domain, schedule, sk, stats, seconds, threads):
-    from . import validate as validate_mod
-
     report = validate_mod.residuals(sk, net, domain, schedule, validate_mod.worker_count(threads))
     summary = {
         "n_vertices": sk.n_vertices_alive,
@@ -301,8 +290,6 @@ def _outdir(args):
 
 
 def cmd_extract(args):
-    from . import geometry
-
     net, domain, schedule, sk, stats, seconds = _run_extraction(args)
     out = _outdir(args)
     geometry.export_csv(sk, out)
@@ -315,16 +302,13 @@ def cmd_extract(args):
 
 
 def cmd_count(args):
-    from . import poset
-    from .poset import CountBudgetError
-
     net, domain, schedule, sk, stats, seconds = _run_extraction(args)
     up_to = args.up_to if args.up_to is not None else sk.dim
     out = _outdir(args)
     truncated = False
     try:
         counts = poset.count_cells(sk, sk.m, up_to, max_cells=args.max_cells)
-    except CountBudgetError as exc:
+    except poset.CountBudgetError as exc:
         counts = exc.partial_counts
         truncated = True
     doc = {"dims": counts, "euler": poset.euler_characteristic(counts) if not truncated else None}
@@ -338,8 +322,6 @@ def cmd_count(args):
 
 
 def cmd_boundary(args):
-    from . import geometry
-
     net, domain, schedule, sk, stats, seconds = _run_extraction(args)
     out_entry = schedule.output_entry(sk.m, args.output_index)
     mesh = geometry.boundary_subcomplex(sk, out_entry)
@@ -369,8 +351,6 @@ def cmd_boundary(args):
 
 
 def cmd_prune_model(args):
-    from . import geometry, model as model_mod
-
     net, domain, schedule, sk, stats, seconds = _run_extraction(args)
     out_entry = schedule.output_entry(sk.m, args.output_index)
     mesh = geometry.boundary_subcomplex(sk, out_entry)
@@ -395,10 +375,6 @@ def cmd_prune_model(args):
 
 
 def cmd_validate(args):
-    import numpy as np
-
-    from . import poset, signvec, validate as validate_mod
-
     # reject bad inputs before paying for the extraction
     validate_mod.check_sample_count(args.samples)
     validate_mod.check_tolerance(args.midpoint_tol)
@@ -439,8 +415,6 @@ def _parse_dims(text):
 
 
 def cmd_bench(args):
-    from . import model as model_mod, subdivide, validate as validate_mod
-
     dims = _parse_dims(args.dims)
     widths = [int(w) for w in args.widths.split(",")]
     out = _outdir(args)

@@ -229,6 +229,14 @@ def test_flag_ranges_checked_before_extraction(tmp_path, capsys, monkeypatch, ar
     assert not (tmp_path / "o").exists()
 
 
+def exit_code(*args):
+    """Exit status of the CLI, whether argparse exits or main returns."""
+    try:
+        return run_cli(*args)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("command", ["extract", "count", "validate"])
 def test_output_index_only_for_level_set_commands(tmp_path, capsys, command):
     # only boundary and prune-model read an output's level set
@@ -242,11 +250,53 @@ def test_output_index_only_for_level_set_commands(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("count", ["--level-set-prune"]),
+        ("validate", ["--level-set-prune"]),
+        ("count", ["--threads", "1"]),
+        ("boundary", ["--threads", "1"]),
+        ("prune-model", ["--threads", "1"]),
+        ("bench", ["--threads", "1"]),
+    ],
+    ids=[
+        "count_prune", "validate_prune", "count_threads", "boundary_threads",
+        "prune_model_threads", "bench_threads",
+    ],
+)
+def test_flag_only_for_commands_that_use_it(tmp_path, capsys, command, flag):
+    # --level-set-prune would corrupt the complex that count and validate
+    # read whole; --threads caps the validation workers of extract and validate
+    model = [] if command == "bench" else ["--random", "2,2,4,1", "--include-output"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *model, "--out", tmp_path / "o", *flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_extract_level_set_prune_needs_the_output_layer(tmp_path, capsys, monkeypatch):
+    net = centered_output_net(2, 3, 8, seed=0)
+    save_model(net, tmp_path / "net.json")
+    argv = ["extract", "--model", tmp_path / "net.json", "--level-set-prune"]
+
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("extraction ran before the flag check")
+
+    monkeypatch.setattr(subdivide, "extract_complex", no_extraction)
+    assert run_cli(*argv, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err.startswith("error: --level-set-prune needs --include-output")
+    assert not (tmp_path / "o").exists()
+    monkeypatch.undo()
+    assert run_cli(*argv, "--include-output", "--out", tmp_path / "ok") == 0
+    summary = json.loads((tmp_path / "ok" / "summary.json").read_text())
+    assert summary["n_vertices"] > 0
+
+
 def test_validate_threads_do_not_change_validation_json(tmp_path, monkeypatch):
     # blocks of 50 rows, and two cores reported whatever this host has: the
     # default run checks many blocks on two workers, --threads 1 on one
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "2")
     monkeypatch.setattr(validate_mod, "BLOCK_ROWS", 50)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     counts = []
@@ -321,78 +371,107 @@ def test_config_mirror(tmp_path):
     assert (tmp_path / "d" / "vertices.csv").exists()
 
 
+CONFIG_ERRORS = {
+    "config_malformed": "{broken",
+    "config_not_object": "[1, 2]",
+    "config_threads_zero": '{"threads": 0}',
+    "config_null": '{"random": "2,2,4,1", "out": null}',
+    "config_array": '{"random": "2,2,4,1", "out": ["a", "b"]}',
+    "config_object": '{"random": "2,2,4,1", "seed": {"a": 1}}',
+}
+
+
 @pytest.mark.parametrize(
     "case",
     [
-        "threads_last", "threads_not_int", "config_missing", "config_malformed",
-        "config_not_object", "config_threads_zero",
+        "threads_last", "threads_not_int", "threads_zero", "config_missing",
+        "config_malformed", "config_not_object", "config_threads_zero", "config_null",
+        "config_array", "config_object",
     ],
 )
-def test_raw_flag_input_errors(tmp_path, capsys, case):
-    # --threads and --config are read before argparse; bad input still exits 2
+def test_raw_flag_input_errors(tmp_path, capsys, monkeypatch, case):
+    # bad --threads or --config input exits 2 before anything is written
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
-    contents = {
-        "config_malformed": "{broken",
-        "config_not_object": "[1, 2]",
-        "config_threads_zero": '{"threads": 0}',
-    }
-    if case in contents:
-        cfg.write_text(contents[case])
-    flags = {"threads_last": ["--threads"], "threads_not_int": ["--threads", "abc"]}.get(
-        case, ["--config", cfg]
-    )
-    assert run_cli("extract", "--random", "2,2,4,1", "--out", tmp_path / "o", *flags) == 2
+    if case in CONFIG_ERRORS:
+        cfg.write_text(CONFIG_ERRORS[case])
+    flags = {
+        "threads_last": ["--threads"],
+        "threads_not_int": ["--threads", "abc"],
+        "threads_zero": ["--threads", "0"],
+    }.get(case, ["--config", cfg])
+    assert exit_code("extract", "--random", "2,2,4,1", "--out", tmp_path / "o", *flags) == 2
     expected = {
-        "threads_last": "error: --threads needs a value",
-        "threads_not_int": "error: --threads takes a positive integer, got 'abc'",
+        "threads_last": "error: argument --threads: expected one argument",
+        "threads_not_int": "error: argument --threads: expected a positive integer, got 'abc'",
+        "threads_zero": "error: argument --threads: expected a positive integer, got '0'",
         "config_missing": "error: [Errno 2] No such file or directory",
         "config_malformed": f"error: --config {cfg}: Expecting property name",
         "config_not_object": f"error: --config {cfg}: expected a JSON object",
-        "config_threads_zero": "error: --threads takes a positive integer, got '0'",
+        "config_threads_zero": "error: argument --threads: expected a positive integer, got '0'",
+        "config_null": f"error: --config {cfg}: 'out' must be a string, number or boolean, "
+                       "got null",
+        "config_array": f"error: --config {cfg}: 'out' must be a string, number or boolean, "
+                        'got ["a", "b"]',
+        "config_object": f"error: --config {cfg}: 'seed' must be a string, number or boolean, "
+                         'got {"a": 1}',
     }[case]
-    assert capsys.readouterr().err.startswith(expected)
-    assert not (tmp_path / "o").exists()
+    assert expected in capsys.readouterr().err
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == (["cfg.json"] if case in CONFIG_ERRORS else [])
+
+
+@pytest.fixture
+def worker_caps(monkeypatch):
+    """The caps the CLI passes to validate.worker_count, in call order."""
+    caps = []
+    real = validate_mod.worker_count
+
+    def recorded(cap=None):
+        caps.append(cap)
+        return real(cap)
+
+    monkeypatch.setattr(validate_mod, "worker_count", recorded)
+    return caps
 
 
 @pytest.mark.parametrize("case", ["config", "threads"])
-def test_raw_flag_equals_form(tmp_path, monkeypatch, case):
-    # argparse accepts --flag=value, so the raw reads must accept it too
+def test_raw_flag_equals_form(tmp_path, worker_caps, case):
+    # argparse takes --flag=value for both
     if case == "config":
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"random": "2,2,4,1", "out": str(tmp_path / "c")}))
         assert run_cli("extract", f"--config={cfg}") == 0
         assert (tmp_path / "c" / "vertices.csv").exists()
     else:
-        blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-        for var in blas_vars:
-            monkeypatch.setenv(var, "2")
         assert run_cli("extract", "--random", "2,2,4,1", "--out", tmp_path / "t", "--threads=1") == 0
-        assert [os.environ[var] for var in blas_vars] == ["1", "1", "1"]
+        assert worker_caps == [1]
 
 
 @pytest.mark.parametrize(
     "config, flags, expected",
-    [({"threads": 3}, [], "3"), ({"threads": 2}, ["--threads", "1"], "1")],
+    [({"threads": 3}, [], 3), ({"threads": 2}, ["--threads", "1"], 1)],
     ids=["config", "explicit_wins"],
 )
-def test_threads_from_config_cap_the_blas_pool(tmp_path, monkeypatch, config, flags, expected):
-    # the config is merged before --threads is read, and the last one wins
+def test_threads_from_config_cap_the_validation_workers(
+    tmp_path, monkeypatch, worker_caps, config, flags, expected
+):
+    # the config's flags come first, so an explicit --threads wins; the
+    # environment is left as it was
     blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     for var in blas_vars:
         monkeypatch.setenv(var, "7")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"random": "2,2,4,1", "out": str(tmp_path / "o"), **config}))
     assert run_cli("extract", "--config", cfg, *flags) == 0
-    assert [os.environ[var] for var in blas_vars] == [expected] * 3
+    assert worker_caps == [expected]
+    assert [os.environ[var] for var in blas_vars] == ["7"] * 3
 
 
 @pytest.mark.parametrize("case", ["config", "threads"])
-def test_abbreviated_flag_exits_2(tmp_path, monkeypatch, case):
-    # --config and --threads are read from raw argv by their full names, so a
-    # prefix that argparse would otherwise expand must be a usage error
-    blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-    for var in blas_vars:
-        monkeypatch.setenv(var, "2")
+def test_abbreviated_flag_exits_2(tmp_path, case):
+    # a prefix that is unique today would change meaning when a flag is
+    # added, so an abbreviation is a usage error
     if case == "config":
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"random": "2,2,4,1", "out": str(tmp_path / "o")}))
@@ -403,7 +482,6 @@ def test_abbreviated_flag_exits_2(tmp_path, monkeypatch, case):
         run_cli("extract", *flags)
     assert exc.value.code == 2
     assert not (tmp_path / "o").exists()
-    assert [os.environ[var] for var in blas_vars] == ["2", "2", "2"]
 
 
 def test_removed_flag_exits_2(tmp_path):
@@ -435,7 +513,8 @@ def test_console_script(tmp_path):
 
 
 def test_thread_count_does_not_change_outputs(tmp_path):
-    # --threads caps the BLAS pool before numpy loads; results must not move
+    # --threads caps the workers behind summary.json's residuals; the
+    # exported complex must not move
     for n in ("1", "2"):
         proc = run_module(
             "extract", "--random", "2,3,8,1", "--seed", "5",
