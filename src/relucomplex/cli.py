@@ -291,6 +291,11 @@ def _outdir(args):
 
 def cmd_extract(args):
     net, domain, schedule, sk, stats, seconds = _run_extraction(args)
+    if args.level_set_prune:
+        # pruned to the output's level set, the complex is empty when no vertex lies on it
+        outputs = sk.vertex_signs[sk.alive_vertex_ids(), schedule.output_entry(sk.m) :]
+        if not np.any(outputs == 0):
+            raise geometry.EmptyBoundaryError("no alive vertex lies on the output's level set")
     out = _outdir(args)
     geometry.export_csv(sk, out)
     _write_summary(out, net, domain, schedule, sk, stats, seconds, args.threads)

@@ -6,9 +6,10 @@ numerical error of the extraction. midpoint_check extends the same idea to
 edge interiors. The brute-force oracles give independent ground truth at
 desk scale.
 
-residuals, midpoint_check and sampled_region_oracle evaluate BLOCK_ROWS
-rows at a time, streaming each block through the net one layer at a time
-(`model.stream_layers`), and run the blocks on `workers` threads (default:
+residuals, midpoint_check and sampled_region_oracle split their rows into
+blocks of at most BLOCK_ROWS, equal to within one row and as many as keep
+every worker busy (`_map_blocks`), and stream each block through the net
+one layer at a time (`model.stream_layers`) on `workers` threads (default:
 one per available core). Each worker fills scratch buffers the caller
 allocated for it, and the caller consumes the blocks in order. The model's
 affine kernel gives every row the same result in any batch, so neither the
@@ -26,7 +27,6 @@ import numpy as np
 
 from . import _rng
 from . import model as model_mod
-from . import signvec
 
 
 @dataclass
@@ -77,18 +77,24 @@ def worker_count(cap=None):
 
 
 def _map_blocks(block, n, workers, make_scratch):
-    """Yield `block(start, stop, scratch)` for each block of at most
-    BLOCK_ROWS of n rows, in order.
+    """Yield `block(start, stop, scratch)` for each block of n rows, in order.
 
-    Each of up to `workers` threads gets one `make_scratch()` made here, on
-    the calling thread; block k uses scratch k % len(scratches), handed out
+    There are ceil(n / BLOCK_ROWS) blocks, rounded up to a multiple of the
+    worker count as long as every block keeps BLOCK_ROWS // 4 rows, and
+    their sizes differ by at most one. Each of up to `workers` threads gets
+    one `make_scratch(rows)` for the largest block, made here, on the
+    calling thread; block k uses scratch k % len(scratches), handed out
     again only once the caller has consumed block k - len(scratches). With
     one worker or one block, the blocks run inline. `block` must not call a
     function the benchmark tracer wraps: its span stack is not thread-safe.
     """
-    blocks = [(start, min(start + BLOCK_ROWS, n)) for start in range(0, n, BLOCK_ROWS)]
     workers = workers or worker_count()
-    scratches = [make_scratch() for _ in range(min(workers, len(blocks)))]
+    count = -(-n // BLOCK_ROWS)
+    spread = -(-count // workers) * workers
+    if count and n // spread >= max(1, BLOCK_ROWS // 4):
+        count = spread
+    blocks = [(k * n // count, (k + 1) * n // count) for k in range(count)]
+    scratches = [make_scratch(-(-n // count)) for _ in range(min(workers, count))]
     if len(scratches) <= 1:
         for start, stop in blocks:
             yield block(start, stop, scratches[0])
@@ -107,7 +113,7 @@ def _map_blocks(block, n, workers, make_scratch):
             yield pending.popleft().result()
 
 
-def _scratch(model, schedule, rows, width):
+def _scratch(model, schedule, width, rows):
     """A worker's buffers: `rows` int8 sign rows of `width`, and the two
     float buffers of `model.stream_layers`."""
     return np.empty((rows, width), dtype=np.int8), model_mod.stream_buffers(model, schedule, rows)
@@ -118,13 +124,13 @@ def residuals(sk, model, domain, schedule, workers=None):
 
     Facet zeros score |w.x - b|, neuron zeros |pre-activation|. Aggregates
     come back per group (facets, then one group per layer). Vertices are
-    evaluated in blocks of BLOCK_ROWS on `workers` threads; each block's
-    picked values are kept in row order, and every max and mean is taken
-    once over them. `schedule` is the one the skeleton was extracted with.
+    evaluated in blocks of at most BLOCK_ROWS on `workers` threads; each
+    block's picked values are kept in row order, and every max and mean is
+    taken once over them. `schedule` is the one the skeleton was extracted
+    with.
     """
     names = ["facets"] + [f"layer_{layer}" for layer, _, _ in model_mod.layer_columns(schedule)]
     av = sk.alive_vertex_ids()
-    rows = min(len(av), BLOCK_ROWS)
 
     def block(start, stop, scratch):
         signs, buffers = scratch
@@ -148,7 +154,7 @@ def residuals(sk, model, domain, schedule, workers=None):
 
     picked = [np.zeros(0)]
     group_picked = [[np.zeros(0)] for _ in names]
-    scratch = functools.partial(_scratch, model, schedule, rows, sk.sign_width)
+    scratch = functools.partial(_scratch, model, schedule, sk.sign_width)
     for values, group in _map_blocks(block, len(av), workers, scratch):
         picked.append(values)
         for g, kept in enumerate(group_picked):
@@ -193,19 +199,18 @@ def midpoint_check(sk, model, domain, tol, schedule, workers=None):
 
     Non-zero entries of the edge sign-vector must match the evaluated sign
     (exact zero counting as minus); zero entries must satisfy |value| <= tol.
-    Edges are checked in blocks of BLOCK_ROWS on `workers` threads.
+    Edges are checked in blocks of at most BLOCK_ROWS on `workers` threads.
     `schedule` is the one the skeleton was extracted with.
     """
     check_tolerance(tol)
     ae = sk.alive_edge_ids()
     if len(ae) == 0:
         return MidpointReport(0, 0, 0, [], tol)
-    rows = min(len(ae), BLOCK_ROWS)
     widest = max([sk.m] + [width for _, _, width in model_mod.layer_columns(schedule)])
 
-    def scratch():
+    def scratch(rows):
         flags = np.empty(rows * widest, dtype=bool), np.empty(rows * widest, dtype=bool)
-        return (*_scratch(model, schedule, rows, sk.sign_width), flags)
+        return (*_scratch(model, schedule, sk.sign_width, rows), flags)
 
     def block(start, stop, scratch):
         signs, buffers, flags = scratch
@@ -330,38 +335,35 @@ def sampled_region_oracle(model, domain, n, seed, schedule, workers=None):
 
     Every returned signature must appear among the extracted regions, but
     thin regions may be missed, so coverage below 1 is expected. Samples are
-    drawn and signed in blocks of BLOCK_ROWS on `workers` threads, and each
-    block is merged, in order, into the distinct rows found so far, so
-    memory does not grow with n beyond those rows and one block. Rows have
-    one entry per facet and per neuron of `schedule`, as the extracted
-    regions of that schedule do.
+    drawn and signed in blocks of at most BLOCK_ROWS on `workers` threads.
+    Each worker packs its block's signs to one bit per entry and keeps its
+    distinct rows; the calling thread merges them, in order, into the
+    distinct rows found so far, so memory does not grow with n beyond those
+    rows and one block per worker. Returns int8 rows in canonical order
+    (`signvec.group_rows`), with one entry per facet and per neuron of
+    `schedule`, as the extracted regions of that schedule have.
     """
     check_sample_count(n)
     m = domain.m
     width = m + len(schedule)
-    rows = min(n, BLOCK_ROWS)
+    key = np.dtype((np.void, -(-width // 8)))
 
     def block(start, stop, scratch):
-        signs, buffers = scratch
         pts = sample_domain(domain, stop - start, seed, start)
-        signs = signs[: stop - start]
-        pos = signs.view(np.bool_)
+        pos = scratch[0][: stop - start].view(np.bool_)
         np.greater(domain.facet_values(pts), 0.0, out=pos[:, :m])
-        for offset, values in model_mod.stream_layers(model, pts, schedule, buffers):
+        for offset, values in model_mod.stream_layers(model, pts, schedule, scratch[1]):
             np.greater(values, 0.0, out=pos[:, m + offset : m + offset + values.shape[1]])
-        # +1 where positive, else -1: an exact zero counts as minus, as in
-        # signvec.signs_of_values
-        signs *= np.int8(2)
-        signs -= np.int8(1)
-        return signs
+        # + (an exact zero counts as minus, as in signvec.signs_of_values)
+        # packs to 1, the first entry in the high bit: byte order is - < +
+        return np.unique(np.packbits(pos, axis=1).view(key).ravel())
 
-    # the merge runs here, on the calling thread (the tracer wraps
-    # group_rows), and copies the block out of its scratch before its reuse
-    uniq = np.zeros((0, width), dtype=np.int8)
-    scratch = functools.partial(_scratch, model, schedule, rows, width)
-    for signs in _map_blocks(block, n, workers, scratch):
-        uniq = signvec.group_rows(np.concatenate([uniq, signs]))[0]
-    return uniq
+    keys = np.zeros(0, dtype=key)
+    scratch = functools.partial(_scratch, model, schedule, width)
+    for found in _map_blocks(block, n, workers, scratch):
+        keys = np.unique(np.concatenate([keys, found]))
+    bits = np.unpackbits(keys.view(np.uint8).reshape(-1, key.itemsize), axis=1, count=width)
+    return np.where(bits, np.int8(1), np.int8(-1))
 
 
 @dataclass

@@ -294,6 +294,19 @@ def test_extract_level_set_prune_needs_the_output_layer(tmp_path, capsys, monkey
     assert summary["n_vertices"] > 0
 
 
+def test_extract_level_set_prune_on_an_empty_level_set(tmp_path, capsys):
+    # the output stays positive on the cube, so pruning keeps nothing:
+    # exit 3 as boundary does, before anything is written
+    out = tmp_path / "o"
+    out.mkdir()
+    argv = ["--random", "2,3,8,1", "--seed", "2", "--include-output", "--level-set-prune"]
+    assert run_cli("extract", *argv, "--out", out) == 3
+    assert capsys.readouterr().err.startswith("empty level set: no alive vertex")
+    assert list(out.iterdir()) == []
+    assert run_cli("boundary", *argv[:4], "--level-set-prune", "--out", out) == 3
+    assert list(out.iterdir()) == []
+
+
 def test_validate_threads_do_not_change_validation_json(tmp_path, monkeypatch):
     # blocks of 50 rows, and two cores reported whatever this host has: the
     # default run checks many blocks on two workers, --threads 1 on one

@@ -131,15 +131,18 @@ def test_sample_domain_inside():
     assert np.array_equal(sample_domain(domain, 10, 5), sample_domain(domain, 10, 5))
 
 
-def test_sampled_region_oracle_trivial():
+def test_sampled_region_oracle_trivial(monkeypatch):
+    # every sample in one region: each block keeps one row, and so does the merge
+    monkeypatch.setattr(validate_mod, "BLOCK_ROWS", 64)
     net = MlpSpec((LayerSpec(np.array([[1.0, 0.0]]), np.array([10.0])),), 2)
     domain, _ = init_hypercube(2, 0.0, 1.0)
     # the hidden-only schedule is empty for a single-layer net
     rows = sampled_region_oracle(net, domain, 1000, 0, NeuronSchedule.for_model(net))
-    assert rows.shape == (1, 4)
+    assert rows.tolist() == [[1, 1, 1, 1]]
     full = NeuronSchedule.for_model(net, include_output=True)
-    rows = sampled_region_oracle(net, domain, 1000, 0, full)
-    assert rows.shape == (1, 5)
+    for workers in (1, 2):
+        rows = sampled_region_oracle(net, domain, 1000, 0, full, workers)
+        assert rows.dtype == np.int8 and rows.tolist() == [[1, 1, 1, 1, 1]]
 
 
 def one_shot_regions(net, domain, n, seed, schedule):
@@ -183,6 +186,62 @@ def test_sampled_region_oracle_blocks_match_one_shot(monkeypatch, kind):
         assert len(want) > 1 or name == "empty", name
     empty = sampled_region_oracle(net, domain, 0, 4, NeuronSchedule.for_model(net))
     assert empty.shape == (0, domain.m + 12) and empty.dtype == np.int8
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("width", [7, 8, 9, 15, 16, 17])
+def test_sampled_region_oracle_packs_every_row_width(monkeypatch, width, workers):
+    # one bit per entry: widths around whole bytes check the pad bits and
+    # the byte order of the packed keys
+    monkeypatch.setattr(validate_mod, "BLOCK_ROWS", 64)
+    domain, _ = init_hypercube(2, -1.0, 1.0)
+    net = random_model(2, 2, 8, 1, seed=3)
+    full = NeuronSchedule.for_model(net, include_output=True)
+    schedule = NeuronSchedule(full.neurons[: width - domain.m], False)
+    got = sampled_region_oracle(net, domain, 1000, 2, schedule, workers)
+    want = one_shot_regions(net, domain, 1000, 2, schedule)
+    assert got.dtype == np.int8 and got.shape == want.shape and want.shape[1] == width
+    assert np.array_equal(got, want) and len(want) > 4
+    empty = sampled_region_oracle(net, domain, 0, 2, schedule, workers)
+    assert empty.dtype == np.int8 and empty.shape == (0, width)
+
+
+@pytest.mark.parametrize("block_rows", [8, 9])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_blocks_are_balanced(monkeypatch, workers, block_rows):
+    monkeypatch.setattr(validate_mod, "BLOCK_ROWS", block_rows)
+
+    def block(start, stop, scratch_rows):
+        assert 0 < stop - start <= scratch_rows
+        return start, stop
+
+    for n in range(3 * block_rows + 1):
+        blocks = list(validate_mod._map_blocks(block, n, workers, lambda rows: rows))
+        covered = [row for start, stop in blocks for row in range(start, stop)]
+        assert covered == list(range(n)), n
+        sizes = [stop - start for start, stop in blocks]
+        assert max(sizes, default=0) <= block_rows, n
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1, n
+        if len(blocks) > 1:
+            assert len(blocks) % workers == 0, n
+
+
+def test_one_block_runs_inline(monkeypatch):
+    # below BLOCK_ROWS // 4 rows per worker, the rows stay one block on the
+    # calling thread: no pool is built
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    quarter = validate_mod.BLOCK_ROWS // 4
+    one = list(validate_mod._map_blocks(lambda a, b, s: (a, b), 2 * quarter - 1, 2, int))
+    assert one == [(0, 2 * quarter - 1)]
+    with pytest.raises(AssertionError, match="thread pool"):
+        list(validate_mod._map_blocks(lambda a, b, s: (a, b), 2 * quarter, 2, int))
+    net, domain, schedule, sk, _ = extract_random(2, 2, 4, seed=0)
+    assert residuals(sk, net, domain, schedule, 4).n_vertices < quarter
 
 
 @pytest.mark.parametrize("kind", ["cube", "simplex"])
@@ -250,7 +309,7 @@ def test_residuals_blocks_agree(monkeypatch, kind, include_output):
 
 @pytest.mark.parametrize("kind", ["cube", "simplex"])
 def test_results_do_not_depend_on_worker_count(monkeypatch, kind):
-    # blocks of 7 rows: dozens of blocks, two of them in flight at a time
+    # blocks of at most 7 rows: dozens of blocks, up to four in flight at a time
     monkeypatch.setattr(validate_mod, "BLOCK_ROWS", 7)
     if kind == "cube":
         domain, sk = init_hypercube(2, -1.0, 1.0)
@@ -267,17 +326,18 @@ def test_results_do_not_depend_on_worker_count(monkeypatch, kind):
     bad = sorted(bad)
     assert bad[0] // 7 < bad[-1] // 7
     runs = {}
-    for workers in (1, 2):
+    for workers in (1, 2, 3, 4):
         runs[workers] = (
             sampled_region_oracle(net, domain, 1000, 4, schedule, workers),
             residuals(sk, net, domain, schedule, workers).to_json(),
             midpoint_check(sk, net, domain, 1e-8, schedule, workers),
         )
-    (rows1, res1, mid1), (rows2, res2, mid2) = runs[1], runs[2]
-    assert np.array_equal(rows1, rows2) and len(rows1) > 1
-    assert res1 == res2 and res1["n_vertices"] > 7
-    assert mid1 == mid2
+    rows1, res1, mid1 = runs[1]
+    assert len(rows1) > 1 and res1["n_vertices"] > 7
     assert mid1.failed_edges == bad
+    for workers in (2, 3, 4):
+        rows, res, mid = runs[workers]
+        assert np.array_equal(rows, rows1) and res == res1 and mid == mid1, workers
 
 
 def test_sampled_region_oracle_memory_is_bounded():
