@@ -133,7 +133,11 @@ def _face_vertices(edge_rows, ends, positions, m, hide=None, vertex_ids=None):
     if hide is not None:
         keys[:, hide] = 0
     nv = len(positions)
-    pairs = np.unique(np.repeat(inverse, 2) * nv + ends[src].ravel())
+    # distinct codes by a sort and a mask: np.unique on int64 is far slower
+    pairs = np.sort(np.repeat(inverse, 2) * nv + ends[src].ravel())
+    keep = np.ones(len(pairs), dtype=bool)
+    keep[1:] = pairs[1:] != pairs[:-1]
+    pairs = pairs[keep]
     face, verts = np.divmod(pairs, nv)
     size = np.bincount(face, minlength=len(keys))
     if np.any(size != n_edges):

@@ -5,9 +5,30 @@ Every evaluation is one forward walk, `forward`: the only code that chains
 the affine kernel and ReLU across layers. It starts at the input or at any
 layer's pre-activations, so the extraction's value cache, level-set pruning,
 the streaming oracles and whole-batch evaluation all run the same steps. The
-kernel is einsum-based and its per-row result does not depend on the batch
-it was computed in (BLAS gemm is not row-stable across batch sizes), so
-batched, streamed and per-point evaluations are bitwise identical.
+reference kernel is einsum-based and its per-row result does not depend on
+the batch it was computed in (BLAS gemm is not row-stable across batch
+sizes), so batched, streamed and per-point evaluations are bitwise identical.
+
+Where only signs are read, `certified_signs` walks the net on the BLAS
+kernel instead, several times faster, and proves each sign against the
+reference with a floating-point filter (Shewchuk, DCG 1997):
+`bounded_forward` carries a per-block bound E_l on how far each BLAS value
+can be from the reference one, from the dot-product error bound
+gamma_n = n*u / (1 - n*u), u = 2^-53 (Higham, Accuracy and Stability of
+Numerical Algorithms, 3.1):
+
+    E_l = c*g*(N_l*X_l + B_l) + (1 + c*g)*N_l*E_{l-1} + (k+1)*2^-1074,
+
+with E_0 = 0 (both kernels start from the same points), g = gamma_{k+1} for
+a layer of k inputs, N_l = max_i sum_j |W_ij|, X_l the largest |input| of
+the BLAS walk and B_l = max |b|. The proof needs c = 2; c = 3 absorbs the
+rounding of the bound itself; E_l is inf wherever a value may have
+overflowed. A sign with |value| > E_l is the reference's sign; every row with
+another entry (NaN included) is evaluated again on the reference kernel, so
+the signs are bitwise those of `stream_layers`. Values are never taken from
+the BLAS walk: on a deep output layer the bound nears the tolerances values
+are checked against (9e-9 against the midpoint check's 1e-8 on a (2,8,64)
+net), so residuals and midpoint checks stay on the reference kernel.
 """
 
 import json
@@ -194,14 +215,35 @@ def _affine(points, weights, bias, out=None):
     return out
 
 
-def forward(model, values, first, last, buffers=None):
+#: multiply-adds per BLAS call in `_gemm`. Larger calls start OpenBLAS's
+#: threads, whose spinning starves the other validation workers.
+GEMM_MACS = 1 << 18
+
+
+def _gemm(points, weights, bias, out=None):
+    """`_affine` by BLAS matmul: about 5x faster on a 64 x 64 layer, but a
+    row's last bits depend on its batch. Each call takes as many rows as fit in GEMM_MACS
+    multiply-adds."""
+    if out is None:
+        out = np.empty((len(points), len(weights)))
+    step = max(1, GEMM_MACS // weights.size)
+    with np.errstate(all="ignore"):  # overflow is as silent as in einsum
+        for s in range(0, len(points), step):
+            np.matmul(points[s : s + step], weights.T, out=out[s : s + step])
+        out += bias
+    return out
+
+
+def forward(model, values, first, last, buffers=None, kernel=_affine):
     """Yield `(layer, pre-activations)` for layers first..last, in order.
 
     `values` holds the points when first == 1, else layer first - 1's
     pre-activations at them. Without `buffers`, each layer's values are a
     fresh array. With the two `stream_buffers`, layers are computed into
     them in turn, ReLU in place, and a layer's values are valid only until
-    the generator resumes. The input is never written to.
+    the generator resumes; the other buffer is then free. The input is never
+    written to. `kernel` computes one affine layer: the reference `_affine`,
+    or `_gemm` for `bounded_forward`.
     """
     n = len(values)
     pre = values
@@ -210,7 +252,7 @@ def forward(model, values, first, last, buffers=None):
             pre = np.maximum(pre, 0.0, out=pre if buffers and l > first else None)
         spec = model.layers[l - 1]
         out = buffers and buffers[l % 2][: n * spec.out_dim].reshape(n, spec.out_dim)
-        pre = _affine(pre, spec.weights, spec.bias, out=out)
+        pre = kernel(pre, spec.weights, spec.bias, out=out)
         yield l, pre
 
 
@@ -253,6 +295,63 @@ def stream_layers(model, points, schedule, buffers):
             values = pre[:, wanted[l]]
             yield offset, values
             offset += values.shape[1]
+
+
+#: the proof constant of the bound is 2; 3 also covers rounding in the bound
+_BOUND_C = 3.0
+
+
+def bounded_forward(model, points, last, buffers=None):
+    """Yield `(layer, pre-activations, bound)` for layers 1..last on the BLAS
+    kernel: every entry is within `bound` of what `forward` on the reference
+    kernel gives at `points` (E_l of the module docstring; inf or NaN when
+    nothing is proven). `buffers` and validity are as in `forward`.
+    """
+    with np.errstate(over="ignore"):  # an overflowing norm gives an infinite bound
+        norms = [float(np.abs(spec.weights).sum(axis=1).max()) for spec in model.layers]
+    x_max = float(np.maximum(points.max(), -points.min())) if points.size else 0.0
+    bound = 0.0
+    for l, pre in forward(model, points, 1, last, buffers, kernel=_gemm):
+        spec, norm = model.layers[l - 1], norms[l - 1]
+        k = spec.in_dim + 1
+        g = _BOUND_C * k * 2.0**-53 / (1 - k * 2.0**-53)
+        scale = norm * x_max + float(np.abs(spec.bias).max())
+        bound = g * scale + (1 + g) * norm * bound + k * 2.0**-1074
+        if (1 + g) * scale == math.inf:  # a value may have overflowed to inf
+            bound = math.inf
+        yield l, pre, bound
+        x_max = float(np.maximum(pre.max(), 0.0)) if pre.size else 0.0
+
+
+def certified_signs(model, points, schedule, buffers, out):
+    """Write `value > 0` for each scheduled neuron at `points` into the bool
+    matrix `out` (one column per neuron of `schedule`), bitwise as from the
+    values of `stream_layers`, and return how many rows were evaluated again.
+
+    The signs come from `bounded_forward`; a row holding an entry whose sign
+    the bound does not prove goes through `stream_layers`. `buffers` are the
+    two `stream_buffers`; |value| is taken in the one the walk leaves free,
+    so proving allocates no array of block size.
+    """
+    wanted = {layer: cols for layer, cols, _ in layer_columns(schedule)}
+    unsure = np.zeros(len(points), dtype=bool)
+    offset = 0
+    for l, pre, bound in bounded_forward(model, points, max(wanted, default=0), buffers):
+        if l not in wanted:
+            continue
+        values = pre[:, wanted[l]]
+        free = buffers[(l + 1) % 2][: values.size].reshape(values.shape)
+        # a row is proven where its smallest |value| > bound; NaN never is
+        size = np.abs(values, out=free)
+        if not size.min() > bound:
+            unsure |= ~(size.min(axis=1) > bound)
+        np.greater(values, 0.0, out=out[:, offset : offset + values.shape[1]])
+        offset += values.shape[1]
+    rows = np.flatnonzero(unsure)
+    if len(rows):
+        for offset, values in stream_layers(model, points[rows], schedule, buffers):
+            out[rows, offset : offset + values.shape[1]] = values > 0.0
+    return len(rows)
 
 
 @dataclass(frozen=True)

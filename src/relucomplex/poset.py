@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import signvec
+from .skeleton import SkeletonError
 
 
 class CountBudgetError(RuntimeError):
@@ -98,9 +99,10 @@ def cells_up_to(sk, m, up_to, max_cells=None):
 
     Dims 0 and 1 are read off the skeleton; each higher one is a perturb and
     deduplicate step (canonical key order) from the one below. At up_to == D
-    the rows are the regions and must carry no zeros. Once a dimension is
-    known to hold more than `max_cells` cells, raises CountBudgetError
-    carrying the counts completed so far.
+    the rows are the regions and must carry no zeros: a region row with a
+    zero means a corrupt complex and raises SkeletonError naming the first
+    such row. Once a dimension is known to hold more than `max_cells` cells,
+    raises CountBudgetError carrying the counts completed so far.
     """
     if not 0 <= up_to <= sk.dim:
         raise ValueError(f"up_to must be in 0..{sk.dim}, got {up_to}")
@@ -114,8 +116,10 @@ def cells_up_to(sk, m, up_to, max_cells=None):
         if max_cells is not None and len(rows) > max_cells:
             raise CountBudgetError(f"{len(rows)} cells exceed budget {max_cells}", counts)
         counts.append(len(rows))
-    if up_to == sk.dim and rows.size and np.any(rows == 0):
-        raise ValueError("region signature still contains zeros")
+    if up_to == sk.dim and len(bad := np.flatnonzero((rows == 0).any(axis=1))):
+        raise SkeletonError(
+            f"region signature {signvec.sign_text(rows[bad[0]])} still contains zeros"
+        )
     return counts, rows
 
 

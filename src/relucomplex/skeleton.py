@@ -174,9 +174,13 @@ class Skeleton:
         are 0. Entries where the endpoints differ (only a dead split edge's
         do) read 0. `out`, if given, receives the rows."""
         lo, hi = self.edges[ids].T
-        rows = np.take(self.vertex_signs, lo, axis=0, out=out)
-        rows += np.take(self.vertex_signs, hi, axis=0)
-        return np.sign(rows, out=rows)
+        # fancy indexing: np.take would first copy the whole strided view
+        vs = self.vertex_signs
+        if out is None:
+            out = np.empty(lo.shape + vs.shape[1:], dtype=np.int8)
+        out[...] = vs[lo]
+        out += vs[hi]
+        return np.sign(out, out=out)
 
     def nbytes(self):
         """Bytes of the live arrays (spare capacity is not counted)."""
@@ -418,10 +422,10 @@ def check_invariants(sk):
         return np.count_nonzero(rows == 0, axis=-1)
 
     def conflict(ids):
-        lo, hi = np.take(edges, ids, axis=0).T
-        return np.take(vs, lo, axis=0) * np.take(vs, hi, axis=0) < 0
+        lo, hi = edges[ids].T
+        return vs[lo] * vs[hi] < 0
 
-    if (bad := _first_bad(ae, lambda b: ~sk.vertex_alive[np.take(edges, b, axis=0)])) is not None:
+    if (bad := _first_bad(ae, lambda b: ~sk.vertex_alive[edges[b]])) is not None:
         raise SkeletonError(f"alive edge {bad} references dead vertex")
     if (bad := _first_bad(ae, lambda b: edges[b, 0] >= edges[b, 1])) is not None:
         raise SkeletonError(f"edge {bad} endpoint ordering violated")

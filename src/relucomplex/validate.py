@@ -15,6 +15,11 @@ allocated for it, and the caller consumes the blocks in order. The model's
 affine kernel gives every row the same result in any batch, so neither the
 block size nor the worker count changes any output, only the memory and
 time used.
+
+The region oracle reads only signs, so it signs on the BLAS kernel and
+proves each sign against the reference kernel (`model.certified_signs`),
+recomputing the rows it cannot prove. residuals and midpoint_check report
+and bound values, not signs, so they stay on the reference kernel.
 """
 
 import collections
@@ -135,7 +140,8 @@ def residuals(sk, model, domain, schedule, workers=None):
     def block(start, stop, scratch):
         signs, buffers = scratch
         ids = av[start:stop]
-        signs = np.take(sk.vertex_signs, ids, axis=0, out=signs[: len(ids)])
+        signs = signs[: len(ids)]
+        signs[:] = sk.vertex_signs[ids]
         zero = np.equal(signs, 0, out=signs.view(np.bool_))
         # the zero entries in row-major order, and the group each lies in
         row, col = np.nonzero(zero)
@@ -335,7 +341,10 @@ def sampled_region_oracle(model, domain, n, seed, schedule, workers=None):
 
     Every returned signature must appear among the extracted regions, but
     thin regions may be missed, so coverage below 1 is expected. Samples are
-    drawn and signed in blocks of at most BLOCK_ROWS on `workers` threads.
+    drawn and signed in blocks of at most BLOCK_ROWS on `workers` threads,
+    by `model.certified_signs`: on the BLAS kernel, with every sign proven
+    equal to the reference kernel's or recomputed on it, so the rows are
+    those the reference kernel alone gives.
     Each worker packs its block's signs to one bit per entry and keeps its
     distinct rows; the calling thread merges them, in order, into the
     distinct rows found so far, so memory does not grow with n beyond those
@@ -352,8 +361,7 @@ def sampled_region_oracle(model, domain, n, seed, schedule, workers=None):
         pts = sample_domain(domain, stop - start, seed, start)
         pos = scratch[0][: stop - start].view(np.bool_)
         np.greater(domain.facet_values(pts), 0.0, out=pos[:, :m])
-        for offset, values in model_mod.stream_layers(model, pts, schedule, scratch[1]):
-            np.greater(values, 0.0, out=pos[:, m + offset : m + offset + values.shape[1]])
+        model_mod.certified_signs(model, pts, schedule, scratch[1], pos[:, m:])
         # + (an exact zero counts as minus, as in signvec.signs_of_values)
         # packs to 1, the first entry in the high bit: byte order is - < +
         return np.unique(np.packbits(pos, axis=1).view(key).ravel())

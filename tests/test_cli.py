@@ -10,6 +10,7 @@ import pytest
 from conftest import centered_output_net, check_nonfinite_message, extract_random, overflow_net
 from relucomplex import cli, poset, subdivide, validate as validate_mod
 from relucomplex.model import diamond_model, save_model
+from relucomplex.skeleton import Skeleton, init_hypercube
 
 
 def run_cli(*args):
@@ -50,6 +51,17 @@ def test_extract_deterministic(tmp_path):
         assert (tmp_path / "a" / artifact).read_bytes() == (
             tmp_path / "b" / artifact
         ).read_bytes()
+
+
+def test_count_on_a_corrupt_complex_exits_4(tmp_path, capsys, monkeypatch):
+    # region rows with zeros mean a corrupt complex (exit 4), not bad input (2)
+    _, cube = init_hypercube(3, 0.0, 1.0)
+    corrupt = Skeleton(2, cube.m, cube.positions, cube.vertex_signs, cube.edges)
+    monkeypatch.setattr(subdivide, "extract_complex", lambda *args, **kwargs: (corrupt, []))
+    assert run_cli("count", "--random", "2,1,2,1", "--out", tmp_path / "c") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: region signature 0+++++ still contains zeros")
+    assert not (tmp_path / "c" / "counts.json").exists()
 
 
 def test_extract_model_and_random_exclusive(tmp_path):

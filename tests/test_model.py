@@ -11,6 +11,8 @@ from relucomplex.model import (
     NeuronSchedule,
     batch_preactivation,
     batch_preactivations,
+    bounded_forward,
+    certified_signs,
     classify_neurons_on_boundary,
     diamond_model,
     forward,
@@ -212,6 +214,82 @@ def test_forward_from_any_layer_matches_batch_bitwise():
                     layers.append(layer)
                 assert layers == list(range(first, net.depth + 1))
                 assert np.array_equal(values, before)  # the input is never written
+
+
+def scaled(net, factor):
+    """`net` with every weight and bias multiplied by `factor`."""
+    layers = (LayerSpec(l.weights * factor, l.bias * factor) for l in net.layers)
+    return MlpSpec(tuple(layers), net.in_dim)
+
+
+def reference_signs(net, pts, schedule):
+    """`value > 0` per scheduled neuron, from the reference kernel."""
+    pres = batch_preactivations(net, pts)
+    cols = [pres[nr.layer - 1][:, nr.index] for nr in schedule]
+    return np.stack(cols, axis=1) > 0 if cols else np.zeros((len(pts), 0), dtype=bool)
+
+
+def signs_and_redone(net, pts, schedule):
+    """`certified_signs` in fresh buffers: (signs, rows evaluated again)."""
+    out = np.empty((len(pts), len(schedule)), dtype=bool)
+    buffers = stream_buffers(net, schedule, len(pts))
+    return out, certified_signs(net, pts, schedule, buffers, out)
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_bounded_forward_bounds_the_distance_to_the_reference(depth):
+    # entry by entry, over widths and weight scales; 700 rows take several
+    # BLAS calls per layer at width 37 and 128
+    pts = sample_domain(init_hypercube(3, -1, 1)[0], 700, 3)
+    for width in (4, 37, 128):
+        for scale in (1e-3, 1.0, 1e3):
+            net = scaled(random_model(3, depth, width, 2, seed=depth), scale)
+            pres = batch_preactivations(net, pts)
+            schedule = NeuronSchedule.for_model(net, include_output=True)
+            for buffers in (None, stream_buffers(net, schedule, len(pts))):
+                layers = []
+                for layer, pre, bound in bounded_forward(net, pts, net.depth, buffers):
+                    assert 0 < bound < np.inf
+                    err = np.abs(pre - pres[layer - 1])
+                    assert np.all(err <= bound), (width, scale, layer)
+                    layers.append(layer)
+                assert layers == list(range(1, net.depth + 1))
+
+
+def test_certified_signs_match_the_reference_on_quantized_nets():
+    # weights, biases and points on dyadic lattices: many values are exact
+    # zeros, which no bound proves, so their rows take the reference path
+    rng = np.random.default_rng(5)
+    grid = np.linspace(-1.0, 1.0, 17)
+    pts = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+    for depth in (1, 2, 3):
+        dims = [2] + [6] * depth + [1]
+        net = MlpSpec(
+            tuple(
+                LayerSpec(rng.integers(-3, 4, (o, i)) / 4, rng.integers(-3, 4, o) / 4)
+                for i, o in zip(dims, dims[1:])
+            ),
+            2,
+        )
+        full = NeuronSchedule.for_model(net, include_output=True)
+        gaps = NeuronSchedule((NeuronRef(1, 0), NeuronRef(1, 4), NeuronRef(depth + 1, 0)), True)
+        for schedule in (full, gaps, NeuronSchedule((), False)):
+            out, redone = signs_and_redone(net, pts, schedule)
+            assert np.array_equal(out, reference_signs(net, pts, schedule))
+            if schedule is full:
+                assert 0 < redone < len(pts), depth
+
+
+def test_certified_signs_fall_back_on_overflow():
+    # 1e300 weights: the second layer overflows to inf and NaN in both
+    # kernels, its bound is inf, and every row takes the reference path
+    net = scaled(random_model(2, 3, 8, 1, seed=1), 1e300)
+    pts = sample_domain(init_hypercube(2, -1, 1)[0], 300, 2)
+    schedule = NeuronSchedule.for_model(net, include_output=True)
+    assert not np.all(np.isfinite(batch_preactivations(net, pts)[1]))
+    out, redone = signs_and_redone(net, pts, schedule)
+    assert redone == len(pts)
+    assert np.array_equal(out, reference_signs(net, pts, schedule))
 
 
 def test_classify_neurons():

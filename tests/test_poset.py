@@ -14,7 +14,7 @@ from relucomplex.poset import (
     region_signatures,
 )
 from relucomplex.signvec import sign_text
-from relucomplex.skeleton import init_hypercube
+from relucomplex.skeleton import Skeleton, SkeletonError, init_hypercube
 from relucomplex.subdivide import extract_complex
 from relucomplex.validate import sampled_region_oracle
 
@@ -177,3 +177,12 @@ def test_cells_up_to_rows():
     assert counts == [6] and np.array_equal(rows, sk.vertex_signs[sk.alive_vertex_ids()])
     counts, rows = cells_up_to(sk, sk.m, 1)
     assert counts == [6, 7] and np.array_equal(rows, sk.edge_signs[sk.alive_edge_ids()])
+
+
+def test_region_rows_with_zeros_name_the_first_row():
+    # a 3-cube's skeleton claimed as 2-D: its "regions" are the cube's faces
+    _, cube = init_hypercube(3, 0.0, 1.0)
+    sk = Skeleton(2, cube.m, cube.positions, cube.vertex_signs, cube.edges)
+    with pytest.raises(SkeletonError, match=r"^region signature 0\+{5} still contains zeros$"):
+        cells_up_to(sk, sk.m, 2)
+    assert count_cells(sk, sk.m, 1) == [8, 12]

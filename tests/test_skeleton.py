@@ -215,6 +215,18 @@ def test_edge_signs_of_merges_endpoint_rows():
     assert sk.edge_signs_of(slice(1, 2), out=out) is out and out.tolist() == [[-1, 0, -1]]
 
 
+def test_edge_signs_of_fills_out_on_a_reserved_width():
+    # with spare columns the live sign matrix is a strided view
+    _, sk = init_hypercube(2, 0.0, 1.0)
+    expect = sk.edge_signs
+    sk.reserve_sign_width(sk.sign_width + 40)
+    assert not sk.vertex_signs.flags.c_contiguous
+    ids = np.array([3, 0, 2])
+    buf = np.full((len(ids), sk.sign_width), 7, dtype=np.int8)
+    assert sk.edge_signs_of(ids, out=buf) is buf
+    assert np.array_equal(buf, expect[ids])
+
+
 def sign_matrices(width=6, min_rows=1, max_rows=8):
     return st.lists(
         st.lists(st.sampled_from([-1, 0, 1]), min_size=width, max_size=width),

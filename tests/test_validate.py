@@ -11,7 +11,9 @@ from relucomplex.model import (
     NeuronRef,
     NeuronSchedule,
     batch_preactivations,
+    certified_signs,
     random_model,
+    stream_buffers,
 )
 from relucomplex.poset import region_signatures
 from relucomplex.signvec import group_rows
@@ -186,6 +188,34 @@ def test_sampled_region_oracle_blocks_match_one_shot(monkeypatch, kind):
         assert len(want) > 1 or name == "empty", name
     empty = sampled_region_oracle(net, domain, 0, 4, NeuronSchedule.for_model(net))
     assert empty.shape == (0, domain.m + 12) and empty.dtype == np.int8
+
+
+def faint_neuron_net(factor):
+    """random_model(2, 3, 8, 1, 1) with neuron 2:3 scaled by `factor`."""
+    layers = list(random_model(2, 3, 8, 1, seed=1).layers)
+    w, b = layers[1].weights.copy(), layers[1].bias.copy()
+    w[3] *= factor
+    b[3] *= factor
+    layers[1] = LayerSpec(w, b)
+    return MlpSpec(tuple(layers), 2)
+
+
+@pytest.mark.parametrize("block_rows", [7, 100, validate_mod.BLOCK_ROWS])
+def test_certified_oracle_does_not_depend_on_blocks_or_workers(monkeypatch, block_rows):
+    # a neuron whose values are of the order of the BLAS walk's error bound:
+    # some rows are proven and some are signed again on the reference kernel
+    monkeypatch.setattr(validate_mod, "BLOCK_ROWS", block_rows)
+    domain, _ = init_hypercube(2, -1.0, 1.0)
+    net = faint_neuron_net(1e-13)
+    schedule = NeuronSchedule.for_model(net, include_output=True)
+    pts = sample_domain(domain, 1000, 4)
+    out = np.empty((len(pts), len(schedule)), dtype=bool)
+    redone = certified_signs(net, pts, schedule, stream_buffers(net, schedule, len(pts)), out)
+    assert 0 < redone < len(pts)
+    want = one_shot_regions(net, domain, 1000, 4, schedule)
+    for workers in (1, 2, 3, 4):
+        got = sampled_region_oracle(net, domain, 1000, 4, schedule, workers)
+        assert np.array_equal(got, want), workers
 
 
 @pytest.mark.parametrize("workers", [1, 2])
