@@ -77,7 +77,6 @@ def _build_parser():
             g.add_argument("--include-output", action="store_true",
                            help="append output-layer neurons as folded hyperplanes")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--stats", action="store_true", help="write per-iteration stats.jsonl")
         p.add_argument("--config", help="JSON file providing defaults for any flag")
         return g
 
@@ -93,6 +92,7 @@ def _build_parser():
     p = add_parser("extract", help="extract the complex; write CSV exports and summary")
     add_level_set_prune(add_common(p))
     add_threads(p)
+    p.add_argument("--stats", action="store_true", help="write per-iteration stats.jsonl")
 
     p = add_parser("count", help="count cells per dimension")
     add_common(p)

@@ -129,12 +129,14 @@ def _face_vertices(edge_rows, ends, positions, m, hide=None, vertex_ids=None):
         edge_rows = edge_rows.copy()
         edge_rows[:, hide] = 1
     cand, src = signvec.perturb_rows(edge_rows, m)
-    keys, inverse, n_edges = signvec.group_rows(cand)
+    keys, order, n_edges = signvec.group_rows(cand)
     if hide is not None:
         keys[:, hide] = 0
     nv = len(positions)
-    # distinct codes by a sort and a mask: np.unique on int64 is far slower
-    pairs = np.sort(np.repeat(inverse, 2) * nv + ends[src].ravel())
+    # the candidates in group order, each labelled by its face; distinct
+    # codes by a sort and a mask: np.unique on int64 is far slower
+    face_of = np.repeat(np.arange(len(keys)), n_edges)
+    pairs = np.sort(np.repeat(face_of, 2) * nv + ends[src[order]].ravel())
     keep = np.ones(len(pairs), dtype=bool)
     keep[1:] = pairs[1:] != pairs[:-1]
     pairs = pairs[keep]

@@ -44,20 +44,18 @@ def cellsets_from_skeleton(sk):
     """(vertex CellSet, edge CellSet) for the alive part of a skeleton."""
     av = sk.alive_vertex_ids()
     vrows = sk.vertex_signs[av]
-    vuniq, vinv, vcounts = signvec.group_rows(vrows)
+    vuniq, vorder, _ = signvec.group_rows(vrows)
     if len(vuniq) != len(vrows):
         raise ValueError("alive vertices carry duplicate sign-vectors")
-    vorder = np.argsort(vinv, kind="stable")
     verts = CellSet(0, vuniq, None, av[vorder])
     vpos = np.empty(sk.n_vertices, dtype=np.int64)
     vpos[av[vorder]] = np.arange(len(av))
 
     ae = sk.alive_edge_ids()
     erows = sk.edge_signs_of(ae)
-    euniq, einv, ecounts = signvec.group_rows(erows)
+    euniq, eorder, _ = signvec.group_rows(erows)
     if len(euniq) != len(erows):
         raise ValueError("alive edges carry duplicate sign-vectors")
-    eorder = np.argsort(einv, kind="stable")
     eids = ae[eorder]
     children = [np.sort(vpos[sk.edges[e]]) for e in eids]
     edges = CellSet(1, euniq, children, eids)
@@ -67,8 +65,7 @@ def cellsets_from_skeleton(sk):
 def build_parent_cells(cells, m):
     """All (k+1)-cells generated by perturbing a k-cell set."""
     cand, src = signvec.perturb_rows(cells.signs, m)
-    uniq, inverse, counts = signvec.group_rows(cand)
-    order = np.argsort(inverse, kind="stable")
+    uniq, order, counts = signvec.group_rows(cand)
     bounds = np.concatenate([[0], np.cumsum(counts)])
     srcs = src[order]
     children = [np.sort(srcs[bounds[g] : bounds[g + 1]]) for g in range(len(uniq))]
@@ -82,16 +79,18 @@ COUNT_CHUNK_ROWS = 1 << 18
 def _parents_counting(rows, m, max_cells=None):
     """Deduplicated parent rows without child links, chunked for memory. Once
     one chunk's distinct parents (some of the dimension's cells) are more
-    than `max_cells`, returns those at once, skipping the rest."""
+    than `max_cells`, returns those at once, skipping the rest. A lone
+    chunk's groups are the result; several chunks are merged."""
     pieces = []
     for start in range(0, len(rows), COUNT_CHUNK_ROWS):
         cand, _ = signvec.perturb_rows(rows[start : start + COUNT_CHUNK_ROWS], m)
-        uniq, _, _ = signvec.group_rows(cand)
+        uniq = signvec.group_rows(cand)[0]
         if max_cells is not None and len(uniq) > max_cells:
             return uniq
         pieces.append(uniq)
-    merged, _, _ = signvec.group_rows(np.concatenate(pieces, axis=0))
-    return merged
+    if len(pieces) == 1:
+        return pieces[0]
+    return signvec.group_rows(np.concatenate(pieces, axis=0))[0]
 
 
 def cells_up_to(sk, m, up_to, max_cells=None):

@@ -9,10 +9,12 @@ carries exactly ``D - k`` zeros.
 Sign-vectors are int8 arrays with values in {-1, 0, +1}, one row per cell,
 and every operation here works on a whole batch of rows at once:
 evaluation (`signs_of_values`), perturbation to parent cells
-(`perturb_rows`), deduplication in canonical order (`group_rows`) and text
+(`perturb_rows`), grouping in canonical order (`group_rows`) and text
 (`sign_texts`).
-The int8 row is the one key: `group_rows` groups on its bytes, and a set of
-rows compares as the set of their ``row.tobytes()``.
+The int8 row is the one key: `group_rows` groups on its bytes and returns
+the rows' sort order, not an inverse map, so callers read the groups off
+``rows[order]`` without sorting again; a set of rows compares as the set of
+their ``row.tobytes()``.
 """
 
 import numpy as np
@@ -68,36 +70,37 @@ def perturb_rows(rows, m):
     Returns ``(candidates, source)`` where each candidate row is one parent
     sign-vector and ``source[i]`` is the input row it came from. Candidate
     order is: all ``+`` flips (row-major over input zeros), then all ``-``
-    flips; grouping downstream is order-insensitive.
+    flips; grouping downstream is order-insensitive. The candidates are one
+    gather of their source rows with the flipped entries written into it.
     """
     rows = np.asarray(rows, dtype=np.int8)
     src_r, cols = np.nonzero(rows == 0)
-    plus = rows[src_r].copy()
-    plus[np.arange(len(src_r)), cols] = 1
     interior = cols >= m
-    minus = rows[src_r[interior]].copy()
-    minus[np.arange(len(minus)), cols[interior]] = -1
-    cand = np.concatenate([plus, minus], axis=0)
     source = np.concatenate([src_r, src_r[interior]])
+    flips = np.ones(len(source), dtype=np.int8)
+    flips[len(src_r) :] = -1
+    cand = rows[source]
+    cand[np.arange(len(source)), np.concatenate([cols, cols[interior]])] = flips
     return cand, source
 
 
 def group_rows(rows):
-    """Deduplicate rows in canonical key order.
+    """Group equal rows in canonical key order.
 
-    Returns ``(unique_rows, inverse, counts)`` with ``inverse`` mapping each
-    input row to its group. ``unique_rows`` are in the canonical order:
+    Returns ``(unique_rows, order, counts)``: ``rows[order]`` lists the rows
+    group by group, so that it equals ``np.repeat(unique_rows, counts,
+    axis=0)``, and within a group in input order (`order` is a stable
+    argsort of the keys). ``unique_rows`` are in the canonical order:
     lexicographic over entries, with ``- < 0 < +``. The key is each row's
     bytes shifted by one (``rows + 1``, codes 0, 1, 2), so byte order is
     that order.
     """
     rows = np.ascontiguousarray(rows, dtype=np.int8)
     n, w = rows.shape
-    if n == 0:
-        return rows, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    coded = np.ascontiguousarray((rows + 1).view(np.uint8))
-    keys = coded.view(np.dtype((np.void, w))).ravel()
-    _, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    return rows[first], inverse.ravel(), counts
+    keys = (rows + 1).view(np.uint8).view(np.dtype((np.void, w))).ravel()
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(first)
+    return rows[order[starts]], order, np.diff(np.append(starts, n))

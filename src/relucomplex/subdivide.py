@@ -195,10 +195,15 @@ def subdivide_layer(sk, model, neurons, cache=None, *, validate_each=False):
             seconds,
             mem,
         )
-        if st.vertices_after != st.vertices_before + n_split:
-            raise skeleton_mod.SkeletonError("vertex count identity violated")
-        if st.edges_after != st.edges_before + n_split + n_inter:
-            raise skeleton_mod.SkeletonError("edge count identity violated")
+        for kind, before, after, want in (
+            ("vertex", nv_before, nv_alive, nv_before + n_split),
+            ("edge", ne_before, ne_alive, ne_before + n_split + n_inter),
+        ):
+            if after != want:
+                raise skeleton_mod.SkeletonError(
+                    f"{kind} count identity violated at neuron {layer}:{neuron.index}: "
+                    f"alive {before} -> {after}, n_split {n_split}, n_inter {n_inter}"
+                )
         stats.append(st)
         if validate_each:
             skeleton_mod.check_invariants(sk)
@@ -241,7 +246,7 @@ def _split_edges(sk, cache, neurons, cols, p, split_eids, n_deg):
     )
     sk.edge_alive[split_eids] = False
     # (5) intersecting edges across splitting 2-faces
-    pairs, _ = pair_splitting_faces(pre_rows, new_vids, sk.m)
+    pairs = pair_splitting_faces(pre_rows, new_vids, sk.m)
     halves = np.column_stack([np.concatenate([v_pos, v_neg]), np.tile(new_vids, 2)])
     new_edges = np.concatenate([halves, pairs])
     sk.append_edges(new_edges)
@@ -322,35 +327,25 @@ def pair_splitting_faces(pre_rows, new_vids, m):
     neuron's entry was appended, and `new_vids` the ids of the vertices
     placed on them. Each edge's parenting 2-faces are generated by
     perturbing its row; every generated face must occur exactly twice, and
-    each pair yields one intersecting edge connecting the two new vertices,
-    with the face's sign-vector plus an appended zero. Returns
-    ``(pairs, sign_rows)`` in ascending face order: ``pairs`` holds
-    ``(lo, hi)`` vertex ids. Raises PairingError on any other multiplicity.
+    each pair yields one intersecting edge connecting the two new vertices
+    (its sign-vector is the face's plus an appended zero). The faces are
+    grouped by `signvec.group_rows`, whose sort order lists each face's two
+    generating edges side by side. Returns the ``(lo, hi)`` vertex id pairs
+    in ascending face order; none at D = 1, where no edge row has a zero to
+    perturb. Raises PairingError on any other multiplicity.
     """
-    w = pre_rows.shape[1]
     cand, src = signvec.perturb_rows(pre_rows, m)
-    if len(cand) == 0:
-        # no zeros to perturb: D = 1, where no 2-faces exist
-        return np.zeros((0, 2), dtype=np.int64), np.zeros((0, w + 1), dtype=np.int8)
-    uniq, inverse, counts = signvec.group_rows(cand)
+    uniq, order, counts = signvec.group_rows(cand)
     if np.any(counts != 2):
         bad = int(np.flatnonzero(counts != 2)[0])
         raise PairingError(
             f"2-face {signvec.sign_text(uniq[bad])} occurred {int(counts[bad])} times, expected 2"
         )
-    grouped = np.argsort(inverse, kind="stable").reshape(-1, 2)
-    src_a = src[grouped[:, 0]]
-    src_b = src[grouped[:, 1]]
-    if np.any(src_a == src_b):
-        bad = int(np.flatnonzero(src_a == src_b)[0])
-        raise PairingError(
-            f"2-face {signvec.sign_text(uniq[bad])} generated twice by one edge"
-        )
-    va = new_vids[src_a]
-    vb = new_vids[src_b]
-    pairs = np.column_stack([np.minimum(va, vb), np.maximum(va, vb)])
-    signs = np.concatenate([uniq, np.zeros((len(uniq), 1), dtype=np.int8)], axis=1)
-    return pairs, signs
+    srcs = src[order].reshape(-1, 2)
+    if np.any(same := srcs[:, 0] == srcs[:, 1]):
+        bad = int(np.argmax(same))
+        raise PairingError(f"2-face {signvec.sign_text(uniq[bad])} generated twice by one edge")
+    return np.sort(new_vids[srcs], axis=1)
 
 
 def prune_future(sk, model, remaining, cache=None):

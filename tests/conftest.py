@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 
+from relucomplex import subdivide as subdivide_mod
 from relucomplex.model import (
     LayerSpec,
     MlpSpec,
@@ -67,3 +68,14 @@ def check_nonfinite_message(text, net):
         NeuronRef(int(layer), int(index))
     )
     assert not np.isfinite(value)
+
+
+def one_intersecting_edge_too_many(monkeypatch):
+    """Make `_split_edges` report one more intersecting edge than it adds."""
+    real = subdivide_mod._split_edges
+
+    def inflated(*args):
+        n_inter, at = real(*args)
+        return n_inter + 1, at
+
+    monkeypatch.setattr(subdivide_mod, "_split_edges", inflated)

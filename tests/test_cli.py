@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import centered_output_net, check_nonfinite_message, extract_random, overflow_net
+from conftest import (
+    centered_output_net,
+    check_nonfinite_message,
+    extract_random,
+    one_intersecting_edge_too_many,
+    overflow_net,
+)
 from relucomplex import cli, poset, subdivide, validate as validate_mod
 from relucomplex.model import diamond_model, save_model
 from relucomplex.skeleton import Skeleton, init_hypercube
@@ -51,6 +58,17 @@ def test_extract_deterministic(tmp_path):
         assert (tmp_path / "a" / artifact).read_bytes() == (
             tmp_path / "b" / artifact
         ).read_bytes()
+
+
+def test_count_identity_violation_exits_4(tmp_path, capsys, monkeypatch):
+    one_intersecting_edge_too_many(monkeypatch)
+    assert run_cli("extract", "--random", "2,2,4,1", "--out", tmp_path / "o") == 4
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"invariant violation: edge count identity violated at neuron 1:\d+: "
+        r"alive \d+ -> \d+, n_split [1-9]\d*, n_inter \d+\n",
+        err,
+    ), err
 
 
 def test_count_on_a_corrupt_complex_exits_4(tmp_path, capsys, monkeypatch):
@@ -271,15 +289,21 @@ def test_output_index_only_for_level_set_commands(tmp_path, capsys, command):
         ("boundary", ["--threads", "1"]),
         ("prune-model", ["--threads", "1"]),
         ("bench", ["--threads", "1"]),
+        ("count", ["--stats"]),
+        ("boundary", ["--stats"]),
+        ("prune-model", ["--stats"]),
+        ("validate", ["--stats"]),
     ],
     ids=[
         "count_prune", "validate_prune", "count_threads", "boundary_threads",
-        "prune_model_threads", "bench_threads",
+        "prune_model_threads", "bench_threads", "count_stats", "boundary_stats",
+        "prune_model_stats", "validate_stats",
     ],
 )
 def test_flag_only_for_commands_that_use_it(tmp_path, capsys, command, flag):
     # --level-set-prune would corrupt the complex that count and validate
-    # read whole; --threads caps the validation workers of extract and validate
+    # read whole; --threads caps the validation workers of extract and validate;
+    # --stats writes the extraction's per-iteration records, which only extract keeps
     model = [] if command == "bench" else ["--random", "2,2,4,1", "--include-output"]
     with pytest.raises(SystemExit) as exc:
         run_cli(command, *model, "--out", tmp_path / "o", *flag)

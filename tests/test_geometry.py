@@ -289,8 +289,7 @@ def reference_faces(mesh, sk, m, model, schedule, planar_tol=1e-9):
     edge_rows[:, mesh.out_entry] = 1
     cand, src = signvec.perturb_rows(edge_rows, m)
     cand[:, mesh.out_entry] = 0
-    uniq, inverse, counts = signvec.group_rows(cand)
-    order = np.argsort(inverse, kind="stable")
+    uniq, order, counts = signvec.group_rows(cand)
     bounds = np.concatenate([[0], np.cumsum(counts)])
     out_index = schedule[mesh.out_entry - m].index
     faces = []

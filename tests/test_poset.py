@@ -163,6 +163,21 @@ def test_count_budget_stops_at_the_first_chunk_over_it(monkeypatch):
     assert counts[2] > 10 and len(grouped) > 2
 
 
+def test_chunked_counting_matches_one_chunk(monkeypatch):
+    # a lone chunk's groups are the result as they stand; many small chunks
+    # are merged into the same cells in the same order
+    net = random_model(3, 2, 8, 1, seed=0)
+    domain, sk = init_hypercube(3, -1.0, 1.0)
+    sk, _ = extract_complex(net, domain, sk, NeuronSchedule.for_model(net))
+    assert sk.n_edges_alive < poset.COUNT_CHUNK_ROWS
+    whole = [cells_up_to(sk, sk.m, k) for k in range(4)]
+    monkeypatch.setattr(poset, "COUNT_CHUNK_ROWS", 7)
+    for k, (counts, rows) in enumerate(whole):
+        chunked_counts, chunked_rows = cells_up_to(sk, sk.m, k)
+        assert chunked_counts == counts == count_cells(sk, sk.m, k)
+        assert np.array_equal(chunked_rows, rows)
+
+
 def test_up_to_bounds():
     _, sk = init_hypercube(2, 0.0, 1.0)
     for up_to in (-1, 3):

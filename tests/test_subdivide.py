@@ -8,6 +8,7 @@ from conftest import (
     centered_output_net,
     check_nonfinite_message,
     extract_random,
+    one_intersecting_edge_too_many,
     overflow_net,
     sign_tuples,
 )
@@ -58,6 +59,16 @@ def test_square_hand_enumeration():
     inter = sk.edges[-1]
     assert sign_text(sk.edge_signs[-1]) == "++++0"
     assert sorted(inter.tolist()) == [4, 5]
+
+
+def test_count_identity_error_names_the_neuron(monkeypatch):
+    one_intersecting_edge_too_many(monkeypatch)
+    _, sk = init_hypercube(2, 0.0, 1.0)
+    with pytest.raises(SkeletonError) as err:
+        subdivide_once(sk, line_net((1.0, 1.0), -0.5), NeuronRef(1, 0))
+    assert str(err.value) == (
+        "edge count identity violated at neuron 1:0: alive 4 -> 7, n_split 2, n_inter 2"
+    )
 
 
 def test_hyperplane_missing_domain():
@@ -114,9 +125,8 @@ def split_square():
 
 def test_pair_splitting_faces_square():
     pre_rows, new_vids = split_square()
-    pairs, rows = pair_splitting_faces(pre_rows, new_vids, m=4)
+    pairs = pair_splitting_faces(pre_rows, new_vids, m=4)
     assert pairs.tolist() == [[4, 5]]
-    assert [sign_text(r) for r in rows] == ["++++0"]
 
 
 def test_pair_splitting_faces_d1():
@@ -124,8 +134,8 @@ def test_pair_splitting_faces_d1():
     _, sk = init_hypercube(1, -1.0, 1.0)
     subdivide_once(sk, net, NeuronRef(1, 0))
     dead = np.flatnonzero(~sk.edge_alive)
-    pairs, rows = pair_splitting_faces(sk.edge_signs[dead, :-1], np.array([2]), m=2)
-    assert pairs.shape == (0, 2) and rows.shape == (0, 3)
+    pairs = pair_splitting_faces(sk.edge_signs[dead, :-1], np.array([2]), m=2)
+    assert pairs.shape == (0, 2)
 
 
 def test_pair_splitting_faces_unpaired_face():
@@ -345,11 +355,15 @@ def reference_subdivide_once(sk, model, neuron, cache, erows=None):
         sk.append_edges(np.column_stack([v_pos, new_vids]))
         sk.append_edges(np.column_stack([v_neg, new_vids]))
 
-        pairs, esigns = pair_splitting_faces(pre_rows, new_vids, m)
+        pairs = pair_splitting_faces(pre_rows, new_vids, m)
         n_inter = len(pairs)
         if n_inter:
             sk.append_edges(pairs)
         if erows is not None:
+            # an intersecting edge's row is its 2-face's (ascending face
+            # order, as the pairs) plus a zero for the neuron
+            faces = signvec.group_rows(signvec.perturb_rows(pre_rows, m)[0])[0]
+            esigns = np.concatenate([faces, np.zeros((len(faces), 1), dtype=np.int8)], axis=1)
             erows = np.concatenate([erows, plus, minus, esigns])
 
     # the estimate counts one int8 sign row per edge row
