@@ -128,8 +128,7 @@ def _face_vertices(edge_rows, ends, positions, m, hide=None, vertex_ids=None):
     if hide is not None:
         edge_rows = edge_rows.copy()
         edge_rows[:, hide] = 1
-    cand, src = signvec.perturb_rows(edge_rows, m)
-    keys, order, n_edges = signvec.group_rows(cand)
+    keys, order, n_edges, src = signvec.group_parents(edge_rows, m)
     if hide is not None:
         keys[:, hide] = 0
     nv = len(positions)
@@ -326,7 +325,7 @@ def _fmt(v):
 
 
 #: rows formatted per batch in export_csv; bounds its text buffers
-CSV_BATCH_ROWS = 1 << 15
+CSV_BATCH_ROWS = 1 << 12
 
 
 def export_csv(sk, outdir):

@@ -64,8 +64,7 @@ def cellsets_from_skeleton(sk):
 
 def build_parent_cells(cells, m):
     """All (k+1)-cells generated by perturbing a k-cell set."""
-    cand, src = signvec.perturb_rows(cells.signs, m)
-    uniq, order, counts = signvec.group_rows(cand)
+    uniq, order, counts, src = signvec.group_parents(cells.signs, m)
     bounds = np.concatenate([[0], np.cumsum(counts)])
     srcs = src[order]
     children = [np.sort(srcs[bounds[g] : bounds[g + 1]]) for g in range(len(uniq))]
@@ -83,8 +82,7 @@ def _parents_counting(rows, m, max_cells=None):
     chunk's groups are the result; several chunks are merged."""
     pieces = []
     for start in range(0, len(rows), COUNT_CHUNK_ROWS):
-        cand, _ = signvec.perturb_rows(rows[start : start + COUNT_CHUNK_ROWS], m)
-        uniq = signvec.group_rows(cand)[0]
+        uniq = signvec.group_parents(rows[start : start + COUNT_CHUNK_ROWS], m)[0]
         if max_cells is not None and len(uniq) > max_cells:
             return uniq
         pieces.append(uniq)

@@ -9,12 +9,14 @@ carries exactly ``D - k`` zeros.
 Sign-vectors are int8 arrays with values in {-1, 0, +1}, one row per cell,
 and every operation here works on a whole batch of rows at once:
 evaluation (`signs_of_values`), perturbation to parent cells
-(`perturb_rows`), grouping in canonical order (`group_rows`) and text
-(`sign_texts`).
+(`perturb_rows`), grouping in canonical order (`group_rows`), both in one
+buffer (`group_parents`), and text (`sign_texts`).
 The int8 row is the one key: `group_rows` groups on its bytes and returns
 the rows' sort order, not an inverse map, so callers read the groups off
 ``rows[order]`` without sorting again; a set of rows compares as the set of
-their ``row.tobytes()``.
+their ``row.tobytes()``. Every perturb-then-group step goes through
+`group_parents`, which shifts the freshly built candidates into key bytes
+in place, so each candidate row is held once.
 """
 
 import numpy as np
@@ -70,18 +72,46 @@ def perturb_rows(rows, m):
     Returns ``(candidates, source)`` where each candidate row is one parent
     sign-vector and ``source[i]`` is the input row it came from. Candidate
     order is: all ``+`` flips (row-major over input zeros), then all ``-``
-    flips; grouping downstream is order-insensitive. The candidates are one
-    gather of their source rows with the flipped entries written into it.
+    flips; grouping downstream is order-insensitive. The zeros are found by
+    one scan of the flat buffer; the candidates are one gather of their
+    source rows, a C-contiguous buffer the caller owns, with the flipped
+    entries written into it.
     """
     rows = np.asarray(rows, dtype=np.int8)
-    src_r, cols = np.nonzero(rows == 0)
+    src_r, cols = np.divmod(np.flatnonzero(rows == 0), rows.shape[1])
+    n_plus = len(src_r)
     interior = cols >= m
     source = np.concatenate([src_r, src_r[interior]])
-    flips = np.ones(len(source), dtype=np.int8)
-    flips[len(src_r) :] = -1
     cand = rows[source]
-    cand[np.arange(len(source)), np.concatenate([cols, cols[interior]])] = flips
+    cand[np.arange(n_plus), cols] = 1
+    cand[np.arange(n_plus, len(source)), cols[interior]] = -1
     return cand, source
+
+
+#: sorted rows compared per block when finding group starts; bounds the
+#: gathered copy that the comparison reads
+GROUP_BLOCK_ROWS = 1 << 8
+
+
+def _group_codes(codes):
+    """`group_rows` on a C-contiguous uint8 matrix of codes (sign + 1).
+
+    One stable argsort of the rows as void keys gives the order; group
+    starts are found by comparing the bytes of neighbours along that order,
+    `GROUP_BLOCK_ROWS` rows at a time, so no sorted copy of all rows is
+    made. Only the unique rows are copied out, and turned back into signs
+    in place.
+    """
+    n, w = codes.shape
+    order = np.argsort(codes.view(np.dtype((np.void, w))).ravel(), kind="stable")
+    first = np.ones(n, dtype=bool)
+    for start in range(1, n, GROUP_BLOCK_ROWS):
+        block = codes[order[start - 1 : start + GROUP_BLOCK_ROWS]]
+        first[start : start + GROUP_BLOCK_ROWS] = (block[1:] != block[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    uniq = codes[order[starts]]
+    uniq -= 1
+    return uniq.view(np.int8), order, np.diff(np.append(starts, n))
 
 
 def group_rows(rows):
@@ -93,14 +123,23 @@ def group_rows(rows):
     argsort of the keys). ``unique_rows`` are in the canonical order:
     lexicographic over entries, with ``- < 0 < +``. The key is each row's
     bytes shifted by one (``rows + 1``, codes 0, 1, 2), so byte order is
-    that order.
+    that order; the codes are the one copy of the rows made.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.int8)
-    n, w = rows.shape
-    keys = (rows + 1).view(np.uint8).view(np.dtype((np.void, w))).ravel()
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    starts = np.flatnonzero(first)
-    return rows[order[starts]], order, np.diff(np.append(starts, n))
+    codes = np.array(rows, dtype=np.int8, order="C")
+    codes += 1
+    return _group_codes(codes.view(np.uint8))
+
+
+def group_parents(rows, m):
+    """`group_rows` of the parents `perturb_rows(rows, m)` generates.
+
+    Returns ``(unique_rows, order, counts, source)``, bitwise the same as
+    ``group_rows(perturb_rows(rows, m)[0])`` followed by `perturb_rows`'
+    ``source``: ``source[order]`` lists each parent's generating rows
+    side by side. The candidates are built once and shifted into codes in
+    place, so the rows are held once rather than three times.
+    """
+    cand, source = perturb_rows(rows, m)
+    codes = cand.view(np.uint8)
+    codes += 1
+    return (*_group_codes(codes), source)

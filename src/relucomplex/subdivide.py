@@ -24,7 +24,7 @@ the edges it creates record their split neuron from their endpoints.
 
 import itertools
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,7 +59,8 @@ class IterationStats:
     mem_bytes: int
 
     def to_json(self):
-        return asdict(self)
+        # a flat dict: asdict would deep-copy every (scalar) field
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -239,14 +240,27 @@ def _split_edges(sk, cache, neurons, cols, p, split_eids, n_deg):
     edges, in id order: the halves that replace the split edges, toward
     their positive ends, then toward their negative ends, then the
     intersecting edges. Returns the number of intersecting edges and the
-    new edges' split positions, from their endpoints' staged columns.
+    new edges' split positions, from their endpoints' staged columns. A
+    PairingError is raised again naming the neuron (``layer:index``), the
+    split edges' ids and their endpoints' positions in `float.hex`, so that
+    the failing split can be replayed exactly.
     """
     v_pos, v_neg, new_vids, pre_rows = _place_vertices(
         sk, cache, neurons, cols, p, split_eids, n_deg
     )
     sk.edge_alive[split_eids] = False
     # (5) intersecting edges across splitting 2-faces
-    pairs = pair_splitting_faces(pre_rows, new_vids, sk.m)
+    try:
+        pairs = pair_splitting_faces(pre_rows, new_vids, sk.m)
+    except PairingError as exc:
+        neuron = neurons[p]
+        ends = sk.positions[sk.edges[split_eids]].tolist()
+        hexed = [[" ".join(map(float.hex, x)) for x in pair] for pair in ends]
+        edges = "; ".join(f"{e}: ({a}) ({b})" for e, (a, b) in zip(split_eids.tolist(), hexed))
+        raise PairingError(
+            f"{exc}; neuron {neuron.layer}:{neuron.index}, split edges "
+            f"(id: endpoint positions): {edges}"
+        ) from exc
     halves = np.column_stack([np.concatenate([v_pos, v_neg]), np.tile(new_vids, 2)])
     new_edges = np.concatenate([halves, pairs])
     sk.append_edges(new_edges)
@@ -329,13 +343,12 @@ def pair_splitting_faces(pre_rows, new_vids, m):
     perturbing its row; every generated face must occur exactly twice, and
     each pair yields one intersecting edge connecting the two new vertices
     (its sign-vector is the face's plus an appended zero). The faces are
-    grouped by `signvec.group_rows`, whose sort order lists each face's two
-    generating edges side by side. Returns the ``(lo, hi)`` vertex id pairs
-    in ascending face order; none at D = 1, where no edge row has a zero to
-    perturb. Raises PairingError on any other multiplicity.
+    grouped by `signvec.group_parents`, whose sort order lists each face's
+    two generating edges side by side. Returns the ``(lo, hi)`` vertex id
+    pairs in ascending face order; none at D = 1, where no edge row has a
+    zero to perturb. Raises PairingError on any other multiplicity.
     """
-    cand, src = signvec.perturb_rows(pre_rows, m)
-    uniq, order, counts = signvec.group_rows(cand)
+    uniq, order, counts, src = signvec.group_parents(pre_rows, m)
     if np.any(counts != 2):
         bad = int(np.flatnonzero(counts != 2)[0])
         raise PairingError(

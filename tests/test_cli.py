@@ -15,8 +15,8 @@ from conftest import (
     one_intersecting_edge_too_many,
     overflow_net,
 )
-from relucomplex import cli, poset, subdivide, validate as validate_mod
-from relucomplex.model import diamond_model, save_model
+from relucomplex import cli, poset, signvec, subdivide, validate as validate_mod
+from relucomplex.model import NeuronRef, diamond_model, random_model, save_model
 from relucomplex.skeleton import Skeleton, init_hypercube
 
 
@@ -69,6 +69,39 @@ def test_count_identity_violation_exits_4(tmp_path, capsys, monkeypatch):
         r"alive \d+ -> \d+, n_split [1-9]\d*, n_inter \d+\n",
         err,
     ), err
+
+
+def test_pairing_error_exits_4_naming_the_split(tmp_path, capsys, monkeypatch):
+    # one split edge's row perturbed twice in the first split of layer 2: its
+    # faces occur three times. The message names the neuron, the split edges
+    # and their endpoints exactly, as the skeleton before that neuron has them
+    net = random_model(2, 2, 4, 1, seed=0)
+    save_model(net, tmp_path / "net.json")
+    real = signvec.group_parents
+
+    def doubled(rows, m):
+        if rows.shape[1] >= m + 4:  # past the four neurons of layer 1
+            rows = np.concatenate([rows, rows[:1]])
+        return real(rows, m)
+
+    monkeypatch.setattr(signvec, "group_parents", doubled)
+    assert run_cli("extract", "--model", tmp_path / "net.json", "--out", tmp_path / "o") == 4
+    err = capsys.readouterr().err
+    match = re.fullmatch(
+        r"invariant violation: 2-face [-0+]{8,} occurred 3 times, expected 2; "
+        r"neuron 2:\d+, split edges \(id: endpoint positions\): (.*)\n",
+        err,
+    )
+    assert match, err
+    hexed = r"(-?0x[0-9a-f.]+p[-+]\d+)"
+    edges = re.findall(rf"(\d+): \({hexed} {hexed}\) \({hexed} {hexed}\)", match[1])
+    assert len(edges) >= 2 and len(edges) == match[1].count(";") + 1
+    _, sk = init_hypercube(2, -1.0, 1.0)
+    subdivide.subdivide_layer(sk, net, [NeuronRef(1, i) for i in range(4)])
+    for eid, *coords in edges:
+        ends = np.array([float.fromhex(c) for c in coords]).reshape(2, 2)
+        assert sk.edge_alive[int(eid)]
+        assert np.array_equal(sk.positions[sk.edges[int(eid)]], ends)
 
 
 def test_count_on_a_corrupt_complex_exits_4(tmp_path, capsys, monkeypatch):

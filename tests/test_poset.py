@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,13 +148,13 @@ def test_count_budget_stops_at_the_first_chunk_over_it(monkeypatch):
     sk, _ = extract_complex(net, domain, sk, NeuronSchedule.for_model(net))
     monkeypatch.setattr(poset, "COUNT_CHUNK_ROWS", 20)
     grouped = []
-    real = signvec.group_rows
+    real = signvec.group_parents
 
-    def counted(rows):
+    def counted(rows, m):
         grouped.append(len(rows))
-        return real(rows)
+        return real(rows, m)
 
-    monkeypatch.setattr(signvec, "group_rows", counted)
+    monkeypatch.setattr(signvec, "group_parents", counted)
     with pytest.raises(CountBudgetError) as err:
         count_cells(sk, sk.m, 3, max_cells=10)
     assert err.value.partial_counts == [sk.n_vertices_alive, sk.n_edges_alive]
@@ -176,6 +178,26 @@ def test_chunked_counting_matches_one_chunk(monkeypatch):
         chunked_counts, chunked_rows = cells_up_to(sk, sk.m, k)
         assert chunked_counts == counts == count_cells(sk, sk.m, k)
         assert np.array_equal(chunked_rows, rows)
+
+
+def test_two_cells_hold_the_candidate_rows_once():
+    # perturbing and grouping in one buffer: the 2-cell step's peak is the
+    # edge rows and their candidates, plus the unique rows and the int64
+    # order and source, not two more copies of every candidate
+    net = random_model(2, 8, 64, 1, seed=0)
+    domain, sk = init_hypercube(2, -1.0, 1.0)
+    sk, _ = extract_complex(net, domain, sk, NeuronSchedule.for_model(net))
+    edge_rows = sk.edge_signs_of(sk.alive_edge_ids())
+    floor = edge_rows.nbytes + signvec.perturb_rows(edge_rows, sk.m)[0].nbytes
+    del edge_rows
+    tracemalloc.start()
+    try:
+        counts, _ = cells_up_to(sk, sk.m, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[2] > 1000
+    assert peak <= 1.25 * floor
 
 
 def test_up_to_bounds():

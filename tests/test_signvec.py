@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from relucomplex import signvec
+
 from relucomplex.signvec import (
     EPS_DEGENERATE,
+    group_parents,
     group_rows,
     perturb_rows,
     sign_text,
@@ -182,3 +185,64 @@ def test_group_rows_properties(rows):
     # strictly increasing in lexicographic '-' < '0' < '+' order
     as_tuples = [tuple(r) for r in uniq.tolist()]
     assert as_tuples == sorted(set(map(tuple, rows.tolist())))
+
+
+@st.composite
+def rows_and_facets(draw):
+    """A sign matrix of width 1-17 and 0-40 rows, some of them free of zeros
+    or all zeros, and a facet count from 0 to the width."""
+    width = draw(st.integers(1, 17))
+    row = st.one_of(
+        st.lists(sign_values, min_size=width, max_size=width),
+        st.lists(st.sampled_from([-1, 1]), min_size=width, max_size=width),
+        st.just([0] * width),
+    )
+    rows = draw(st.lists(row, min_size=0, max_size=40))
+    return np.array(rows, dtype=np.int8).reshape(-1, width), draw(st.integers(0, width))
+
+
+def grouped_reference(rows):
+    """(unique rows, order, counts) by Python's stable sort of row lists,
+    which order entries as - < 0 < +."""
+    order = sorted(range(len(rows)), key=lambda i: rows[i].tolist())
+    keys = [rows[i].tolist() for i in order]
+    starts = [k for k in range(len(keys)) if k == 0 or keys[k] != keys[k - 1]]
+    counts = np.diff(starts + [len(keys)])
+    return rows[np.array(order, dtype=np.intp)[starts]], order, counts
+
+
+@given(rows_and_facets())
+def test_group_parents_matches_perturb_then_group(case):
+    rows, m = case
+    before = rows.copy()
+    got = group_parents(rows, m)
+    assert np.array_equal(rows, before)
+    cand, source = perturb_rows(rows, m)
+    # bitwise the perturb-then-group pipeline, source included
+    for a, b in zip(got, (*group_rows(cand), source)):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    uniq, order, counts, src = got
+    ref_uniq, ref_order, ref_counts = grouped_reference(cand)
+    assert uniq.shape == (len(ref_counts), rows.shape[1])
+    assert np.array_equal(uniq, ref_uniq) and order.tolist() == ref_order
+    assert counts.tolist() == ref_counts.tolist()
+    # group_rows works on its own copy of the rows
+    assert np.array_equal(cand, perturb_rows(rows, m)[0])
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_grouping_across_compare_blocks(monkeypatch, block):
+    # group starts are found a block of sorted rows at a time; a group that
+    # spans a block boundary, or starts right on one, stays one group
+    monkeypatch.setattr(signvec, "GROUP_BLOCK_ROWS", block)
+    rng = np.random.default_rng(block)
+    rows = rng.integers(-1, 2, size=(60, 4)).astype(np.int8)
+    rows[::3] = rows[0]
+    uniq, order, counts = group_rows(rows)
+    ref_uniq, ref_order, ref_counts = grouped_reference(rows)
+    assert np.array_equal(uniq, ref_uniq) and order.tolist() == ref_order
+    assert counts.tolist() == ref_counts.tolist()
+    uniq, order, counts, _ = group_parents(rows, 2)
+    ref_uniq, ref_order, ref_counts = grouped_reference(perturb_rows(rows, 2)[0])
+    assert np.array_equal(uniq, ref_uniq) and order.tolist() == ref_order
+    assert counts.tolist() == ref_counts.tolist()
