@@ -188,9 +188,6 @@ def main(argv=None):
     except geometry.EmptyBoundaryError as exc:
         print(f"empty level set: {exc}", file=sys.stderr)
         return EXIT_EMPTY
-    except poset.CountBudgetError as exc:
-        print(f"count budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
     except (subdivide.PairingError, skeleton_mod.SkeletonError, geometry.FaceAssemblyError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -320,10 +320,6 @@ def distance_histogram(sk, bins=64):
 # -- exporters -----------------------------------------------------------------
 
 
-def _fmt(v):
-    return format(float(v), ".17g")
-
-
 #: rows formatted per batch in export_csv; bounds its text buffers
 CSV_BATCH_ROWS = 1 << 12
 
@@ -333,12 +329,13 @@ def export_csv(sk, outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     coords = ",".join(f"x_{j}" for j in range(sk.dim))
+    template = ",".join(["%.17g"] * sk.dim)
     with open(outdir / "vertices.csv", "w") as fh:
         fh.write(f"id,{coords},sign\n")
         _write_csv_rows(
             fh,
             sk.alive_vertex_ids(),
-            lambda ids: [",".join(map(_fmt, x)) for x in sk.positions[ids].tolist()],
+            lambda ids: [template % tuple(x) for x in sk.positions[ids].tolist()],
             lambda ids: sk.vertex_signs[ids],
         )
     with open(outdir / "edges.csv", "w") as fh:
@@ -367,8 +364,7 @@ def export_obj(mesh, path):
     if mesh.positions.shape[1] != 3:
         raise ValueError("OBJ export requires D = 3")
     with open(path, "w") as fh:
-        for p in mesh.positions:
-            fh.write(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+        fh.writelines("v %.17g %.17g %.17g\n" % tuple(p) for p in mesh.positions.tolist())
         for loop in mesh.faces:
             fh.write("f " + " ".join(str(i + 1) for i in loop) + "\n")
 
@@ -388,10 +384,10 @@ def export_svg(sk, path, out_entry=None, box=None):
     heavy = 0.01 * span
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_fmt(lo[0])} {_fmt(-hi[1])} '
-        f'{_fmt(hi[0] - lo[0])} {_fmt(hi[1] - lo[1])}">',
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%.17g %.17g %.17g %.17g">'
+        % (lo[0], -hi[1], hi[0] - lo[0], hi[1] - lo[1]),
         '<g transform="scale(1,-1)">',
-        f'<g stroke="#999999" stroke-width="{_fmt(light)}" stroke-linecap="round">',
+        '<g stroke="#999999" stroke-width="%.17g" stroke-linecap="round">' % light,
     ]
     ae = sk.alive_edge_ids()
     on_level = np.zeros(len(ae), bool)
@@ -399,9 +395,7 @@ def export_svg(sk, path, out_entry=None, box=None):
         on_level = sk.edge_signs_of(ae)[:, out_entry] == 0
     lines.extend(_svg_lines(sk, ae[~on_level]))
     lines.append("</g>")
-    lines.append(
-        f'<g stroke="#d62728" stroke-width="{_fmt(heavy)}" stroke-linecap="round">'
-    )
+    lines.append('<g stroke="#d62728" stroke-width="%.17g" stroke-linecap="round">' % heavy)
     lines.extend(_svg_lines(sk, ae[on_level]))
     lines.extend(["</g>", "</g>", "</svg>", ""])
     with open(path, "w") as fh:
@@ -411,6 +405,6 @@ def export_svg(sk, path, out_entry=None, box=None):
 def _svg_lines(sk, edge_ids):
     """One `<line>` element per edge, in id order."""
     return [
-        f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}"/>'
-        for (ax, ay), (bx, by) in sk.positions[sk.edges[edge_ids]].tolist()
+        '<line x1="%.17g" y1="%.17g" x2="%.17g" y2="%.17g"/>' % tuple(ends)
+        for ends in sk.positions[sk.edges[edge_ids]].reshape(-1, 4).tolist()
     ]

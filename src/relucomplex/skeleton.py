@@ -10,8 +10,8 @@ grows geometrically when they run out), and the extraction loop reserves the
 full sign width once, so a new neuron's sign column is written into a spare
 column rather than copying the matrix. A whole layer's sign columns can be
 written in one pass and staged: they become live one column per neuron, and
-vertices appended meanwhile carry their staged entries. Appended sign rows
-may come as blocks of columns, each written in place.
+vertices appended meanwhile carry their staged entries. An appended vertex's
+sign row comes whole, in one block that holds its live and staged entries.
 """
 
 from dataclasses import dataclass, field
@@ -234,25 +234,20 @@ class Skeleton:
         """Staged sign entries (the columns after the live width) of vertices."""
         return self._vertex_signs[ids, self._width : self._filled]
 
-    def append_vertices(self, positions, *signs):
-        """Append vertices. Their sign rows are given whole, or as blocks of
-        columns that lie side by side; each block is written in place."""
+    def append_vertices(self, positions, signs):
+        """Append vertices with their whole sign rows: one block holding the
+        live and the staged entries, written in one assignment."""
         positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
         first, last = self._nv, self._nv + len(positions)
-        signs = [np.asarray(b, dtype=np.int8) for b in signs]
-        if any(b.ndim != 2 or len(b) != len(positions) for b in signs) or (
-            sum(b.shape[1] for b in signs) != self._filled
-        ):
+        signs = np.asarray(signs, dtype=np.int8)
+        if signs.shape != (len(positions), self._filled):
             raise SkeletonError(f"vertex sign rows must be {len(positions)} x {self._filled}")
         if last > len(self._positions):
             self._positions, self._vertex_signs, self._vertex_alive = _lengthen(
                 (self._positions, self._vertex_signs, self._vertex_alive), first, _grown(last)
             )
         self._positions[first:last] = positions
-        col = 0
-        for block in signs:
-            self._vertex_signs[first:last, col : col + block.shape[1]] = block
-            col += block.shape[1]
+        self._vertex_signs[first:last, : self._filled] = signs
         self._vertex_alive[first:last] = True
         self._nv = last
         return np.arange(first, last)

@@ -16,10 +16,11 @@ their sign block, written into staged sign columns in one pass. Only
 vertex sign rows are stored; an edge's row is derived from its endpoints'
 rows, so each alive edge needs only the first neuron where its endpoints'
 signs differ, which is the neuron that splits it. Each neuron then makes
-its column live and runs steps (4) and (5) on the edges it splits only; a
-neuron that splits nothing costs no per-row work. The vertices it creates
-carry their staged columns from the cache values at their positions, and
-the edges it creates record their split neuron from their endpoints.
+its column live and runs steps (4) and (5) on the edges it splits only, in
+one routine (`_split_edges`); a neuron that splits nothing costs no per-row
+work. Each vertex it creates gets its sign row written once, staged columns
+from the cache values at its position included, and the edges it creates
+record their split neuron from their endpoints.
 """
 
 import itertools
@@ -235,27 +236,51 @@ def _stage_layer(sk, cache, neurons, cols, k):
 def _split_edges(sk, cache, neurons, cols, p, split_eids, n_deg):
     """Steps (4) and (5) of neuron p of the layer, on the edges it splits.
 
-    The split edges die. New vertices carry their staged columns from their
-    cache values (their degenerate counts are added to `n_deg`). The new
-    edges, in id order: the halves that replace the split edges, toward
-    their positive ends, then toward their negative ends, then the
-    intersecting edges. Returns the number of intersecting edges and the
-    new edges' split positions, from their endpoints' staged columns. A
-    PairingError is raised again naming the neuron (``layer:index``), the
-    split edges' ids and their endpoints' positions in `float.hex`, so that
-    the failing split can be replayed exactly.
+    One new vertex is placed on each split edge (ascending edge id) by
+    linear interpolation. Its sign row is written once, into one block of
+    the live and the staged width: the edge's derived row, 0 for the
+    neuron, then the staged columns from its cache values (their degenerate
+    counts are added to `n_deg`). The split edges die, and the pairing reads
+    the same block before the neuron's column. The new edges, in id order:
+    the halves that replace the split edges, toward their positive ends,
+    then toward their negative ends, then the intersecting edges. Returns
+    the number of intersecting edges and the new edges' split positions,
+    from their endpoints' staged columns. A PairingError is raised again
+    naming the neuron (``layer:index``), the split edges' ids and their
+    endpoints' positions in `float.hex`, so that the failing split can be
+    replayed exactly.
     """
-    v_pos, v_neg, new_vids, pre_rows = _place_vertices(
-        sk, cache, neurons, cols, p, split_eids, n_deg
+    # (4) a vertex on each split edge, its sign row written once
+    neuron = neurons[p]
+    ends = sk.edges[split_eids]
+    from_pos = sk.vertex_signs[ends[:, 0], -1] > 0
+    v_pos = np.where(from_pos, ends[:, 0], ends[:, 1])
+    v_neg = np.where(from_pos, ends[:, 1], ends[:, 0])
+    val_pos = cache.preactivation(neuron, v_pos)
+    val_neg = cache.preactivation(neuron, v_neg)
+    ts = val_pos / (val_pos - val_neg)
+    x0 = sk.positions[v_pos] + ts[:, None] * (sk.positions[v_neg] - sk.positions[v_pos])
+    first, n_split, w = sk.n_vertices, len(split_eids), sk.sign_width
+    new_vids = np.arange(first, first + n_split)
+    rows = np.empty((n_split, w + len(neurons) - p - 1), dtype=np.int8)
+    sk.edge_signs_of(split_eids, out=rows[:, :w])
+    rows[:, w - 1] = 0
+    cache.extend(x0)
+    rows[:, w:], later_deg = _signs(
+        cache.values(slice(first, first + n_split))[:, cols][:, p + 1 :],
+        neurons[p + 1 :],
+        new_vids,
+        x0,
     )
+    n_deg[p + 1 :] += later_deg
+    sk.append_vertices(x0, rows)
     sk.edge_alive[split_eids] = False
     # (5) intersecting edges across splitting 2-faces
     try:
-        pairs = pair_splitting_faces(pre_rows, new_vids, sk.m)
+        pairs = pair_splitting_faces(rows[:, : w - 1], new_vids, sk.m)
     except PairingError as exc:
-        neuron = neurons[p]
-        ends = sk.positions[sk.edges[split_eids]].tolist()
-        hexed = [[" ".join(map(float.hex, x)) for x in pair] for pair in ends]
+        corners = sk.positions[ends].tolist()
+        hexed = [[" ".join(map(float.hex, x)) for x in pair] for pair in corners]
         edges = "; ".join(f"{e}: ({a}) ({b})" for e, (a, b) in zip(split_eids.tolist(), hexed))
         raise PairingError(
             f"{exc}; neuron {neuron.layer}:{neuron.index}, split edges "
@@ -268,36 +293,6 @@ def _split_edges(sk, cache, neurons, cols, p, split_eids, n_deg):
         sk.staged_vertex_signs(new_edges[:, 0]), sk.staged_vertex_signs(new_edges[:, 1]), p + 1
     )
     return len(pairs), at
-
-
-def _place_vertices(sk, cache, neurons, cols, p, split_eids, n_deg):
-    """The vertices of step (4) for neuron p: one on each splitting edge
-    (ascending edge id) by linear interpolation, appended with its staged
-    columns. Returns each edge's positive and negative end, the new vertex
-    ids and the edges' sign rows before the neuron's column."""
-    neuron = neurons[p]
-    ends = sk.edges[split_eids]
-    from_pos = sk.vertex_signs[ends[:, 0], -1] > 0
-    v_pos = np.where(from_pos, ends[:, 0], ends[:, 1])
-    v_neg = np.where(from_pos, ends[:, 1], ends[:, 0])
-    val_pos = cache.preactivation(neuron, v_pos)
-    val_neg = cache.preactivation(neuron, v_neg)
-    ts = val_pos / (val_pos - val_neg)
-    x0 = sk.positions[v_pos] + ts[:, None] * (sk.positions[v_neg] - sk.positions[v_pos])
-
-    first, n_split = sk.n_vertices, len(split_eids)
-    new_vids = np.arange(first, first + n_split)
-    cache.extend(x0)
-    later, later_deg = _signs(
-        cache.values(slice(first, first + n_split))[:, cols][:, p + 1 :],
-        neurons[p + 1 :],
-        new_vids,
-        x0,
-    )
-    n_deg[p + 1 :] += later_deg
-    pre_rows = sk.edge_signs_of(split_eids)[:, :-1]
-    sk.append_vertices(x0, pre_rows, np.zeros((n_split, 1), dtype=np.int8), later)
-    return v_pos, v_neg, new_vids, pre_rows
 
 
 def _signs(values, neurons, vids, positions):

@@ -328,6 +328,21 @@ def test_faces_match_per_face_reference(shape, seed):
         np.testing.assert_array_equal(got, want)
 
 
+def test_obj_matches_per_vertex_reference(tmp_path):
+    net = centered_output_net(3, 2, 6, seed=2)
+    domain, schedule, sk, out_entry = extract_with_output(net, -1.0, 1.0)
+    mesh = assemble_faces(boundary_subcomplex(sk, out_entry), sk, sk.m, net, schedule)
+    assert len(mesh.faces) > 0
+    export_obj(mesh, tmp_path / "got.obj")
+
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    lines = [f"v {fmt(p[0])} {fmt(p[1])} {fmt(p[2])}" for p in mesh.positions]
+    lines += ["f " + " ".join(str(int(i) + 1) for i in loop) for loop in mesh.faces]
+    assert (tmp_path / "got.obj").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_non_planar_face_raises(monkeypatch):
     net = plane_net()
     domain, schedule, sk, out_entry = extract_with_output(net, -1.0, 1.0)
