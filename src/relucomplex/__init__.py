@@ -29,7 +29,6 @@ from .model import (
 )
 from .skeleton import (
     Domain,
-    Halfspace,
     Skeleton,
     SkeletonError,
     check_invariants,

@@ -444,14 +444,20 @@ def load_model(path):
         layer_specs = raw["layers"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"model file {path} missing in_dim/layers") from exc
-    layers = []
+    if not isinstance(layer_specs, list):
+        raise ModelFormatError(f"model file {path}: layers must be a list")
+    layers, prev = [], in_dim
     for l, spec in enumerate(layer_specs, start=1):
         try:
             w = np.array(spec["weights"], dtype=np.float64)
             b = np.array(spec["bias"], dtype=np.float64)
+            if w.size == 0:
+                # a layer of no neurons saves its weights as []
+                w = w.reshape(len(b), prev)
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"layer {l}: bad weights/bias") from exc
         layers.append(LayerSpec(w, b))
+        prev = w.shape[0]
     return MlpSpec(tuple(layers), in_dim)
 
 
@@ -485,11 +491,11 @@ def classify_neurons_on_boundary(model, boundary_vertices):
     labels = {}
     for l in range(1, model.depth):
         vals = pres[l - 1]
+        negative, positive = np.all(vals < 0.0, axis=0), np.all(vals > 0.0, axis=0)
         for i in range(vals.shape[1]):
-            col = vals[:, i]
-            if np.all(col < 0.0):
+            if negative[i]:
                 label = LABEL_STABLY_NEGATIVE
-            elif np.all(col > 0.0):
+            elif positive[i]:
                 label = LABEL_STABLY_POSITIVE
             else:
                 label = LABEL_INTERSECTING

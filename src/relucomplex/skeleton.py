@@ -12,6 +12,11 @@ column rather than copying the matrix. A whole layer's sign columns can be
 written in one pass and staged: they become live one column per neuron, and
 vertices appended meanwhile carry their staged entries. An appended vertex's
 sign row comes whole, in one block that holds its live and staged entries.
+
+A domain is its facet arrays, one normal row and one offset per facet; the
+first m entries of every sign row are its facets'. Both initializers build
+their starting skeleton with one routine from the corners and the facets
+each corner lies on: a corner's row is 0 on those facets and + elsewhere.
 """
 
 from dataclasses import dataclass, field
@@ -23,40 +28,24 @@ class SkeletonError(RuntimeError):
     """A structural invariant of the skeleton is violated."""
 
 
-@dataclass(frozen=True)
-class Halfspace:
-    """Affine halfspace; the interior side is positive: w.x - b >= 0."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        n = np.asarray(self.normal, dtype=np.float64)
-        if n.ndim != 1 or not np.any(n != 0.0):
-            raise ValueError("halfspace normal must be a non-zero vector")
-        object.__setattr__(self, "normal", n)
-
-    def value(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return points @ self.normal - self.offset
-
-
 @dataclass
 class Domain:
-    """Bounded intersection of m affine halfspaces."""
+    """Bounded intersection of m affine halfspaces w.x - b >= 0, stored as
+    its facet arrays: row i of `normals` (m x dim) is facet i's w and entry
+    i of `offsets` its b. Facet i owns entry i of every sign row."""
 
-    facets: list
+    normals: np.ndarray
+    offsets: np.ndarray
     kind: str
-    dim: int
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.normals = np.array([h.normal for h in self.facets], dtype=np.float64)
-        self.offsets = np.array([h.offset for h in self.facets], dtype=np.float64)
 
     @property
     def m(self):
-        return len(self.facets)
+        return len(self.offsets)
+
+    @property
+    def dim(self):
+        return self.normals.shape[1]
 
     def facet_values(self, points):
         """(n, m) matrix of facet values; >= 0 means inside that halfspace."""
@@ -303,30 +292,14 @@ def init_hypercube(dim, lo, hi):
         raise ValueError("need lo < hi")
     if dim < 1:
         raise ValueError("need dim >= 1")
-    facets = []
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        facets.append(Halfspace(e.copy(), lo))
-        facets.append(Halfspace(-e, -hi))
-    domain = Domain(facets, "hypercube", dim, {"lo": lo, "hi": hi, "extent": hi - lo})
-
-    n = 1 << dim
-    ids = np.arange(n)
-    bits = (ids[:, None] >> np.arange(dim)) & 1
+    normals = np.stack([np.eye(dim), -np.eye(dim)], axis=1).reshape(2 * dim, dim)
+    offsets = np.tile(np.array([lo, -hi], dtype=np.float64), dim)
+    domain = Domain(normals, offsets, "hypercube", {"lo": lo, "hi": hi, "extent": hi - lo})
+    bits = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
     positions = np.where(bits == 1, hi, lo).astype(np.float64)
-    vsigns = np.ones((n, 2 * dim), dtype=np.int8)
-    for j in range(dim):
-        vsigns[bits[:, j] == 0, 2 * j] = 0
-        vsigns[bits[:, j] == 1, 2 * j + 1] = 0
-
-    pairs = []
-    for j in range(dim):
-        base = ids[bits[:, j] == 0]
-        pairs.append(np.column_stack([base, base | (1 << j)]))
-    edges = np.concatenate(pairs, axis=0)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    return domain, Skeleton(dim, 2 * dim, positions, vsigns, edges[order])
+    # a corner lies on x_j >= lo where bit j is clear and on x_j <= hi where it is set
+    tight = np.stack([bits == 0, bits == 1], axis=2).reshape(len(bits), 2 * dim)
+    return domain, _corner_skeleton(domain, positions, tight)
 
 
 def init_simplex(dim, scale):
@@ -340,27 +313,32 @@ def init_simplex(dim, scale):
         raise ValueError("need scale > 0")
     if dim < 1:
         raise ValueError("need dim >= 1")
-    facets = []
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        facets.append(Halfspace(e, -scale))
-    facets.append(Halfspace(-np.ones(dim), -dim * scale))
-    domain = Domain(facets, "simplex", dim, {"scale": scale, "extent": 2 * dim * scale})
+    normals = np.vstack([np.eye(dim), -np.ones((1, dim))])
+    offsets = np.append(np.full(dim, -scale, dtype=np.float64), -dim * scale)
+    domain = Domain(normals, offsets, "simplex", {"scale": scale, "extent": 2 * dim * scale})
+    positions = np.full((dim + 1, dim), -scale, dtype=np.float64)
+    np.fill_diagonal(positions, (2 * dim - 1) * scale)
+    # vertex j lies on every facet but facet j
+    return domain, _corner_skeleton(domain, positions, ~np.eye(dim + 1, dtype=bool))
 
-    n = dim + 1
-    positions = np.full((n, dim), -scale, dtype=np.float64)
-    for j in range(dim):
-        positions[j, j] = (2 * dim - 1) * scale
-    vsigns = np.zeros((n, dim + 1), dtype=np.int8)
-    for j in range(dim):
-        vsigns[j, j] = 1
-        vsigns[j, dim] = 0
-    vsigns[dim, :dim] = 0
-    vsigns[dim, dim] = 1
 
-    pairs = np.array([(a, b) for a in range(n) for b in range(a + 1, n)], dtype=np.int64)
-    return domain, Skeleton(dim, dim + 1, positions, vsigns, pairs)
+def _corner_skeleton(domain, positions, tight):
+    """Starting skeleton of a simple polytope from its corner positions and
+    its corner x facet mask of tight facets. A corner's sign row is 0 on its
+    facets and + elsewhere. Two corners span an edge when they share D - 1
+    facets; edges come in row-major (lo, hi) order. The mask is given, not
+    read off the facet values: on init_simplex(2, 0.1) the sum facet reads
+    -2.8e-17 at two of the corners on it."""
+    corner, facet = np.nonzero(tight)
+    # each corner leaves an edge by giving up one of its D facets
+    kept = tight[corner]
+    kept[np.arange(len(corner)), facet] = False
+    # both ends of an edge keep the same D - 1 facets: sorting pairs them up,
+    # and lexsort is stable, so the lower corner id comes first in each pair
+    ends = corner[np.lexsort(kept.T)].reshape(-1, 2)
+    edges = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+    signs = np.where(tight, 0, 1).astype(np.int8)
+    return Skeleton(domain.dim, domain.m, positions, signs, edges)
 
 
 # -- maintenance ---------------------------------------------------------------

@@ -143,6 +143,14 @@ def test_extract_invalid_model(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("layers", [None, 5], ids=["null", "number"])
+def test_model_layers_not_a_list(tmp_path, capsys, layers):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"in_dim": 2, "layers": layers}))
+    assert run_cli("count", "--model", path, "--out", tmp_path / "o") == 2
+    assert "layers must be a list" in capsys.readouterr().err
+
+
 def test_count_square_cases(tmp_path):
     # hyperplane missing the domain: counts match the bare square
     doc = {"in_dim": 2, "layers": [{"weights": [[1.0, 1.0]], "bias": [10.0]}]}

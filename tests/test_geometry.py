@@ -100,7 +100,7 @@ def reference_divergence_area(sk, out_entry, m, model, domain, schedule, inside_
             if inside_sign > 0:
                 n = -n
         elif zero < m and row[out_entry] == inside_sign:
-            w = domain.facets[zero].normal
+            w = domain.normals[zero]
             n = -w / np.linalg.norm(w)
         else:
             continue

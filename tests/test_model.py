@@ -360,6 +360,27 @@ def test_prune_counts_and_function(tmp_path):
     assert diff.max() <= 1e-12
 
 
+def test_prune_whole_layer_save_load_round_trip(tmp_path):
+    # layer 2 is negative on the whole square: pruning leaves it no neurons
+    w1 = np.array([[1.0, 0.0], [0.0, 1.0]])
+    b1 = np.array([2.0, 2.0])
+    w2 = np.array([[1.0, 1.0], [-1.0, 0.5]])
+    b2 = np.array([-10.0, -10.0])
+    w3 = np.array([[1.0, -1.0]])
+    b3 = np.array([0.5])
+    net = MlpSpec((LayerSpec(w1, b1), LayerSpec(w2, b2), LayerSpec(w3, b3)), 2)
+    corners = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+    pruned = prune_stably_negative(net, classify_neurons_on_boundary(net, corners))
+    assert pruned.widths == (2, 2, 0, 1)
+    save_model(pruned, tmp_path / "pruned.json")
+    again = load_model(tmp_path / "pruned.json")
+    assert again.widths == pruned.widths
+    pts = np.array([[0.0, 0.0], [0.5, -0.25], [-0.75, 1.0]])
+    for a, b in zip(batch_preactivations(pruned, pts), batch_preactivations(again, pts)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(batch_preactivations(net, pts)[-1], batch_preactivations(again, pts)[-1])
+
+
 def test_prune_output_layer_refused():
     net = random_model(2, 1, 2, 1, seed=0)
     with pytest.raises(ValueError, match="output-layer"):

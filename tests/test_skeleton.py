@@ -6,7 +6,6 @@ from conftest import centered_output_net
 from relucomplex import skeleton as skeleton_mod
 from relucomplex.model import NeuronSchedule, random_model
 from relucomplex.skeleton import (
-    Halfspace,
     Skeleton,
     SkeletonError,
     check_invariants,
@@ -65,11 +64,48 @@ def test_simplex_bad_scale():
         init_simplex(2, 0.0)
 
 
-def test_halfspace():
-    with pytest.raises(ValueError):
-        Halfspace(np.zeros(2), 0.0)
-    h = Halfspace(np.array([1.0, 0.0]), -1.0)
-    assert h.value(np.array([[0.0, 5.0]]))[0] == 1.0
+# The starting skeletons fix every vertex and edge id, and so every CSV id.
+PINNED_STARTS = {
+    ("cube", 1): ([[0.0], [1.0]], [[0, 1], [1, 0]], [[0, 1]]),
+    ("cube", 2): (
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+        [[0, 1, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 1, 0]],
+        [[0, 1], [0, 2], [1, 3], [2, 3]],
+    ),
+    ("simplex", 1): ([[1.0], [-1.0]], [[1, 0], [0, 1]], [[0, 1]]),
+    ("simplex", 2): (
+        [[3.0, -1.0], [-1.0, 3.0], [-1.0, -1.0]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1], [0, 2], [1, 2]],
+    ),
+}
+
+
+def start(kind, dim):
+    return init_hypercube(dim, 0.0, 1.0) if kind == "cube" else init_simplex(dim, 1.0)
+
+
+@pytest.mark.parametrize("kind,dim", sorted(PINNED_STARTS))
+def test_starting_skeleton_pinned(kind, dim):
+    positions, signs, edges = PINNED_STARTS[kind, dim]
+    _, sk = start(kind, dim)
+    assert sk.positions.tolist() == positions
+    assert sk.vertex_signs.tolist() == signs
+    assert sk.edges.tolist() == edges
+
+
+@pytest.mark.parametrize("kind", ["cube", "simplex"])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_starting_skeleton_structure(kind, dim):
+    domain, sk = init_hypercube(dim, 0.3, 2.7) if kind == "cube" else init_simplex(dim, 0.1)
+    check_invariants(sk)  # among others: lo < hi in every edge
+    lo, hi = sk.edges.T
+    # strictly increasing in (lo, hi)
+    assert np.all((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1])))
+    zeros = sk.vertex_signs == 0
+    assert np.all(np.count_nonzero(zeros[lo] & zeros[hi], axis=1) == dim - 1)
+    if kind == "cube":
+        assert np.array_equal(zeros, domain.facet_values(sk.positions) == 0.0)
 
 
 def test_domain_facet_values():
