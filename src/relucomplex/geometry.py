@@ -5,6 +5,7 @@ zero at that neuron's entry. Inside means negative output (signed-distance
 convention); pass inside_sign=+1 to flip.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -330,16 +331,16 @@ def export_csv(sk, outdir):
     outdir.mkdir(parents=True, exist_ok=True)
     coords = ",".join(f"x_{j}" for j in range(sk.dim))
     template = ",".join(["%.17g"] * sk.dim)
-    with open(outdir / "vertices.csv", "w") as fh:
-        fh.write(f"id,{coords},sign\n")
+    with open(outdir / "vertices.csv", "wb") as fh:
+        fh.write(f"id,{coords},sign\n".encode())
         _write_csv_rows(
             fh,
             sk.alive_vertex_ids(),
             lambda ids: [template % tuple(x) for x in sk.positions[ids].tolist()],
             lambda ids: sk.vertex_signs[ids],
         )
-    with open(outdir / "edges.csv", "w") as fh:
-        fh.write("id,v_lo,v_hi,sign\n")
+    with open(outdir / "edges.csv", "wb") as fh:
+        fh.write(b"id,v_lo,v_hi,sign\n")
         _write_csv_rows(
             fh,
             sk.alive_edge_ids(),
@@ -350,13 +351,15 @@ def export_csv(sk, outdir):
 
 def _write_csv_rows(fh, ids, fields, signs):
     """Lines `id,<fields(ids)>,<sign text of signs(ids)>` for each id, in
-    batches."""
+    batches, to a binary file: each line's prefix, then its row of the
+    batch's `signvec.sign_lines` block."""
     for start in range(0, len(ids), CSV_BATCH_ROWS):
         batch = ids[start : start + CSV_BATCH_ROWS]
-        fh.writelines(
-            f"{i},{f},{s}\n"
-            for i, f, s in zip(batch.tolist(), fields(batch), signvec.sign_texts(signs(batch)))
-        )
+        lines = signvec.sign_lines(signs(batch))
+        # the block's rows as fixed-size records: one bytes object per line
+        texts = lines.view(np.dtype((np.void, lines.shape[1]))).ravel().tolist()
+        prefixes = (f"{i},{f},".encode() for i, f in zip(batch.tolist(), fields(batch)))
+        fh.write(b"".join(itertools.chain.from_iterable(zip(prefixes, texts))))
 
 
 def export_obj(mesh, path):

@@ -99,6 +99,8 @@ class MlpSpec:
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ModelFormatError(f"layer {l}: non-finite entry")
             prev = w.shape[0]
+        if prev == 0:
+            raise ModelFormatError(f"layer {len(self.layers)}: the output layer has no neurons")
 
     @property
     def depth(self):
@@ -308,14 +310,14 @@ def bounded_forward(model, points, last, buffers=None):
     nothing is proven). `buffers` and validity are as in `forward`.
     """
     with np.errstate(over="ignore"):  # an overflowing norm gives an infinite bound
-        norms = [float(np.abs(spec.weights).sum(axis=1).max()) for spec in model.layers]
+        norms = [float(np.abs(spec.weights).sum(axis=1).max(initial=0.0)) for spec in model.layers]
     x_max = float(np.maximum(points.max(), -points.min())) if points.size else 0.0
     bound = 0.0
     for l, pre in forward(model, points, 1, last, buffers, kernel=_gemm):
         spec, norm = model.layers[l - 1], norms[l - 1]
         k = spec.in_dim + 1
         g = _BOUND_C * k * 2.0**-53 / (1 - k * 2.0**-53)
-        scale = norm * x_max + float(np.abs(spec.bias).max())
+        scale = norm * x_max + float(np.abs(spec.bias).max(initial=0.0))
         bound = g * scale + (1 + g) * norm * bound + k * 2.0**-1074
         if (1 + g) * scale == math.inf:  # a value may have overflowed to inf
             bound = math.inf
@@ -440,10 +442,14 @@ def load_model(path):
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"cannot parse model file {path}: {exc}") from exc
     try:
-        in_dim = int(raw["in_dim"])
+        in_dim = raw["in_dim"]
         layer_specs = raw["layers"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"model file {path} missing in_dim/layers") from exc
+    if type(in_dim) is not int or in_dim < 1:  # not true (a bool), nor 2.7 or 2.0 (floats)
+        raise ModelFormatError(
+            f"model file {path}: in_dim must be an integer >= 1, got {json.dumps(in_dim)}"
+        )
     if not isinstance(layer_specs, list):
         raise ModelFormatError(f"model file {path}: layers must be a list")
     layers, prev = [], in_dim

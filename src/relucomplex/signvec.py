@@ -10,7 +10,7 @@ Sign-vectors are int8 arrays with values in {-1, 0, +1}, one row per cell,
 and every operation here works on a whole batch of rows at once:
 evaluation (`signs_of_values`), perturbation to parent cells
 (`perturb_rows`), grouping in canonical order (`group_rows`), both in one
-buffer (`group_parents`), and text (`sign_texts`).
+buffer (`group_parents`), and text (`sign_lines`, `sign_texts`).
 The int8 row is the one key: `group_rows` groups on its bytes and returns
 the rows' sort order, not an inverse map, so callers read the groups off
 ``rows[order]`` without sorting again; a set of rows compares as the set of
@@ -43,16 +43,29 @@ def signs_of_values(values):
     return signs, (np.abs(values) < EPS_DEGENERATE).sum(axis=0)
 
 
-_SIGN_BYTES = np.frombuffer(b"-0+", dtype=np.uint8)
+def sign_lines(rows):
+    """Text of an int8 sign matrix as bytes: an (n, w + 1) uint8 block whose
+    row i is row i's signs in ASCII ('-', '0', '+') and a newline.
+
+    A sign r maps to the code 48 - r - 4r^2 (45, 48, 43), computed on the
+    int8 rows in place in the block.
+    """
+    rows = np.asarray(rows, dtype=np.int8)
+    n, w = rows.shape
+    block = np.empty((n, w + 1), dtype=np.uint8)
+    text = block[:, :w].view(np.int8)
+    np.multiply(rows, rows, out=text)
+    text *= -4
+    text -= rows
+    text += 48
+    block[:, w] = ord("\n")
+    return block
 
 
 def sign_texts(rows):
-    """Text of every row of an int8 sign matrix ('-', '0', '+'), by one
-    table lookup."""
-    rows = np.asarray(rows, dtype=np.int8)
-    w = rows.shape[1]
-    text = _SIGN_BYTES[rows + 1].tobytes().decode("ascii")
-    return [text[i * w : (i + 1) * w] for i in range(len(rows))]
+    """Text of every row of an int8 sign matrix ('-', '0', '+'): the lines
+    of `sign_lines`, decoded."""
+    return sign_lines(rows).tobytes().decode("ascii").split("\n")[:-1]
 
 
 def sign_text(row):

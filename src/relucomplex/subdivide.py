@@ -412,15 +412,28 @@ def extract_complex(
 ):
     """Run the full schedule on a fresh skeleton.
 
-    With level_set_prune, prune_future runs after each completed layer
-    (never after the last neuron). Returns the compacted skeleton and the
-    per-iteration stats. The passed skeleton is consumed.
+    Every layer before the schedule's last one must be scheduled in full: a
+    deeper neuron bends on each hyperplane of the layers before it, so a
+    skipped one would leave a bend inside a cell. Raises ValueError naming
+    the first skipped neuron otherwise. With level_set_prune, prune_future
+    runs after each completed layer (never after the last neuron). Returns
+    the compacted skeleton and the per-iteration stats. The passed skeleton
+    is consumed.
     """
     if sk.t != 0:
         raise ValueError("expected a fresh skeleton (t = 0)")
     if domain.m != sk.m:
         raise ValueError("domain facet count does not match the skeleton")
     neurons = list(schedule)
+    scheduled = set(neurons)
+    last = neurons[-1].layer if neurons else 1
+    for layer in range(1, last):
+        for index in range(model.layers[layer - 1].out_dim):
+            if model_mod.NeuronRef(layer, index) not in scheduled:
+                raise ValueError(
+                    f"schedule skips neuron {layer}:{index} but reaches layer {last}: "
+                    "every layer before its last must be scheduled in full"
+                )
     sk.reserve_sign_width(sk.m + len(neurons))
     cache = LayerValueCache(model, sk.positions)
     stats = []

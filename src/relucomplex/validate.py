@@ -10,11 +10,12 @@ residuals, midpoint_check and sampled_region_oracle split their rows into
 blocks of at most BLOCK_ROWS, equal to within one row and as many as keep
 every worker busy (`_map_blocks`), and stream each block through the net
 one layer at a time (`model.stream_layers`) on `workers` threads (default:
-one per available core). Each worker fills scratch buffers the caller
-allocated for it, and the caller consumes the blocks in order. The model's
-affine kernel gives every row the same result in any batch, so neither the
-block size nor the worker count changes any output, only the memory and
-time used.
+one per available core); residuals stops each vertex's walk at the layer of
+its deepest zero. Each worker fills scratch buffers the caller allocated
+for it, and the caller consumes the blocks in order. The model's affine
+kernel gives every row the same result in any batch, so neither the block
+size, nor the worker count, nor how deep a row is walked changes any
+output, only the memory and time used.
 
 The region oracle reads only signs, so it signs on the BLAS kernel and
 proves each sign against the reference kernel (`model.certified_signs`),
@@ -129,12 +130,24 @@ def residuals(sk, model, domain, schedule, workers=None):
 
     Facet zeros score |w.x - b|, neuron zeros |pre-activation|. Aggregates
     come back per group (facets, then one group per layer). Vertices are
-    evaluated in blocks of at most BLOCK_ROWS on `workers` threads; each
-    block's picked values are kept in row order, and every max and mean is
-    taken once over them. `schedule` is the one the skeleton was extracted
-    with.
+    evaluated in blocks of at most BLOCK_ROWS on `workers` threads. A
+    vertex's zeros lie in the layer that made it or an earlier one, so
+    within a block the rows are bucketed by the group of their deepest zero,
+    and each bucket streams through the schedule's neurons up to that
+    layer only; rows with facet zeros alone are not walked. The kernel is
+    row-stable, so the values are those of a walk through every layer. Each
+    block's picked values are kept in the row-major order of its zeros, and
+    every max and mean is taken once over them. `schedule` is the one the
+    skeleton was extracted with.
     """
-    names = ["facets"] + [f"layer_{layer}" for layer, _, _ in model_mod.layer_columns(schedule)]
+    layers = model_mod.layer_columns(schedule)
+    names = ["facets"] + [f"layer_{layer}" for layer, _, _ in layers]
+    widths = [sk.m] + [width for _, _, width in layers]
+    group_of_col = np.repeat(np.arange(len(widths)), widths)
+    # the schedule up to the end of each group: layer-major, so its layers'
+    # offsets are those of the whole schedule
+    neurons = tuple(schedule)
+    prefixes = [neurons[: end - sk.m] for end in np.cumsum(widths)]
     av = sk.alive_vertex_ids()
 
     def block(start, stop, scratch):
@@ -145,17 +158,25 @@ def residuals(sk, model, domain, schedule, workers=None):
         zero = np.equal(signs, 0, out=signs.view(np.bool_))
         # the zero entries in row-major order, and the group each lies in
         row, col = np.nonzero(zero)
+        group = group_of_col[col]
+        # each row's deepest group: that of its last zero
+        last = np.ones(len(row), dtype=bool)
+        last[:-1] = row[1:] != row[:-1]
+        deepest = np.zeros(len(ids), dtype=np.intp)
+        deepest[row[last]] = group[last]
         pts = sk.positions[ids]
         picked = np.empty(len(row))
-        group = np.zeros(len(row), dtype=np.intp)
-        at = col < sk.m
+        at = group == 0
         picked[at] = domain.facet_values(pts)[row[at], col[at]]
-        stream = model_mod.stream_layers(model, pts, schedule, buffers)
-        for g, (offset, values) in enumerate(stream, start=1):
-            first = sk.m + offset
-            at = (col >= first) & (col < first + values.shape[1])
-            picked[at] = values[row[at], col[at] - first]
-            group[at] = g
+        bucket_of_zero = deepest[row]
+        for g in np.unique(deepest[deepest > 0]):
+            rows = np.flatnonzero(deepest == g)
+            zeros = np.flatnonzero(bucket_of_zero == g)
+            within = np.searchsorted(rows, row[zeros])
+            stream = model_mod.stream_layers(model, pts[rows], prefixes[g], buffers)
+            for h, (offset, values) in enumerate(stream, start=1):
+                at = group[zeros] == h
+                picked[zeros[at]] = values[within[at], col[zeros[at]] - sk.m - offset]
         return np.abs(picked, out=picked), group
 
     picked = [np.zeros(0)]

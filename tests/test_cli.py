@@ -151,6 +151,46 @@ def test_model_layers_not_a_list(tmp_path, capsys, layers):
     assert "layers must be a list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("in_dim", [2.7, 2.0, True, 0, "2"])
+def test_model_in_dim_not_a_positive_integer(tmp_path, capsys, in_dim):
+    path = tmp_path / "net.json"
+    doc = {"in_dim": in_dim, "layers": [{"weights": [[1.0, 1.0]], "bias": [0.5]}]}
+    path.write_text(json.dumps(doc))
+    for command in ("count", "validate"):
+        assert run_cli(command, "--model", path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"in_dim must be an integer >= 1, got {json.dumps(in_dim)}" in err
+
+
+def test_model_output_layer_of_no_neurons(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    doc = {"in_dim": 2, "layers": [
+        {"weights": [[1.0, 0.0]], "bias": [0.0]}, {"weights": [], "bias": []},
+    ]}
+    path.write_text(json.dumps(doc))
+    assert run_cli("count", "--model", path, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "layer 2: the output layer has no neurons" in err and "--output-index" not in err
+
+
+def test_validate_with_a_hidden_layer_of_no_neurons(tmp_path, capsys):
+    # widths (2, 2, 0, 1): the lines x = 0 and y = 0, then a layer pruned to
+    # nothing; the region oracle's error bound runs over the empty layer
+    path = tmp_path / "net.json"
+    doc = {"in_dim": 2, "layers": [
+        {"weights": [[1.0, 0.0], [0.0, 1.0]], "bias": [0.0, 0.0]},
+        {"weights": [], "bias": []},
+        {"weights": [[]], "bias": [0.5]},
+    ]}
+    path.write_text(json.dumps(doc))
+    assert run_cli("validate", "--model", path, "--samples", 1000, "--out", tmp_path / "v") == 0
+    assert capsys.readouterr().out.startswith("validation PASS")
+    assert run_cli("count", "--model", path, "--out", tmp_path / "c") == 0
+    counts = json.loads((tmp_path / "c" / "counts.json").read_text())["dims"]
+    validation = json.loads((tmp_path / "v" / "validation.json").read_text())
+    assert counts == validation["counts"] == [9, 12, 4]
+
+
 def test_count_square_cases(tmp_path):
     # hyperplane missing the domain: counts match the bare square
     doc = {"in_dim": 2, "layers": [{"weights": [[1.0, 1.0]], "bias": [10.0]}]}

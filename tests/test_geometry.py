@@ -555,11 +555,33 @@ def test_csv_round_trip_checks_edge_rows(tmp_path, session):
         session._load_skeleton_csv(tmp_path, sk.dim, sk.m)
 
 
-def test_csv_matches_per_row_reference(tmp_path, monkeypatch):
-    # an uncompacted skeleton: split edges and some vertices are dead, so ids
-    # skip; spare sign columns make the sign views strided; small batches
-    net = centered_output_net(2, 2, 6, seed=4)
-    domain, sk = init_hypercube(2, -1.0, 1.0)
+def csv_reference(sk):
+    """The bytes of vertices.csv and edges.csv, built line by line."""
+
+    def text(row):
+        return "".join("-0+"[s + 1] for s in row.tolist())
+
+    coords = ",".join(f"x_{j}" for j in range(sk.dim))
+    vlines = [f"id,{coords},sign"] + [
+        ",".join([str(v)] + [format(float(x), ".17g") for x in sk.positions[v]])
+        + f",{text(sk.vertex_signs[v])}"
+        for v in range(sk.n_vertices)
+        if sk.vertex_alive[v]
+    ]
+    elines = ["id,v_lo,v_hi,sign"] + [
+        f"{e},{sk.edges[e, 0]},{sk.edges[e, 1]},{text(sk.edge_signs_of(e))}"
+        for e in range(sk.n_edges)
+        if sk.edge_alive[e]
+    ]
+    return [("\n".join(lines) + "\n").encode() for lines in (vlines, elines)]
+
+
+def uncompacted_skeleton(dim, seed):
+    """A skeleton of a centered net left uncompacted: split edges and every
+    fourth vertex are dead, so ids skip, and spare sign columns make the
+    sign views strided."""
+    net = centered_output_net(dim, 2, 6 if dim < 3 else 4, seed=seed)
+    domain, sk = init_hypercube(dim, -1.0, 1.0)
     neurons = list(NeuronSchedule.for_model(net, include_output=True))
     sk.reserve_sign_width(sk.m + len(neurons) + 3)
     for nref in neurons:
@@ -567,21 +589,25 @@ def test_csv_matches_per_row_reference(tmp_path, monkeypatch):
     sk.vertex_alive[::4] = False
     assert not sk.edge_alive.all()
     assert {-1, 0, 1} <= set(np.unique(sk.edge_signs).tolist())
+    return sk
+
+
+def test_csv_matches_per_row_reference(tmp_path, monkeypatch):
+    sk = uncompacted_skeleton(2, seed=4)
     monkeypatch.setattr(geometry, "CSV_BATCH_ROWS", 7)
     export_csv(sk, tmp_path)
+    vertices, edges = csv_reference(sk)
+    assert (tmp_path / "vertices.csv").read_bytes() == vertices
+    assert (tmp_path / "edges.csv").read_bytes() == edges
 
-    def fmt(x):
-        return format(float(x), ".17g")
 
-    vlines = ["id,x_0,x_1,sign"] + [
-        f"{v},{fmt(sk.positions[v, 0])},{fmt(sk.positions[v, 1])},{sign_text(sk.vertex_signs[v])}"
-        for v in range(sk.n_vertices)
-        if sk.vertex_alive[v]
-    ]
-    elines = ["id,v_lo,v_hi,sign"] + [
-        f"{e},{sk.edges[e, 0]},{sk.edges[e, 1]},{sign_text(sk.edge_signs_of(e))}"
-        for e in range(sk.n_edges)
-        if sk.edge_alive[e]
-    ]
-    assert (tmp_path / "vertices.csv").read_bytes() == ("\n".join(vlines) + "\n").encode()
-    assert (tmp_path / "edges.csv").read_bytes() == ("\n".join(elines) + "\n").encode()
+@pytest.mark.parametrize("dim", [1, 3])
+def test_csv_batches_match_per_row_reference(tmp_path, monkeypatch, dim):
+    # batches of 5 rows, so both files take more than one
+    sk = uncompacted_skeleton(dim, seed=2)
+    monkeypatch.setattr(geometry, "CSV_BATCH_ROWS", 5)
+    export_csv(sk, tmp_path)
+    vertices, edges = csv_reference(sk)
+    assert min(sk.n_vertices_alive, sk.n_edges_alive) > 5
+    assert (tmp_path / "vertices.csv").read_bytes() == vertices
+    assert (tmp_path / "edges.csv").read_bytes() == edges

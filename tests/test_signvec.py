@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -100,6 +102,24 @@ def test_sign_text_examples():
     assert sign_text([1, 1, 0]) == "++0"
     assert sign_text(np.zeros(0, dtype=np.int8)) == ""
     assert sign_texts(np.zeros((2, 0), dtype=np.int8)) == ["", ""]
+
+
+def test_sign_lines_every_code():
+    # all 27 rows of three signs, and a strided view of them
+    rows = np.array(list(itertools.product([-1, 0, 1], repeat=3)), dtype=np.int8)
+    want = ["".join("-0+"[s + 1] for s in row) for row in rows.tolist()]
+    lines = signvec.sign_lines(rows)
+    assert lines.dtype == np.uint8 and lines.shape == (27, 4)
+    assert lines.tobytes() == "".join(text + "\n" for text in want).encode()
+    assert sign_texts(rows) == want
+    assert sign_texts(rows[:, ::2]) == [text[::2] for text in want]
+
+
+def test_sign_texts_of_empty_rows():
+    assert signvec.sign_lines(np.zeros((3, 0), dtype=np.int8)).tobytes() == b"\n\n\n"
+    assert sign_texts(np.zeros((3, 0), dtype=np.int8)) == ["", "", ""]
+    assert sign_texts(np.zeros((0, 4), dtype=np.int8)) == []
+    assert sign_texts(np.zeros((0, 0), dtype=np.int8)) == []
 
 
 def test_perturb_rows_interior_vertex():

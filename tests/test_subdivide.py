@@ -156,6 +156,26 @@ def test_extract_empty_schedule():
     assert out.n_vertices == 4 and out.n_edges == 4
 
 
+def test_extract_rejects_a_gap_before_the_last_layer():
+    # a deeper neuron bends on every hyperplane of the layers before it, so
+    # a skipped neuron there would leave a bend inside a cell
+    net = random_model(2, 2, 4, 1, seed=0)
+    full = NeuronSchedule.for_model(net, include_output=True).neurons
+    gapped = {
+        "1:1": full[:1] + full[2:8],  # layer 1 without neuron 1, then layer 2
+        "2:3": full[:7] + full[8:],  # the last hidden neuron skipped, the output kept
+        "1:0": full[4:8],  # layer 2 alone
+    }
+    for name, neurons in gapped.items():
+        domain, sk = init_hypercube(2, -1.0, 1.0)
+        with pytest.raises(ValueError, match=f"schedule skips neuron {name} but reaches layer"):
+            extract_complex(net, domain, sk, NeuronSchedule(neurons))
+    # a gap in the last layer leaves no bend inside a cell
+    domain, sk = init_hypercube(2, -1.0, 1.0)
+    sk, _ = extract_complex(net, domain, sk, NeuronSchedule(full[:4] + full[5:8:2]))
+    assert sk.t == 6
+
+
 def test_extract_requires_fresh_skeleton():
     net = random_model(2, 1, 3, 1, seed=0)
     domain, sk = init_hypercube(2, 0.0, 1.0)

@@ -83,13 +83,15 @@ def test_midpoint_random_2d(seed):
 
 
 def test_gapped_schedule_validates():
-    # every other neuron: the sign width does not tell which neurons were
-    # processed, so the evaluators take the schedule of the extraction
+    # layer 1 and every other neuron of layer 2: the sign width does not tell
+    # which neurons were processed, so the evaluators take the schedule of
+    # the extraction
     net = random_model(2, 2, 6, 1, seed=3)
-    schedule = NeuronSchedule(NeuronSchedule.for_model(net).neurons[::2], False)
+    full = NeuronSchedule.for_model(net).neurons
+    schedule = NeuronSchedule(full[:6] + full[6::2], False)
     domain, sk = init_hypercube(2, -1.0, 1.0)
     sk, _ = extract_complex(net, domain, sk, schedule)
-    assert sk.t == 6
+    assert sk.t == 9
     assert residuals(sk, net, domain, schedule).max_abs < 1e-12
     assert midpoint_check(sk, net, domain, 1e-8, schedule).n_fail == 0
     regions = region_signatures(sk, sk.m)
@@ -335,6 +337,65 @@ def test_residuals_blocks_agree(monkeypatch, kind, include_output):
     groups = ["facets", "layer_1", "layer_2"] + (["layer_3"] if include_output else [])
     assert list(reports[0]["by_group"]) == groups
     assert reports[0]["n_vertices"] == sk.n_vertices_alive > 7
+
+
+def full_depth_residuals(sk, net, domain, schedule):
+    """residuals' report with every alive vertex walked through every layer,
+    all vertices in one batch: the reference for walks that stop early."""
+    av = sk.alive_vertex_ids()
+    pts = sk.positions[av]
+    pres = batch_preactivations(net, pts)
+    neuron_vals = [pres[nr.layer - 1][:, nr.index : nr.index + 1] for nr in schedule]
+    values = np.concatenate([domain.facet_values(pts)] + neuron_vals, axis=1)
+    layers = sorted({nr.layer for nr in schedule})
+    group = np.array([0] * sk.m + [1 + layers.index(nr.layer) for nr in schedule])
+    row, col = np.nonzero(sk.vertex_signs[av] == 0)
+    picked = np.abs(values[row, col])
+    by_group = {}
+    for g, name in enumerate(["facets"] + [f"layer_{layer}" for layer in layers]):
+        kept = picked[group[col] == g]
+        if kept.size:
+            by_group[name] = {"max_abs": float(kept.max()), "mean_abs": float(kept.mean())}
+    report = validate_mod.ResidualReport(
+        float(picked.max()) if picked.size else 0.0,
+        float(picked.mean()) if picked.size else 0.0,
+        by_group,
+        domain.extent,
+        sk.degenerate_count,
+        len(av),
+        int(picked.size),
+    )
+    return report.to_json()
+
+
+def last_layer_gapped(schedule):
+    """`schedule` with every other neuron of its last layer dropped."""
+    last = schedule[-1].layer
+    kept = [nr for nr in schedule if nr.layer < last or nr.index % 2 == 0]
+    return NeuronSchedule(kept, schedule.include_output)
+
+
+@pytest.mark.parametrize("kind", ["cube", "simplex"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_residuals_match_a_full_depth_walk(monkeypatch, dim, depth, kind):
+    # each vertex's walk stops at its deepest zero; blocks of 7 rows mix
+    # vertices of every depth, and the values must be bitwise those of a
+    # walk through every layer
+    monkeypatch.setattr(validate_mod, "BLOCK_ROWS", 7)
+    net = random_model(dim, depth, {1: 32, 2: 5}.get(dim, 3), 2, seed=dim + depth)
+    for include_output in (False, True):
+        full = NeuronSchedule.for_model(net, include_output=include_output)
+        for schedule in (full, last_layer_gapped(full)):
+            if kind == "cube":
+                domain, sk = init_hypercube(dim, -1.0, 1.0)
+            else:
+                domain, sk = init_simplex(dim, 0.7)
+            sk, _ = extract_complex(net, domain, sk, schedule)
+            want = full_depth_residuals(sk, net, domain, schedule)
+            assert want["n_vertices"] > 7 and len(want["by_group"]) > 1
+            for workers in (1, 2, 3):
+                assert residuals(sk, net, domain, schedule, workers).to_json() == want
 
 
 @pytest.mark.parametrize("kind", ["cube", "simplex"])
