@@ -14,9 +14,12 @@ buffer (`group_parents`), and text (`sign_lines`, `sign_texts`).
 The int8 row is the one key: `group_rows` groups on its bytes and returns
 the rows' sort order, not an inverse map, so callers read the groups off
 ``rows[order]`` without sorting again; a set of rows compares as the set of
-their ``row.tobytes()``. Every perturb-then-group step goes through
-`group_parents`, which shifts the freshly built candidates into key bytes
-in place, so each candidate row is held once.
+their ``row.tobytes()``. The perturb-then-group steps of the cell sets,
+cell counting and face grouping go through `group_parents`, which shifts
+the freshly built candidates into key bytes in place, so each candidate row
+is held once. The 2-face pairing of a split (`subdivide.pair_splitting_faces`)
+builds no candidate rows: it pairs them on 64-bit keys, and calls
+`group_parents` only to name a face that does not pair.
 """
 
 import numpy as np

@@ -7,6 +7,9 @@ endpoint signs (3), place a new vertex on each splitting edge by linear
 interpolation and replace the edge by its two halves (4), and connect new
 vertices across splitting 2-faces, which are identified implicitly by
 perturbing the splitting edges' sign-vectors and pairing equal results (5).
+Step (5) pairs on one 64-bit key per edge row, from which each perturbed
+row's key follows by one addition (`pair_splitting_faces`), and checks
+each pair's two rows for equality.
 
 `subdivide_layer` runs the iterations of one layer's neurons together.
 When the layer starts, steps (1)-(3) are done for all of its neurons at
@@ -29,13 +32,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import _rng
 from . import model as model_mod
 from . import signvec
 from . import skeleton as skeleton_mod
 
 
 class PairingError(RuntimeError):
-    """A perturbed 2-face key did not occur exactly twice.
+    """A perturbed 2-face did not occur exactly twice, or the 64-bit keys of
+    two faces collided.
 
     Every bounded splitting 2-face has exactly two splitting edges; any
     other multiplicity means the arrangement is degenerate or the skeleton
@@ -79,17 +84,20 @@ class LayerValueCache:
     neuron of the layer, so a layer's step (1) is one read of it. Vertex
     positions never change, so a row is computed once per layer: when the
     layer starts, `model.forward` walks the matrix on from the layer before,
-    and `extend` walks new vertices from their positions, into spare rows
-    that grow like the skeleton's buffers. The affine kernel is row- and
-    column-stable, so every value is bitwise the one a per-neuron evaluation
-    at that vertex gives.
+    and `extend` walks new vertices from their positions in two buffers it
+    reuses. Both write the layer's values straight into the matrix, which
+    has spare rows for the vertices the layer adds (`_spare`). The affine
+    kernel is row- and column-stable, so every value is bitwise the one a
+    per-neuron evaluation at that vertex gives.
     """
 
     def __init__(self, model, positions):
         self.model = model
-        walk = model_mod.forward(model, np.asarray(positions, dtype=np.float64), 1, 1)
-        self.layer, self._pre = next(walk)
+        # layer 0: the positions themselves
+        self.layer, self._pre = 0, np.asarray(positions, dtype=np.float64)
         self._n = len(self._pre)
+        self._buffers = (np.empty(0), np.empty(0))
+        self._walk_to(1)
 
     @property
     def n_rows(self):
@@ -102,9 +110,19 @@ class LayerValueCache:
     def advance_to(self, layer):
         if layer < self.layer:
             raise ValueError("cache cannot move backwards through layers")
-        walk = model_mod.forward(self.model, self._pre[: self._n], self.layer + 1, layer)
-        for self.layer, self._pre in walk:
+        if layer > self.layer:
+            self._walk_to(layer)
+
+    def _walk_to(self, layer):
+        """Walk every row on to `layer`, into a new matrix with as many spare
+        rows as rows."""
+        pre = np.empty((_spare(self._n), self.model.layers[layer - 1].out_dim))
+        walk = model_mod.forward(
+            self.model, self._pre[: self._n], self.layer + 1, layer, out=pre[: self._n]
+        )
+        for _ in walk:
             pass
+        self.layer, self._pre = layer, pre
 
     def preactivation(self, neuron, rows):
         if neuron.layer != self.layer:
@@ -112,15 +130,42 @@ class LayerValueCache:
         return self._pre[rows, neuron.index]
 
     def extend(self, positions):
-        for _, pre in model_mod.forward(self.model, positions, 1, self.layer):
-            pass
-        first, last = self._n, self._n + len(pre)
+        """Append the current layer's rows at new vertex positions.
+
+        The layers before it are walked in two float buffers the cache keeps
+        for the next call (as `model.forward` does with `stream_buffers`),
+        and the last layer is written straight into the spare rows.
+        """
+        first, last = self._n, self._n + len(positions)
         if last > len(self._pre):
-            (self._pre,) = skeleton_mod._lengthen(
-                (self._pre,), first, skeleton_mod._grown(last)
-            )
-        self._pre[first:last] = pre
+            (self._pre,) = skeleton_mod._lengthen((self._pre,), first, _spare(last))
+        walk = model_mod.forward(
+            self.model,
+            positions,
+            1,
+            self.layer,
+            self._walk_buffers(len(positions)),
+            out=self._pre[first:last],
+        )
+        for _ in walk:
+            pass
         self._n = last
+
+    def _walk_buffers(self, rows):
+        """The two reused buffers `extend` walks `rows` positions in, up to
+        the layer before the current one; grown like the skeleton's."""
+        width = max((spec.out_dim for spec in self.model.layers[: self.layer - 1]), default=0)
+        if len(self._buffers[0]) < rows * width:
+            size = skeleton_mod._grown(rows * width)
+            self._buffers = (np.empty(size), np.empty(size))
+        return self._buffers
+
+
+def _spare(rows):
+    """Rows to allocate for a value matrix of `rows` rows: twice as many,
+    as a layer's splits add about as many vertices as it starts with.
+    Spare rows cost no memory until they are written."""
+    return 2 * rows
 
 
 def subdivide_once(sk, model, neuron, cache=None):
@@ -329,31 +374,94 @@ def _position_type(k):
     return np.min_scalar_type(-k - 1)
 
 
+#: the splitmix64 stream of the 2-face key weights (`_key_weights`)
+_KEY_STREAM = _rng.stream_key(0xFACE)
+_key_weight_table = np.zeros(0, dtype=np.uint64)
+
+
+def _key_weights(w):
+    """The weights of the 2-face key of width-w rows: the first w elements
+    of a fixed splitmix64 stream, made odd. The read-only table is grown on
+    demand; the stream is counter-based, so a longer table starts with the
+    same weights."""
+    global _key_weight_table
+    if len(_key_weight_table) < w:
+        table = _rng.bits(_KEY_STREAM, skeleton_mod._grown(w)) | np.uint64(1)
+        table.flags.writeable = False
+        _key_weight_table = table
+    return _key_weight_table[:w]
+
+
 def pair_splitting_faces(pre_rows, new_vids, m):
     """Pair splitting edges across their shared 2-faces.
 
     `pre_rows` are the splitting edges' sign-vectors before the current
     neuron's entry was appended, and `new_vids` the ids of the vertices
-    placed on them. Each edge's parenting 2-faces are generated by
-    perturbing its row; every generated face must occur exactly twice, and
-    each pair yields one intersecting edge connecting the two new vertices
-    (its sign-vector is the face's plus an appended zero). The faces are
-    grouped by `signvec.group_parents`, whose sort order lists each face's
-    two generating edges side by side. Returns the ``(lo, hi)`` vertex id
-    pairs in ascending face order; none at D = 1, where no edge row has a
-    zero to perturb. Raises PairingError on any other multiplicity.
+    placed on them. Each edge's parenting 2-faces are its row with one zero
+    flipped (`signvec.perturb_rows`); every face must be generated exactly
+    twice, and each pair yields one intersecting edge connecting the two new
+    vertices (its sign-vector is the face's plus an appended zero).
+
+    The faces are paired on one 64-bit key per row, ``K(r) = sum_j
+    w_j (r_j + 1) mod 2^64`` with odd `w_j` (`_key_weights`): flipping zero
+    j to s adds ``s w_j``, so no candidate row is built to group them. The
+    two face rows of each pair are then built and must be equal, so a key
+    collision raises rather than pairing wrongly. Returns the ``(lo, hi)``
+    vertex id pairs in ascending face order (`signvec.group_rows`' order,
+    one sort of a face row per pair); none at D = 1, where no edge row has
+    a zero to perturb. Raises PairingError when a face is not generated
+    exactly twice, naming the first such face in that order, or when the
+    keys of two faces collide.
     """
-    uniq, order, counts, src = signvec.group_parents(pre_rows, m)
-    if np.any(counts != 2):
-        bad = int(np.flatnonzero(counts != 2)[0])
-        raise PairingError(
-            f"2-face {signvec.sign_text(uniq[bad])} occurred {int(counts[bad])} times, expected 2"
+    pre_rows = np.asarray(pre_rows, dtype=np.int8)
+    w = pre_rows.shape[1]
+    src, col = np.divmod(np.flatnonzero(pre_rows == 0), w)
+    n_plus = len(src)
+    # each candidate's zero, in perturb_rows' order: every zero flipped to +,
+    # then every interior zero to -
+    zero = np.concatenate([np.arange(n_plus), np.flatnonzero(col >= m)])
+    weights = _key_weights(w)
+    flip = weights[col[zero]]
+    np.negative(flip[n_plus:], out=flip[n_plus:])
+    keys = np.dot((pre_rows + 1).view(np.uint8), weights)[src[zero]]
+    keys += flip
+    order = np.argsort(keys)
+    if len(keys) % 2 or np.any(keys[order[2::2]] == keys[order[1:-1:2]]):
+        raise _pairing_error(pre_rows, m, keys)  # an odd count, or a key in two pairs
+    # the two face rows of each pair, side by side
+    cand = zero[order]
+    srcs = src[cand]
+    faces = pre_rows[srcs]
+    faces[np.arange(len(cand)), col[cand]] = np.where(order < n_plus, 1, -1)
+    faces = faces.reshape(-1, 2, w)
+    if not np.array_equal(faces[:, 0], faces[:, 1]):
+        raise _pairing_error(pre_rows, m, keys)
+    codes = faces[:, 0] + 1
+    by_face = np.argsort(codes.view(np.dtype((np.void, w))).ravel())
+    return np.sort(new_vids[srcs.reshape(-1, 2)[by_face]], axis=1)
+
+
+def _pairing_error(pre_rows, m, keys):
+    """The PairingError for 2-face keys (`keys`, one per candidate in
+    `perturb_rows`' order) that do not pair up. The candidate rows are
+    grouped themselves (`signvec.group_parents`): the first face in
+    canonical order that does not occur exactly twice is named, else two
+    faces whose keys collide."""
+    uniq, order, counts, _ = signvec.group_parents(pre_rows, m)
+    bad = np.flatnonzero(counts != 2)
+    if len(bad):
+        return PairingError(
+            f"2-face {signvec.sign_text(uniq[bad[0]])} occurred {int(counts[bad[0]])} times, "
+            "expected 2"
         )
-    srcs = src[order].reshape(-1, 2)
-    if np.any(same := srcs[:, 0] == srcs[:, 1]):
-        bad = int(np.argmax(same))
-        raise PairingError(f"2-face {signvec.sign_text(uniq[bad])} generated twice by one edge")
-    return np.sort(new_vids[srcs], axis=1)
+    # every face occurs twice, so the keys of two faces are equal
+    face_keys = keys[order[0::2]]
+    by_key = np.argsort(face_keys, kind="stable")
+    i = int(np.argmax(face_keys[by_key[1:]] == face_keys[by_key[:-1]]))
+    a, b = uniq[by_key[i]], uniq[by_key[i + 1]]
+    return PairingError(
+        f"2-faces {signvec.sign_text(a)} and {signvec.sign_text(b)} share a 64-bit key"
+    )
 
 
 def prune_future(sk, model, remaining, cache=None):
@@ -365,7 +473,9 @@ def prune_future(sk, model, remaining, cache=None):
     `cache` (the running extraction's LayerValueCache; without one, a fresh
     cache is built, as in `subdivide_once`) is advanced to the first
     remaining neuron's layer, and `model.forward` from the alive vertices'
-    rows of it gives the deeper layers.
+    rows of it gives the deeper layers. Each alive vertex's signs for every
+    remaining neuron are packed into 64-bit words, one bit each, and an
+    alive edge dies when its endpoints' words are all equal.
     """
     remaining = sorted(remaining)  # layer-major, as the walk runs
     if not remaining:
@@ -378,26 +488,30 @@ def prune_future(sk, model, remaining, cache=None):
     av = sk.alive_vertex_ids()
     alive_row = np.zeros(sk.n_vertices, dtype=np.intp)
     alive_row[av] = np.arange(len(av))
-    # alive edges (and their endpoints' rows in `pre`), narrowed layer by
-    # layer to those whose endpoints still agree on every sign
-    same = sk.alive_edge_ids()
-    ends = alive_row[sk.edges[same]]
-    wanted = {layer: cols for layer, cols, _ in model_mod.layer_columns(remaining)}
+    # every remaining neuron's sign at the alive vertices, one bit each, the
+    # row padded to whole 64-bit words
+    positive = np.zeros((len(av), -(-len(remaining) // 64) * 64), dtype=bool)
+    wanted = {layer: (cols, k) for layer, cols, k in model_mod.layer_columns(remaining)}
     pre = cache.values(av)
     walk = model_mod.forward(model, pre, cache.layer + 1, remaining[-1].layer)
+    offset = 0
     for layer, pre in itertools.chain([(cache.layer, pre)], walk):
         if layer in wanted:
-            positive = pre[:, wanted[layer]] > 0.0
-            agree = np.all(positive[ends[:, 0]] == positive[ends[:, 1]], axis=1)
-            same, ends = same[agree], ends[agree]
-    sk.edge_alive[same] = False
+            cols, k = wanted[layer]
+            np.greater(pre[:, cols], 0.0, out=positive[:, offset : offset + k])
+            offset += k
+    words = np.packbits(positive, axis=1).view(np.uint64)
+    ae = sk.alive_edge_ids()
+    ends = alive_row[sk.edges[ae]]
+    killed = ae[np.all(words[ends[:, 0]] == words[ends[:, 1]], axis=1)]
+    sk.edge_alive[killed] = False
 
     alive_ends = sk.edges[sk.alive_edge_ids()]
     degree = np.bincount(alive_ends.ravel(), minlength=sk.n_vertices)
     killed_vertices = av[degree[av] == 0]
     sk.vertex_alive[killed_vertices] = False
     return PruneStats(
-        len(same), len(killed_vertices), sk.n_edges_alive, sk.n_vertices_alive
+        len(killed), len(killed_vertices), sk.n_edges_alive, sk.n_vertices_alive
     )
 
 

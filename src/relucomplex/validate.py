@@ -119,6 +119,16 @@ def _map_blocks(block, n, workers, make_scratch):
             yield pending.popleft().result()
 
 
+def _check_covers(sk, schedule):
+    """Raise ValueError unless `schedule` has one neuron per sign column of
+    `sk` after its facet columns."""
+    if sk.sign_width != sk.m + len(schedule):
+        raise ValueError(
+            f"skeleton sign width {sk.sign_width} does not match the {sk.m} facets "
+            f"plus the schedule's {len(schedule)} neurons ({sk.m + len(schedule)})"
+        )
+
+
 def _scratch(model, schedule, width, rows):
     """A worker's buffers: `rows` int8 sign rows of `width`, and the two
     float buffers of `model.stream_layers`."""
@@ -138,8 +148,10 @@ def residuals(sk, model, domain, schedule, workers=None):
     row-stable, so the values are those of a walk through every layer. Each
     block's picked values are kept in the row-major order of its zeros, and
     every max and mean is taken once over them. `schedule` is the one the
-    skeleton was extracted with.
+    skeleton was extracted with; ValueError if it does not cover the sign
+    width.
     """
+    _check_covers(sk, schedule)
     layers = model_mod.layer_columns(schedule)
     names = ["facets"] + [f"layer_{layer}" for layer, _, _ in layers]
     widths = [sk.m] + [width for _, _, width in layers]
@@ -227,9 +239,11 @@ def midpoint_check(sk, model, domain, tol, schedule, workers=None):
     Non-zero entries of the edge sign-vector must match the evaluated sign
     (exact zero counting as minus); zero entries must satisfy |value| <= tol.
     Edges are checked in blocks of at most BLOCK_ROWS on `workers` threads.
-    `schedule` is the one the skeleton was extracted with.
+    `schedule` is the one the skeleton was extracted with; ValueError if it
+    does not cover the sign width.
     """
     check_tolerance(tol)
+    _check_covers(sk, schedule)
     ae = sk.alive_edge_ids()
     if len(ae) == 0:
         return MidpointReport(0, 0, 0, [], tol)

@@ -15,7 +15,7 @@ from conftest import (
     one_intersecting_edge_too_many,
     overflow_net,
 )
-from relucomplex import cli, poset, signvec, subdivide, validate as validate_mod
+from relucomplex import cli, poset, subdivide, validate as validate_mod
 from relucomplex.model import NeuronRef, diamond_model, random_model, save_model
 from relucomplex.skeleton import Skeleton, init_hypercube
 
@@ -77,14 +77,14 @@ def test_pairing_error_exits_4_naming_the_split(tmp_path, capsys, monkeypatch):
     # and their endpoints exactly, as the skeleton before that neuron has them
     net = random_model(2, 2, 4, 1, seed=0)
     save_model(net, tmp_path / "net.json")
-    real = signvec.group_parents
+    real = subdivide.pair_splitting_faces
 
-    def doubled(rows, m):
+    def doubled(rows, new_vids, m):
         if rows.shape[1] >= m + 4:  # past the four neurons of layer 1
-            rows = np.concatenate([rows, rows[:1]])
-        return real(rows, m)
+            rows, new_vids = np.concatenate([rows, rows[:1]]), np.append(new_vids, new_vids[:1])
+        return real(rows, new_vids, m)
 
-    monkeypatch.setattr(signvec, "group_parents", doubled)
+    monkeypatch.setattr(subdivide, "pair_splitting_faces", doubled)
     assert run_cli("extract", "--model", tmp_path / "net.json", "--out", tmp_path / "o") == 4
     err = capsys.readouterr().err
     match = re.fullmatch(

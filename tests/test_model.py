@@ -56,6 +56,20 @@ def test_load_round_trip(tmp_path):
     )
 
 
+def test_save_writes_one_json_line(tmp_path):
+    net = random_model(2, 2, 5, 1, seed=4)
+    save_model(net, tmp_path / "net.json")
+    doc = {
+        "in_dim": 2,
+        "layers": [{"weights": l.weights.tolist(), "bias": l.bias.tolist()} for l in net.layers],
+    }
+    assert (tmp_path / "net.json").read_text() == json.dumps(doc) + "\n"
+    again = load_model(tmp_path / "net.json")
+    assert again.in_dim == net.in_dim
+    for a, b in zip(net.layers, again.layers):
+        assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
+
+
 def test_load_dimension_mismatch(tmp_path):
     doc = {
         "in_dim": 2,

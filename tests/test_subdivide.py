@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 
@@ -22,7 +23,7 @@ from relucomplex.model import (
     diamond_model,
     random_model,
 )
-from relucomplex import signvec, skeleton as skeleton_mod
+from relucomplex import signvec, skeleton as skeleton_mod, subdivide as subdivide_mod
 from relucomplex.signvec import sign_text
 from relucomplex.skeleton import SkeletonError, check_invariants, compact, init_hypercube
 from relucomplex.subdivide import (
@@ -148,6 +149,124 @@ def test_pair_splitting_faces_unpaired_face():
     assert sign_text(face[0]) == signvec.sign_texts(face)[0] == "++++"
 
 
+def reference_pairs(pre_rows, new_vids, m):
+    """pair_splitting_faces by grouping the candidate rows themselves
+    (`signvec.group_parents`): the pairs in ascending face order."""
+    uniq, order, counts, src = signvec.group_parents(pre_rows, m)
+    if np.any(counts != 2):
+        bad = int(np.flatnonzero(counts != 2)[0])
+        raise PairingError(
+            f"2-face {sign_text(uniq[bad])} occurred {int(counts[bad])} times, expected 2"
+        )
+    return np.sort(new_vids[src[order].reshape(-1, 2)], axis=1)
+
+
+def captured_pairings(monkeypatch, net, dim, lo=-1.0, hi=1.0):
+    """The inputs of every pair_splitting_faces call of an extraction of
+    `net`'s hidden layers on [lo, hi]^dim."""
+    calls = []
+    real = subdivide_mod.pair_splitting_faces
+
+    def record(pre_rows, new_vids, m):
+        calls.append((pre_rows.copy(), new_vids.copy(), m))
+        return real(pre_rows, new_vids, m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(subdivide_mod, "pair_splitting_faces", record)
+        domain, sk = init_hypercube(dim, lo, hi)
+        extract_complex(net, domain, sk, NeuronSchedule.for_model(net))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "dim, depth, width, lo, hi",
+    [(2, 3, 10, -1.0, 1.0), (2, 2, 260, 0.3, 0.5), (3, 2, 12, -1.0, 1.0), (4, 1, 7, -1.0, 1.0)],
+    ids=["2d", "2d_wide", "3d", "4d"],
+)
+def test_pairing_matches_grouped_rows(monkeypatch, dim, depth, width, lo, hi):
+    # generic rows with D - 1 zeros (1 to 3), facet zeros among them (flipped
+    # to + only), widths up to over 500 (the few of 260 + 260 lines that
+    # cross a small square); each call also with its rows shuffled, its
+    # facet and its neuron columns permuted, new ids drawn at random and the
+    # rows read through a strided view
+    net = random_model(dim, depth, width, 1, seed=2)
+    calls = captured_pairings(monkeypatch, net, dim, lo, hi)
+    rng = np.random.default_rng(width)
+    zeros, facet_zeros, widest = set(), 0, 0
+    for pre_rows, new_vids, m in calls:
+        n, w = pre_rows.shape
+        zeros |= set(np.count_nonzero(pre_rows == 0, axis=1).tolist())
+        facet_zeros += np.count_nonzero(pre_rows[:, :m] == 0)
+        widest = max(widest, w)
+        want = reference_pairs(pre_rows, new_vids, m)
+        assert np.array_equal(pair_splitting_faces(pre_rows, new_vids, m), want)
+        cols = np.concatenate([rng.permutation(m), m + rng.permutation(w - m)])
+        padded = np.zeros((n, w + 3), dtype=np.int8)
+        padded[:, :w] = pre_rows[rng.permutation(n)][:, cols]
+        vids = rng.permutation(10 * n)[:n]
+        want = reference_pairs(padded[:, :w], vids, m)
+        assert np.array_equal(pair_splitting_faces(padded[:, :w], vids, m), want)
+    assert zeros == {dim - 1}
+    assert facet_zeros > 0
+    assert widest > 500 or width < 260
+
+
+def largest_3d_pairing(monkeypatch):
+    calls = captured_pairings(monkeypatch, random_model(3, 1, 6, 1, seed=0), 3)
+    return max(calls, key=lambda call: len(call[0]))
+
+
+def test_pairing_multiplicity_errors_name_the_face_as_grouping_does(monkeypatch):
+    # one row left out: its faces occur once; one row twice: three times
+    pre_rows, new_vids, m = largest_3d_pairing(monkeypatch)
+    n = len(pre_rows)
+    for keep, times in ((np.arange(1, n), 1), (np.append(np.arange(n), 3), 3)):
+        with pytest.raises(PairingError, match=f"occurred {times} times, expected 2$") as got:
+            pair_splitting_faces(pre_rows[keep], new_vids[keep], m)
+        with pytest.raises(PairingError) as want:
+            reference_pairs(pre_rows[keep], new_vids[keep], m)
+        assert str(got.value) == str(want.value)
+
+
+def key_collision(exc):
+    match = re.fullmatch(r"2-faces ([-0+]+) and ([-0+]+) share a 64-bit key", str(exc.value))
+    assert match, exc.value
+    return set(match.groups())
+
+
+def test_pairing_key_collision_raises(monkeypatch):
+    # with every weight 1 the key counts signs, so faces collide; the
+    # pairing raises, naming two distinct faces that share a key
+    pre_rows, new_vids, m = largest_3d_pairing(monkeypatch)
+    monkeypatch.setattr(subdivide_mod, "_key_weights", lambda w: np.ones(w, dtype=np.uint64))
+    with pytest.raises(PairingError) as exc:
+        pair_splitting_faces(pre_rows, new_vids, m)
+    named = key_collision(exc)
+    faces = set(signvec.sign_texts(signvec.perturb_rows(pre_rows, m)[0]))
+    assert len(named) == 2 and named <= faces
+    assert len({sum("-0+".index(c) for c in text) for text in named}) == 1  # sum of r_j + 1
+
+
+def test_pairing_key_collision_within_one_edge_raises(monkeypatch):
+    # one edge never generates a face twice (its two flips differ in the
+    # entry they flip), but with the weights of its two zeros equal both
+    # flips get one key; the pairing raises, naming those two faces
+    net = MlpSpec((LayerSpec(np.array([[1.0, 1.0, 1.0]]), np.array([-1.5])),), 3)
+    _, sk = init_hypercube(3, 0.0, 1.0)
+    subdivide_once(sk, net, NeuronRef(1, 0))  # a hexagon across the cube
+    dead = np.flatnonzero(~sk.edge_alive)
+    pre_rows, new_vids = sk.edge_signs[dead, :-1], np.arange(8, 8 + len(dead))
+    assert pair_splitting_faces(pre_rows, new_vids, 6).shape == (6, 2)
+    j, k = np.flatnonzero(pre_rows[0] == 0)
+    weights = subdivide_mod._key_weights(7).copy()
+    weights[k] = weights[j]
+    monkeypatch.setattr(subdivide_mod, "_key_weights", lambda w: weights[:w])
+    with pytest.raises(PairingError) as exc:
+        pair_splitting_faces(pre_rows, new_vids, 6)
+    flips = signvec.perturb_rows(pre_rows[:1], 6)[0]
+    assert key_collision(exc) == set(signvec.sign_texts(flips))
+
+
 def test_extract_empty_schedule():
     net = random_model(2, 1, 3, 1, seed=0)
     domain, sk = init_hypercube(2, 0.0, 1.0)
@@ -223,6 +342,27 @@ def test_subdivide_once_without_cache_matches_extraction():
     b = compact(b)
     for name in ("positions", "vertex_signs", "edges", "edge_signs"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("layer", [1, 3])
+def test_cache_extend_matches_batch_evaluation(layer):
+    # rows appended in batches of growing size, past the matrix's spare rows
+    # and the walk buffers' size, are bitwise those of a whole-batch walk
+    net = random_model(3, 3, 16, 1, seed=6)
+    _, sk = init_hypercube(3, -1.0, 1.0)
+    cache = LayerValueCache(net, sk.positions)
+    cache.advance_to(layer)
+    rng = np.random.default_rng(layer)
+    positions = sk.positions
+    for rows in (1, 7, 40, 300):
+        new = rng.uniform(-1.0, 1.0, size=(rows, 3))
+        spare = len(cache._pre)
+        cache.extend(new)
+        positions = np.concatenate([positions, new])
+        want = batch_preactivations(net, positions)[layer - 1]
+        assert cache.n_rows == len(positions)
+        assert np.array_equal(cache.values(np.arange(len(positions))), want)
+    assert len(cache._pre) > spare
 
 
 def test_cache_matches_direct_evaluation():
@@ -619,6 +759,33 @@ def test_prune_future_keeps_output_splitting_edges():
     assert len(crossing_ids) > 0
     prune_future(sk, net, [out_ref])
     assert np.all(sk.edge_alive[crossing_ids])
+
+
+@pytest.mark.parametrize("gapped", [False, True], ids=["layers", "gapped"])
+def test_prune_future_matches_reference_over_several_words(gapped):
+    # after layer 1 of a 3 x 70 net, 141 neurons remain (three 64-bit words
+    # of signs), ending on the output; every other one of them leaves 71,
+    # read from the layers by index arrays
+    net = centered_output_net(2, 3, 70, seed=5)
+    schedule = list(NeuronSchedule.for_model(net, include_output=True))
+    first, rest = schedule[:70], schedule[70:]
+    if gapped:
+        rest = rest[::2]
+    assert len(rest) > 64 and rest[-1].layer == net.depth
+    skels = []
+    for _ in range(2):
+        _, sk = init_hypercube(2, -1.0, 1.0)
+        cache = LayerValueCache(net, sk.positions)
+        subdivide_layer(sk, net, first, cache)
+        skels.append((sk, cache))
+    (a, cache), (b, _) = skels
+    alive_before = a.n_edges_alive
+    stats = prune_future(a, net, rest, cache=cache)
+    reference_prune(b, net, rest)
+    assert np.array_equal(a.edge_alive, b.edge_alive)
+    assert np.array_equal(a.vertex_alive, b.vertex_alive)
+    assert 0 < stats.edges_killed < alive_before
+    assert stats.edges_alive == alive_before - stats.edges_killed == a.n_edges_alive
 
 
 def test_prune_equivalence_small():

@@ -99,6 +99,31 @@ def test_gapped_schedule_validates():
     assert len(group_rows(np.concatenate([regions, sampled]))[0]) == len(regions)
 
 
+SHORT_SCHEDULE = r"sign width 16 .* 4 facets plus the schedule's 6 neurons \(10\)"
+
+
+def short_schedule_skeleton():
+    """A net extracted on both hidden layers, and a schedule of layer 1 only."""
+    net = random_model(2, 2, 6, 1, seed=3)
+    full = NeuronSchedule.for_model(net)
+    domain, sk = init_hypercube(2, -1.0, 1.0)
+    sk, _ = extract_complex(net, domain, sk, full)
+    return net, domain, sk, NeuronSchedule(full.neurons[:6], False)
+
+
+def test_residuals_rejects_a_schedule_short_of_the_sign_width():
+    net, domain, sk, layer1 = short_schedule_skeleton()
+    with pytest.raises(ValueError, match=SHORT_SCHEDULE):
+        residuals(sk, net, domain, layer1)
+
+
+def test_midpoint_check_rejects_a_schedule_short_of_the_sign_width():
+    # it used to skip the columns past the schedule and report no failure
+    net, domain, sk, layer1 = short_schedule_skeleton()
+    with pytest.raises(ValueError, match=SHORT_SCHEDULE):
+        midpoint_check(sk, net, domain, 1e-8, layer1)
+
+
 def test_oracle_no_hyperplanes():
     # single-neuron layer whose hyperplane misses the domain: only corners
     net = MlpSpec((LayerSpec(np.array([[1.0, 0.0]]), np.array([10.0])),), 2)
