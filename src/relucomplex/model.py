@@ -224,36 +224,28 @@ GEMM_MACS = 1 << 18
 
 def _gemm(points, weights, bias, out=None):
     """`_affine` by BLAS matmul: about 5x faster on a 64 x 64 layer, but a
-    row's last bits depend on its batch. Each BLAS call takes as many rows
-    as fit in GEMM_MACS multiply-adds: one stacked matmul runs the full
-    chunks (numpy loops over them without taking the GIL back), and one
-    more call the rest. `out` must be C-contiguous."""
-    n, m = len(points), len(weights)
+    row's last bits depend on its batch. Each call takes as many rows as fit in GEMM_MACS
+    multiply-adds."""
     if out is None:
-        out = np.empty((n, m))
+        out = np.empty((len(points), len(weights)))
     step = max(1, GEMM_MACS // weights.size)
-    full = n // step * step
     with np.errstate(all="ignore"):  # overflow is as silent as in einsum
-        if full:
-            chunks = points[:full].reshape(-1, step, points.shape[1])
-            np.matmul(chunks, weights.T, out=out[:full].reshape(-1, step, m))
-        if full < n:
-            np.matmul(points[full:], weights.T, out=out[full:])
+        for s in range(0, len(points), step):
+            np.matmul(points[s : s + step], weights.T, out=out[s : s + step])
         out += bias
     return out
 
 
-def forward(model, values, first, last, buffers=None, kernel=_affine, out=None):
+def forward(model, values, first, last, buffers=None, kernel=_affine):
     """Yield `(layer, pre-activations)` for layers first..last, in order.
 
     `values` holds the points when first == 1, else layer first - 1's
     pre-activations at them. Without `buffers`, each layer's values are a
     fresh array. With the two `stream_buffers`, layers are computed into
     them in turn, ReLU in place, and a layer's values are valid only until
-    the generator resumes; the other buffer is then free. With `out` (C-
-    contiguous, one row per point), the last layer is computed into it
-    instead. The input is never written to. `kernel` computes one affine
-    layer: the reference `_affine`, or `_gemm` for `bounded_forward`.
+    the generator resumes; the other buffer is then free. The input is never
+    written to. `kernel` computes one affine layer: the reference `_affine`,
+    or `_gemm` for `bounded_forward`.
     """
     n = len(values)
     pre = values
@@ -261,11 +253,8 @@ def forward(model, values, first, last, buffers=None, kernel=_affine, out=None):
         if l > 1:  # ReLU in place only in a buffer of this walk
             pre = np.maximum(pre, 0.0, out=pre if buffers and l > first else None)
         spec = model.layers[l - 1]
-        if l == last and out is not None:
-            into = out
-        else:
-            into = buffers and buffers[l % 2][: n * spec.out_dim].reshape(n, spec.out_dim)
-        pre = kernel(pre, spec.weights, spec.bias, out=into)
+        out = buffers and buffers[l % 2][: n * spec.out_dim].reshape(n, spec.out_dim)
+        pre = kernel(pre, spec.weights, spec.bias, out=out)
         yield l, pre
 
 
@@ -481,19 +470,20 @@ def load_model(path):
 def save_model(model, path):
     """Write `model` in the JSON wire format of `load_model`, one line.
 
-    The text is made by one `json.dumps`, which runs the C encoder;
-    `json.dump` streams the same bytes through the pure-Python one, about
-    twice as slow.
+    The bytes are those of one `json.dumps` of the whole document, written
+    a weight row at a time: `json.dumps` runs the C encoder, about twice as
+    fast as `json.dump`'s pure-Python one, and no text larger than a row is
+    held (a whole layer's text at a time raised `wide2d`'s peak RSS by
+    0.4 MB, the whole document's by 1.4 MB).
     """
-    doc = {
-        "in_dim": model.in_dim,
-        "layers": [
-            {"weights": l.weights.tolist(), "bias": l.bias.tolist()}
-            for l in model.layers
-        ],
-    }
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc) + "\n")
+        fh.write(f'{{"in_dim": {json.dumps(model.in_dim)}, "layers": [')
+        for i, l in enumerate(model.layers):
+            fh.write(", " * (i > 0) + '{"weights": [')
+            for j, row in enumerate(l.weights.tolist()):
+                fh.write(", " * (j > 0) + json.dumps(row))
+            fh.write(f'], "bias": {json.dumps(l.bias.tolist())}}}')
+        fh.write("]}\n")
 
 
 # -- pruning ------------------------------------------------------------------

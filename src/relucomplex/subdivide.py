@@ -84,20 +84,17 @@ class LayerValueCache:
     neuron of the layer, so a layer's step (1) is one read of it. Vertex
     positions never change, so a row is computed once per layer: when the
     layer starts, `model.forward` walks the matrix on from the layer before,
-    and `extend` walks new vertices from their positions in two buffers it
-    reuses. Both write the layer's values straight into the matrix, which
-    has spare rows for the vertices the layer adds (`_spare`). The affine
-    kernel is row- and column-stable, so every value is bitwise the one a
-    per-neuron evaluation at that vertex gives.
+    and `extend` walks new vertices from their positions, into spare rows
+    that grow like the skeleton's buffers. The affine kernel is row- and
+    column-stable, so every value is bitwise the one a per-neuron evaluation
+    at that vertex gives.
     """
 
     def __init__(self, model, positions):
         self.model = model
-        # layer 0: the positions themselves
-        self.layer, self._pre = 0, np.asarray(positions, dtype=np.float64)
+        walk = model_mod.forward(model, np.asarray(positions, dtype=np.float64), 1, 1)
+        self.layer, self._pre = next(walk)
         self._n = len(self._pre)
-        self._buffers = (np.empty(0), np.empty(0))
-        self._walk_to(1)
 
     @property
     def n_rows(self):
@@ -110,19 +107,9 @@ class LayerValueCache:
     def advance_to(self, layer):
         if layer < self.layer:
             raise ValueError("cache cannot move backwards through layers")
-        if layer > self.layer:
-            self._walk_to(layer)
-
-    def _walk_to(self, layer):
-        """Walk every row on to `layer`, into a new matrix with as many spare
-        rows as rows."""
-        pre = np.empty((_spare(self._n), self.model.layers[layer - 1].out_dim))
-        walk = model_mod.forward(
-            self.model, self._pre[: self._n], self.layer + 1, layer, out=pre[: self._n]
-        )
-        for _ in walk:
+        walk = model_mod.forward(self.model, self._pre[: self._n], self.layer + 1, layer)
+        for self.layer, self._pre in walk:
             pass
-        self.layer, self._pre = layer, pre
 
     def preactivation(self, neuron, rows):
         if neuron.layer != self.layer:
@@ -130,42 +117,15 @@ class LayerValueCache:
         return self._pre[rows, neuron.index]
 
     def extend(self, positions):
-        """Append the current layer's rows at new vertex positions.
-
-        The layers before it are walked in two float buffers the cache keeps
-        for the next call (as `model.forward` does with `stream_buffers`),
-        and the last layer is written straight into the spare rows.
-        """
-        first, last = self._n, self._n + len(positions)
-        if last > len(self._pre):
-            (self._pre,) = skeleton_mod._lengthen((self._pre,), first, _spare(last))
-        walk = model_mod.forward(
-            self.model,
-            positions,
-            1,
-            self.layer,
-            self._walk_buffers(len(positions)),
-            out=self._pre[first:last],
-        )
-        for _ in walk:
+        for _, pre in model_mod.forward(self.model, positions, 1, self.layer):
             pass
+        first, last = self._n, self._n + len(pre)
+        if last > len(self._pre):
+            (self._pre,) = skeleton_mod._lengthen(
+                (self._pre,), first, skeleton_mod._grown(last)
+            )
+        self._pre[first:last] = pre
         self._n = last
-
-    def _walk_buffers(self, rows):
-        """The two reused buffers `extend` walks `rows` positions in, up to
-        the layer before the current one; grown like the skeleton's."""
-        width = max((spec.out_dim for spec in self.model.layers[: self.layer - 1]), default=0)
-        if len(self._buffers[0]) < rows * width:
-            size = skeleton_mod._grown(rows * width)
-            self._buffers = (np.empty(size), np.empty(size))
-        return self._buffers
-
-
-def _spare(rows):
-    """Rows to allocate for a value matrix of `rows` rows: twice as many,
-    as a layer's splits add about as many vertices as it starts with.
-    Spare rows cost no memory until they are written."""
-    return 2 * rows
 
 
 def subdivide_once(sk, model, neuron, cache=None):

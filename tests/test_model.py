@@ -56,11 +56,25 @@ def test_load_round_trip(tmp_path):
     )
 
 
-def test_save_writes_one_json_line(tmp_path):
-    net = random_model(2, 2, 5, 1, seed=4)
+@pytest.mark.parametrize(
+    "net",
+    [
+        random_model(2, 2, 5, 1, seed=4),
+        # a hidden layer of no neurons, as pruning writes it
+        MlpSpec(
+            (
+                LayerSpec(np.eye(2), np.zeros(2)),
+                LayerSpec(np.zeros((0, 2)), np.zeros(0)),
+                LayerSpec(np.zeros((1, 0)), np.array([0.5])),
+            ),
+            2,
+        ),
+    ],
+)
+def test_save_writes_one_json_line(tmp_path, net):
     save_model(net, tmp_path / "net.json")
     doc = {
-        "in_dim": 2,
+        "in_dim": net.in_dim,
         "layers": [{"weights": l.weights.tolist(), "bias": l.bias.tolist()} for l in net.layers],
     }
     assert (tmp_path / "net.json").read_text() == json.dumps(doc) + "\n"

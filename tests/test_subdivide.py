@@ -346,8 +346,8 @@ def test_subdivide_once_without_cache_matches_extraction():
 
 @pytest.mark.parametrize("layer", [1, 3])
 def test_cache_extend_matches_batch_evaluation(layer):
-    # rows appended in batches of growing size, past the matrix's spare rows
-    # and the walk buffers' size, are bitwise those of a whole-batch walk
+    # rows appended in batches of growing size, past the matrix's spare rows,
+    # are bitwise those of a whole-batch walk
     net = random_model(3, 3, 16, 1, seed=6)
     _, sk = init_hypercube(3, -1.0, 1.0)
     cache = LayerValueCache(net, sk.positions)
