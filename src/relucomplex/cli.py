@@ -419,6 +419,9 @@ def _parse_dims(text):
 def cmd_bench(args):
     dims = _parse_dims(args.dims)
     widths = [int(w) for w in args.widths.split(",")]
+    n_runs = len(dims) * len(widths) * max(args.seeds, 0)
+    if n_runs < 2:  # checked before paying for extraction
+        raise ValueError(f"need at least two runs to fit a slope, got {n_runs}")
     out = _outdir(args)
     rows = []
     runs = []

@@ -10,19 +10,19 @@ Sign-vectors are int8 arrays with values in {-1, 0, +1}, one row per cell,
 and every operation here works on a whole batch of rows at once:
 evaluation (`signs_of_values`), perturbation to parent cells
 (`perturb_rows`), grouping in canonical order (`group_rows`), both in one
-buffer (`group_parents`), and text (`sign_lines`, `sign_texts`).
-The int8 row is the one key: `group_rows` groups on its bytes and returns
-the rows' sort order, not an inverse map, so callers read the groups off
-``rows[order]`` without sorting again; a set of rows compares as the set of
-their ``row.tobytes()``. The perturb-then-group steps of the cell sets,
-cell counting and face grouping go through `group_parents`, which shifts
-the freshly built candidates into key bytes in place, so each candidate row
-is held once. The 2-face pairing of a split (`subdivide.pair_splitting_faces`)
-builds no candidate rows: it pairs them on 64-bit keys, and calls
-`group_parents` only to name a face that does not pair.
+buffer (`group_parents`), pairing (`pair_parents`), and text (`sign_lines`,
+`sign_texts`). The int8 row is the one key: `group_rows` groups on its
+bytes and returns the rows' sort order, not an inverse map, so callers read
+the groups off ``rows[order]`` without sorting again. The cell sets, cell
+counting and face grouping perturb and group in `group_parents`, which
+shifts the fresh candidates into key bytes in place, so each is held once.
+The 2-face pairing of a split (`pair_parents`) builds no candidate rows: it
+pairs them on 64-bit keys, and regroups them only when the keys do not pair.
 """
 
 import numpy as np
+
+from . import _rng
 
 #: below this magnitude a freshly evaluated value counts as degenerate
 EPS_DEGENERATE = 1e-12
@@ -76,6 +76,14 @@ def sign_text(row):
     return sign_texts([row])[0]
 
 
+def _flips(rows, m):
+    """`perturb_rows`' candidates as ``(source, col, n_plus)``: each one's
+    source row and flipped zero's column; the first `n_plus` flip to ``+``."""
+    src, cols = np.divmod(np.flatnonzero(rows == 0), rows.shape[1])
+    interior = np.flatnonzero(cols >= m)
+    return np.concatenate([src, src[interior]]), np.concatenate([cols, cols[interior]]), len(src)
+
+
 def perturb_rows(rows, m):
     """All parent cells of a batch of sign rows, one dimension up.
 
@@ -88,25 +96,27 @@ def perturb_rows(rows, m):
     Returns ``(candidates, source)`` where each candidate row is one parent
     sign-vector and ``source[i]`` is the input row it came from. Candidate
     order is: all ``+`` flips (row-major over input zeros), then all ``-``
-    flips; grouping downstream is order-insensitive. The zeros are found by
-    one scan of the flat buffer; the candidates are one gather of their
-    source rows, a C-contiguous buffer the caller owns, with the flipped
-    entries written into it.
+    flips (`_flips`); grouping downstream is order-insensitive. The zeros
+    are found by one scan of the flat buffer; the candidates are one gather
+    of their source rows, a C-contiguous buffer the caller owns, with the
+    flipped entries written into it.
     """
     rows = np.asarray(rows, dtype=np.int8)
-    src_r, cols = np.divmod(np.flatnonzero(rows == 0), rows.shape[1])
-    n_plus = len(src_r)
-    interior = cols >= m
-    source = np.concatenate([src_r, src_r[interior]])
+    source, col, n_plus = _flips(rows, m)
     cand = rows[source]
-    cand[np.arange(n_plus), cols] = 1
-    cand[np.arange(n_plus, len(source)), cols[interior]] = -1
+    cand[np.arange(n_plus), col[:n_plus]] = 1
+    cand[np.arange(n_plus, len(source)), col[n_plus:]] = -1
     return cand, source
 
 
 #: sorted rows compared per block when finding group starts; bounds the
 #: gathered copy that the comparison reads
 GROUP_BLOCK_ROWS = 1 << 8
+
+
+def _void_keys(codes):
+    """Rows of C-contiguous codes (sign + 1) as void keys, in canonical order."""
+    return codes.view(np.dtype((np.void, codes.shape[1]))).ravel()
 
 
 def _group_codes(codes):
@@ -118,8 +128,8 @@ def _group_codes(codes):
     made. Only the unique rows are copied out, and turned back into signs
     in place.
     """
-    n, w = codes.shape
-    order = np.argsort(codes.view(np.dtype((np.void, w))).ravel(), kind="stable")
+    n = len(codes)
+    order = np.argsort(_void_keys(codes), kind="stable")
     first = np.ones(n, dtype=bool)
     for start in range(1, n, GROUP_BLOCK_ROWS):
         block = codes[order[start - 1 : start + GROUP_BLOCK_ROWS]]
@@ -159,3 +169,67 @@ def group_parents(rows, m):
     codes = cand.view(np.uint8)
     codes += 1
     return (*_group_codes(codes), source)
+
+
+class PairingError(RuntimeError):
+    """A perturbed 2-face did not occur exactly twice: every bounded splitting
+    2-face has two splitting edges, so the arrangement is degenerate or the
+    skeleton corrupt."""
+
+
+#: the splitmix64 stream of the parent key weights (`_key_weights`)
+_KEY_STREAM = _rng.stream_key(0xFACE)
+_key_weight_table = np.zeros(0, dtype=np.uint64)
+
+
+def _key_weights(w):
+    """The parent key's weights for width-w rows: a fixed splitmix64 stream's
+    first w elements, made odd, from a read-only table grown on demand."""
+    global _key_weight_table
+    if len(_key_weight_table) < w:
+        table = _rng.bits(_KEY_STREAM, 2 * w) | np.uint64(1)
+        table.flags.writeable = False
+        _key_weight_table = table
+    return _key_weight_table[:w]
+
+
+def _parent_keys(rows, m):
+    """`_flips(rows, m)` preceded by each candidate's key: its source row's
+    ``K(r) = sum_j w_j (r_j + 1) mod 2^64`` plus ``s w_j`` for zero j -> s."""
+    source, col, n_plus = _flips(rows, m)
+    weights = _key_weights(rows.shape[1])
+    keys = np.dot((rows + 1).view(np.uint8), weights)[source]
+    flip = weights[col]
+    np.negative(flip[n_plus:], out=flip[n_plus:])
+    keys += flip
+    return keys, source, col, n_plus
+
+
+def pair_parents(rows, m):
+    """The ``(n, 2)`` indices of the two rows (in either order) that generate
+    each parent of `perturb_rows(rows, m)`, as a 2-face's two split edges
+    do, one pair per parent in canonical order. The parents are paired on
+    their keys (`_parent_keys`), then built and compared, and one sort of a
+    parent per pair orders them. If the keys do not pair up, the candidates
+    are grouped (`group_parents`): a key collision gives the same pairs, and
+    a parent not generated exactly twice raises PairingError, naming the
+    first such.
+    """
+    rows = np.asarray(rows, dtype=np.int8)
+    keys, source, col, n_plus = _parent_keys(rows, m)
+    order = np.argsort(keys)
+    # an even count and no key in two pairs: neighbours pair if rows are equal
+    if len(keys) % 2 == 0 and not np.any(keys[order[2::2]] == keys[order[1:-1:2]]):
+        pairs = source[order]
+        parents = rows[pairs]
+        parents[np.arange(len(order)), col[order]] = np.where(order < n_plus, 1, -1)
+        parents = parents.reshape(-1, 2, rows.shape[1])
+        if np.array_equal(parents[:, 0], parents[:, 1]):
+            return pairs.reshape(-1, 2)[np.argsort(_void_keys(parents[:, 0] + 1))]
+    uniq, order, counts, source = group_parents(rows, m)
+    bad = np.flatnonzero(counts != 2)
+    if len(bad):
+        raise PairingError(
+            f"2-face {sign_text(uniq[bad[0]])} occurred {int(counts[bad[0]])} times, expected 2"
+        )
+    return source[order].reshape(-1, 2)

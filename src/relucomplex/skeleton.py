@@ -19,6 +19,7 @@ their starting skeleton with one routine from the corners and the facets
 each corner lies on: a corner's row is 0 on those facets and + elsewhere.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -286,8 +287,11 @@ def init_hypercube(dim, lo, hi):
     """Hypercube [lo, hi]^dim: 2*dim facets, 2^dim vertices, dim*2^(dim-1) edges.
 
     Facet order is per axis j: x_j >= lo, then x_j <= hi. Corner ids
-    enumerate axis sides as bits (bit j set means x_j = hi).
+    enumerate axis sides as bits (bit j set means x_j = hi). Bounds and
+    extent ``hi - lo`` must be finite.
     """
+    if not math.isfinite(float(hi) - float(lo)):  # a non-finite bound, or an overflow
+        raise ValueError(f"need finite lo, hi and hi - lo, got lo = {lo}, hi = {hi}")
     if lo >= hi:
         raise ValueError("need lo < hi")
     if dim < 1:
@@ -308,7 +312,10 @@ def init_simplex(dim, scale):
     dim+1 facets (axis facets first, the sum facet last), dim+1 vertices,
     dim*(dim+1)/2 edges; contains the origin in its interior. Vertex j
     (j < dim) maxes coordinate j; vertex dim is the all-(-scale) corner.
+    Scale and extent ``2 * dim * scale`` must be finite.
     """
+    if not math.isfinite(2 * dim * float(scale)):  # a non-finite scale, or an overflow
+        raise ValueError(f"need finite scale and extent 2 * dim * scale, got scale = {scale}")
     if scale <= 0:
         raise ValueError("need scale > 0")
     if dim < 1:

@@ -7,9 +7,8 @@ endpoint signs (3), place a new vertex on each splitting edge by linear
 interpolation and replace the edge by its two halves (4), and connect new
 vertices across splitting 2-faces, which are identified implicitly by
 perturbing the splitting edges' sign-vectors and pairing equal results (5).
-Step (5) pairs on one 64-bit key per edge row, from which each perturbed
-row's key follows by one addition (`pair_splitting_faces`), and checks
-each pair's two rows for equality.
+Step (5) is `signvec.pair_parents`, which pairs the perturbed rows on 64-bit
+keys and checks each pair's two rows for equality.
 
 `subdivide_layer` runs the iterations of one layer's neurons together.
 When the layer starts, steps (1)-(3) are done for all of its neurons at
@@ -32,20 +31,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import _rng
 from . import model as model_mod
 from . import signvec
 from . import skeleton as skeleton_mod
 
 
-class PairingError(RuntimeError):
-    """A perturbed 2-face did not occur exactly twice, or the 64-bit keys of
-    two faces collided.
-
-    Every bounded splitting 2-face has exactly two splitting edges; any
-    other multiplicity means the arrangement is degenerate or the skeleton
-    is corrupt.
-    """
+PairingError = signvec.PairingError  # re-exported: a split raises it
 
 
 @dataclass
@@ -334,94 +325,17 @@ def _position_type(k):
     return np.min_scalar_type(-k - 1)
 
 
-#: the splitmix64 stream of the 2-face key weights (`_key_weights`)
-_KEY_STREAM = _rng.stream_key(0xFACE)
-_key_weight_table = np.zeros(0, dtype=np.uint64)
-
-
-def _key_weights(w):
-    """The weights of the 2-face key of width-w rows: the first w elements
-    of a fixed splitmix64 stream, made odd. The read-only table is grown on
-    demand; the stream is counter-based, so a longer table starts with the
-    same weights."""
-    global _key_weight_table
-    if len(_key_weight_table) < w:
-        table = _rng.bits(_KEY_STREAM, skeleton_mod._grown(w)) | np.uint64(1)
-        table.flags.writeable = False
-        _key_weight_table = table
-    return _key_weight_table[:w]
-
-
 def pair_splitting_faces(pre_rows, new_vids, m):
     """Pair splitting edges across their shared 2-faces.
 
     `pre_rows` are the splitting edges' sign-vectors before the current
     neuron's entry was appended, and `new_vids` the ids of the vertices
-    placed on them. Each edge's parenting 2-faces are its row with one zero
-    flipped (`signvec.perturb_rows`); every face must be generated exactly
-    twice, and each pair yields one intersecting edge connecting the two new
-    vertices (its sign-vector is the face's plus an appended zero).
-
-    The faces are paired on one 64-bit key per row, ``K(r) = sum_j
-    w_j (r_j + 1) mod 2^64`` with odd `w_j` (`_key_weights`): flipping zero
-    j to s adds ``s w_j``, so no candidate row is built to group them. The
-    two face rows of each pair are then built and must be equal, so a key
-    collision raises rather than pairing wrongly. Returns the ``(lo, hi)``
-    vertex id pairs in ascending face order (`signvec.group_rows`' order,
-    one sort of a face row per pair); none at D = 1, where no edge row has
-    a zero to perturb. Raises PairingError when a face is not generated
-    exactly twice, naming the first such face in that order, or when the
-    keys of two faces collide.
+    placed on them. Each 2-face (`signvec.pair_parents`, which raises
+    PairingError) yields one intersecting edge connecting its two new
+    vertices (its sign-vector is the face's plus an appended zero). Returns
+    the ``(lo, hi)`` vertex id pairs in ascending face order; none at D = 1.
     """
-    pre_rows = np.asarray(pre_rows, dtype=np.int8)
-    w = pre_rows.shape[1]
-    src, col = np.divmod(np.flatnonzero(pre_rows == 0), w)
-    n_plus = len(src)
-    # each candidate's zero, in perturb_rows' order: every zero flipped to +,
-    # then every interior zero to -
-    zero = np.concatenate([np.arange(n_plus), np.flatnonzero(col >= m)])
-    weights = _key_weights(w)
-    flip = weights[col[zero]]
-    np.negative(flip[n_plus:], out=flip[n_plus:])
-    keys = np.dot((pre_rows + 1).view(np.uint8), weights)[src[zero]]
-    keys += flip
-    order = np.argsort(keys)
-    if len(keys) % 2 or np.any(keys[order[2::2]] == keys[order[1:-1:2]]):
-        raise _pairing_error(pre_rows, m, keys)  # an odd count, or a key in two pairs
-    # the two face rows of each pair, side by side
-    cand = zero[order]
-    srcs = src[cand]
-    faces = pre_rows[srcs]
-    faces[np.arange(len(cand)), col[cand]] = np.where(order < n_plus, 1, -1)
-    faces = faces.reshape(-1, 2, w)
-    if not np.array_equal(faces[:, 0], faces[:, 1]):
-        raise _pairing_error(pre_rows, m, keys)
-    codes = faces[:, 0] + 1
-    by_face = np.argsort(codes.view(np.dtype((np.void, w))).ravel())
-    return np.sort(new_vids[srcs.reshape(-1, 2)[by_face]], axis=1)
-
-
-def _pairing_error(pre_rows, m, keys):
-    """The PairingError for 2-face keys (`keys`, one per candidate in
-    `perturb_rows`' order) that do not pair up. The candidate rows are
-    grouped themselves (`signvec.group_parents`): the first face in
-    canonical order that does not occur exactly twice is named, else two
-    faces whose keys collide."""
-    uniq, order, counts, _ = signvec.group_parents(pre_rows, m)
-    bad = np.flatnonzero(counts != 2)
-    if len(bad):
-        return PairingError(
-            f"2-face {signvec.sign_text(uniq[bad[0]])} occurred {int(counts[bad[0]])} times, "
-            "expected 2"
-        )
-    # every face occurs twice, so the keys of two faces are equal
-    face_keys = keys[order[0::2]]
-    by_key = np.argsort(face_keys, kind="stable")
-    i = int(np.argmax(face_keys[by_key[1:]] == face_keys[by_key[:-1]]))
-    a, b = uniq[by_key[i]], uniq[by_key[i + 1]]
-    return PairingError(
-        f"2-faces {signvec.sign_text(a)} and {signvec.sign_text(b)} share a 64-bit key"
-    )
+    return np.sort(new_vids[signvec.pair_parents(pre_rows, m)], axis=1)
 
 
 def prune_future(sk, model, remaining, cache=None):

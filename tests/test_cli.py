@@ -491,6 +491,52 @@ def test_bench_cmd(tmp_path):
     assert "slope" in summary
 
 
+def test_bench_with_one_run_exits_2_before_extraction(tmp_path, capsys, monkeypatch):
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("extraction ran before the run count check")
+
+    monkeypatch.setattr(subdivide, "extract_complex", no_extraction)
+    code = run_cli(
+        "bench", "--dims", "2", "--widths", "3", "--depth", "1", "--seeds", "1",
+        "--out", tmp_path / "b",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: need at least two runs to fit a slope, got 1\n"
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (["--lo", "nan"], "need finite lo, hi and hi - lo, got lo = nan, hi = 1.0"),
+        (["--hi", "inf"], "need finite lo, hi and hi - lo, got lo = -1.0, hi = inf"),
+        (["--lo=-inf"], "need finite lo, hi and hi - lo, got lo = -inf, hi = 1.0"),
+        (["--lo=-1e308", "--hi=1e308"],
+         "need finite lo, hi and hi - lo, got lo = -1e+308, hi = 1e+308"),
+        (["--domain", "simplex", "--scale", "nan"],
+         "need finite scale and extent 2 * dim * scale, got scale = nan"),
+        (["--domain", "simplex", "--scale", "inf"],
+         "need finite scale and extent 2 * dim * scale, got scale = inf"),
+        (["--domain", "simplex", "--scale", "1e308"],
+         "need finite scale and extent 2 * dim * scale, got scale = 1e+308"),
+    ],
+    ids=["lo_nan", "hi_inf", "lo_minus_inf", "extent_overflow", "scale_nan", "scale_inf",
+         "simplex_extent_overflow"],
+)
+def test_non_finite_domain_exits_2_before_extraction(tmp_path, capsys, monkeypatch, flags,
+                                                     expected):
+    # the domain is checked before the extraction, and nothing but the
+    # error reaches stderr
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("extraction ran on a non-finite domain")
+
+    monkeypatch.setattr(subdivide, "extract_complex", no_extraction)
+    code = run_cli("extract", "--random", "2,2,4,1", *flags, "--out", tmp_path / "o")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_mirror(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"random": "2,2,4,1", "seed": 3, "out": str(tmp_path / "c")}))

@@ -17,11 +17,11 @@ def test_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
     # demos write to ./out, so each runs in its own directory, importing the
-    # package this test imported
+    # package this test imported; any warning fails it, as in the tests
     src = str(Path(relucomplex.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, capture_output=True, text=True,
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr

@@ -250,6 +250,19 @@ def test_group_parents_matches_perturb_then_group(case):
     assert np.array_equal(cand, perturb_rows(rows, m)[0])
 
 
+@given(rows_and_facets())
+def test_parent_keys_are_the_keys_of_perturb_rows(case):
+    # each candidate's key K(r) +- w_j, from its source row's, is the key of
+    # the row perturb_rows builds for it, facet zeros (flipped to + only)
+    # included, and the candidates come in perturb_rows' order
+    rows, m = case
+    keys, source, _, _ = signvec._parent_keys(rows, m)
+    cand, cand_source = perturb_rows(rows, m)
+    weights = signvec._key_weights(rows.shape[1])
+    assert np.array_equal(source, cand_source)
+    assert np.array_equal(keys, (cand.astype(np.uint64) + np.uint64(1)) @ weights)
+
+
 @pytest.mark.parametrize("block", [1, 2, 5])
 def test_grouping_across_compare_blocks(monkeypatch, block):
     # group starts are found a block of sorted rows at a time; a group that

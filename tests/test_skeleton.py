@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -41,6 +43,10 @@ def test_hypercube_sign_structure():
 def test_hypercube_bad_bounds():
     with pytest.raises(ValueError):
         init_hypercube(2, 1.0, 1.0)
+    # a non-finite bound, or a non-finite extent hi - lo, names the bounds
+    for lo, hi in ((np.nan, 1.0), (-1.0, np.inf), (-np.inf, 1.0), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match=re.escape(f"got lo = {lo}, hi = {hi}")):
+            init_hypercube(2, lo, hi)
 
 
 @pytest.mark.parametrize("dim,n_vertices,n_edges", [(2, 3, 3), (10, 11, 55)])
@@ -62,6 +68,10 @@ def test_simplex_contains_origin():
 def test_simplex_bad_scale():
     with pytest.raises(ValueError):
         init_simplex(2, 0.0)
+    # a non-finite scale, or a non-finite extent 2 * dim * scale
+    for scale in (np.nan, np.inf, 1e308):
+        with pytest.raises(ValueError, match=re.escape(f"got scale = {scale}")):
+            init_simplex(2, scale)
 
 
 # The starting skeletons fix every vertex and edge id, and so every CSV id.

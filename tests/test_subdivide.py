@@ -1,4 +1,3 @@
-import re
 import time
 import tracemalloc
 
@@ -228,43 +227,62 @@ def test_pairing_multiplicity_errors_name_the_face_as_grouping_does(monkeypatch)
         assert str(got.value) == str(want.value)
 
 
-def key_collision(exc):
-    match = re.fullmatch(r"2-faces ([-0+]+) and ([-0+]+) share a 64-bit key", str(exc.value))
-    assert match, exc.value
-    return set(match.groups())
+def grouping_calls(monkeypatch):
+    """A list that gets one entry per call of `signvec.group_parents`."""
+    calls = []
+    real = signvec.group_parents
+
+    def counted(rows, m):
+        calls.append(len(rows))
+        return real(rows, m)
+
+    monkeypatch.setattr(signvec, "group_parents", counted)
+    return calls
 
 
-def test_pairing_key_collision_raises(monkeypatch):
+def test_pairing_key_collision_pairs_exactly(monkeypatch):
     # with every weight 1 the key counts signs, so faces collide; the
-    # pairing raises, naming two distinct faces that share a key
+    # pairing falls back to grouping the faces and returns the exact pairs
     pre_rows, new_vids, m = largest_3d_pairing(monkeypatch)
-    monkeypatch.setattr(subdivide_mod, "_key_weights", lambda w: np.ones(w, dtype=np.uint64))
-    with pytest.raises(PairingError) as exc:
-        pair_splitting_faces(pre_rows, new_vids, m)
-    named = key_collision(exc)
-    faces = set(signvec.sign_texts(signvec.perturb_rows(pre_rows, m)[0]))
-    assert len(named) == 2 and named <= faces
-    assert len({sum("-0+".index(c) for c in text) for text in named}) == 1  # sum of r_j + 1
+    want = reference_pairs(pre_rows, new_vids, m)
+    monkeypatch.setattr(signvec, "_key_weights", lambda w: np.ones(w, dtype=np.uint64))
+    faces = signvec.perturb_rows(pre_rows, m)[0]
+    assert len(np.unique((faces + 1).sum(axis=1))) < len(want)  # the keys collide
+    grouped = grouping_calls(monkeypatch)
+    assert np.array_equal(pair_splitting_faces(pre_rows, new_vids, m), want)
+    assert grouped == [len(pre_rows)]
 
 
-def test_pairing_key_collision_within_one_edge_raises(monkeypatch):
+def test_pairing_key_collision_within_one_edge_pairs_exactly(monkeypatch):
     # one edge never generates a face twice (its two flips differ in the
     # entry they flip), but with the weights of its two zeros equal both
-    # flips get one key; the pairing raises, naming those two faces
+    # flips get one key; the pairing still returns the exact pairs
     net = MlpSpec((LayerSpec(np.array([[1.0, 1.0, 1.0]]), np.array([-1.5])),), 3)
     _, sk = init_hypercube(3, 0.0, 1.0)
     subdivide_once(sk, net, NeuronRef(1, 0))  # a hexagon across the cube
     dead = np.flatnonzero(~sk.edge_alive)
     pre_rows, new_vids = sk.edge_signs[dead, :-1], np.arange(8, 8 + len(dead))
-    assert pair_splitting_faces(pre_rows, new_vids, 6).shape == (6, 2)
+    want = reference_pairs(pre_rows, new_vids, 6)
+    assert want.shape == (6, 2)
+    assert np.array_equal(pair_splitting_faces(pre_rows, new_vids, 6), want)
     j, k = np.flatnonzero(pre_rows[0] == 0)
-    weights = subdivide_mod._key_weights(7).copy()
+    weights = signvec._key_weights(7).copy()
     weights[k] = weights[j]
-    monkeypatch.setattr(subdivide_mod, "_key_weights", lambda w: weights[:w])
-    with pytest.raises(PairingError) as exc:
-        pair_splitting_faces(pre_rows, new_vids, 6)
-    flips = signvec.perturb_rows(pre_rows[:1], 6)[0]
-    assert key_collision(exc) == set(signvec.sign_texts(flips))
+    monkeypatch.setattr(signvec, "_key_weights", lambda w: weights[:w])
+    keys = signvec._parent_keys(pre_rows[:1], 6)[0]
+    assert len(keys) == 2 and keys[0] == keys[1]
+    grouped = grouping_calls(monkeypatch)
+    assert np.array_equal(pair_splitting_faces(pre_rows, new_vids, 6), want)
+    assert grouped == [len(pre_rows)]
+
+
+def test_pairing_key_collision_of_two_unpaired_faces_raises(monkeypatch):
+    # -+ and +- occur once each; with equal weights their keys are equal, so
+    # the keys pair up and only comparing the two rows shows the faces differ
+    monkeypatch.setattr(signvec, "_key_weights", lambda w: np.full(w, 3, dtype=np.uint64))
+    pre_rows = np.array([[0, 1], [1, 0]], dtype=np.int8)
+    with pytest.raises(PairingError, match=r"^2-face -\+ occurred 1 times, expected 2$"):
+        pair_splitting_faces(pre_rows, np.array([5, 6]), 0)
 
 
 def test_extract_empty_schedule():
