@@ -230,6 +230,9 @@ def _run_extraction(args):
         raise ValueError(f"--output-index must be in 0..{net.out_dim - 1}, got {index}")
     if args.command == "boundary" and net.in_dim not in (2, 3):
         raise ValueError(f"boundary export supports D = 2 and D = 3, got D = {net.in_dim}")
+    if args.command == "boundary" and level_set_prune and net.in_dim == 2:
+        raise ValueError("boundary --level-set-prune needs D = 3: the 2-D area sums whole "
+                         "inside cells, and pruning cuts them")
     domain, sk = _make_domain(args, net.in_dim)
     schedule = model_mod.NeuronSchedule.for_model(net, include_output=args.include_output)
     t0 = time.perf_counter()

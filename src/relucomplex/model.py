@@ -439,7 +439,7 @@ def load_model(path):
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ModelFormatError(f"cannot parse model file {path}: {exc}") from exc
     try:
         in_dim = raw["in_dim"]
@@ -455,13 +455,17 @@ def load_model(path):
     layers, prev = [], in_dim
     for l, spec in enumerate(layer_specs, start=1):
         try:
-            w = np.array(spec["weights"], dtype=np.float64)
-            b = np.array(spec["bias"], dtype=np.float64)
-            if w.size == 0:
-                # a layer of no neurons saves its weights as []
+            entries = [np.array(spec[key], dtype=object) for key in ("weights", "bias")]
+            w, b = (e.astype(np.float64) for e in entries)
+            if w.shape == (0,):  # a layer of no neurons saves its weights as []
                 w = w.reshape(len(b), prev)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"layer {l}: bad weights/bias") from exc
+        if w.ndim != 2 or b.ndim != 1:
+            raise ModelFormatError(f"layer {l}: weights must be 2-D, bias 1-D")
+        # numpy reads JSON true/false as 1.0/0.0
+        if any(bool in map(type, e.flat) for e in entries):
+            raise ModelFormatError(f"layer {l}: weights and bias must be numbers, not booleans")
         layers.append(LayerSpec(w, b))
         prev = w.shape[0]
     return MlpSpec(tuple(layers), in_dim)

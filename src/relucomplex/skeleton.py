@@ -5,8 +5,9 @@ rather than removed, and deferred compaction. Only vertex sign rows are
 stored, as an int8 matrix with values in {-1, 0, +1} and one row per vertex
 id. An edge's sign row is derived from its endpoints' rows when it is read:
 their shared sign, 0 where both are 0. Arrays grow in place: each lives in a
-buffer with spare capacity, rows are appended into spare rows (capacity
-grows geometrically when they run out), and the extraction loop reserves the
+buffer with spare capacity, and `append_rows` writes rows into spare rows
+(capacity grows geometrically when they run out; the extraction's value
+cache and split positions grow there too). The extraction loop reserves the
 full sign width once, so a new neuron's sign column is written into a spare
 column rather than copying the matrix. A whole layer's sign columns can be
 written in one pass and staged: they become live one column per neuron, and
@@ -229,16 +230,14 @@ class Skeleton:
         live and the staged entries, written in one assignment."""
         positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
         first, last = self._nv, self._nv + len(positions)
+        if positions.shape[1] != self.dim:  # a narrower block would fill leading columns only
+            raise SkeletonError(f"vertex positions must have {self.dim} coordinates")
         signs = np.asarray(signs, dtype=np.int8)
         if signs.shape != (len(positions), self._filled):
             raise SkeletonError(f"vertex sign rows must be {len(positions)} x {self._filled}")
-        if last > len(self._positions):
-            self._positions, self._vertex_signs, self._vertex_alive = _lengthen(
-                (self._positions, self._vertex_signs, self._vertex_alive), first, _grown(last)
-            )
-        self._positions[first:last] = positions
-        self._vertex_signs[first:last, : self._filled] = signs
-        self._vertex_alive[first:last] = True
+        self._positions = append_rows(self._positions, first, positions)
+        self._vertex_signs = append_rows(self._vertex_signs, first, signs)
+        self._vertex_alive = append_rows(self._vertex_alive, first, np.ones(len(signs), bool))
         self._nv = last
         return np.arange(first, last)
 
@@ -248,12 +247,8 @@ class Skeleton:
         if pairs.size and np.any(pairs[:, 0] >= pairs[:, 1]):
             raise SkeletonError("edge endpoints must satisfy lo < hi")
         first, last = self._ne, self._ne + len(pairs)
-        if last > len(self._edges):
-            self._edges, self._edge_alive = _lengthen(
-                (self._edges, self._edge_alive), first, _grown(last)
-            )
-        self._edges[first:last] = pairs
-        self._edge_alive[first:last] = True
+        self._edges = append_rows(self._edges, first, pairs)
+        self._edge_alive = append_rows(self._edge_alive, first, np.ones(len(pairs), bool))
         self._ne = last
         return np.arange(first, last)
 
@@ -270,14 +265,18 @@ def _grown(size):
     return int(size * GROWTH) + 1
 
 
-def _lengthen(bufs, n_rows, capacity):
-    """New buffers of `capacity` rows, each holding the first n_rows of its source."""
-    out = []
-    for buf in bufs:
-        new = np.empty((capacity,) + buf.shape[1:], dtype=buf.dtype)
-        new[:n_rows] = buf[:n_rows]
-        out.append(new)
-    return out
+def append_rows(buf, n, rows):
+    """Write `rows` over rows n.. of `buf`, into their leading columns, and
+    return the buffer. When `buf` is too short, it is first replaced by one
+    of `_grown(n + len(rows))` rows that keeps the first n. Every buffer the
+    extraction grows by rows grows here."""
+    end = n + len(rows)
+    if end > len(buf):
+        new = np.empty((_grown(end),) + buf.shape[1:], dtype=buf.dtype)
+        new[:n] = buf[:n]
+        buf = new
+    buf[(slice(n, end), *map(slice, rows.shape[1:]))] = rows
+    return buf
 
 
 # -- domain initializers -------------------------------------------------------

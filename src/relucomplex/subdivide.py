@@ -75,8 +75,8 @@ class LayerValueCache:
     neuron of the layer, so a layer's step (1) is one read of it. Vertex
     positions never change, so a row is computed once per layer: when the
     layer starts, `model.forward` walks the matrix on from the layer before,
-    and `extend` walks new vertices from their positions, into spare rows
-    that grow like the skeleton's buffers. The affine kernel is row- and
+    and `extend` walks new vertices from their positions, appending their
+    rows with `skeleton.append_rows`. The affine kernel is row- and
     column-stable, so every value is bitwise the one a per-neuron evaluation
     at that vertex gives.
     """
@@ -110,13 +110,8 @@ class LayerValueCache:
     def extend(self, positions):
         for _, pre in model_mod.forward(self.model, positions, 1, self.layer):
             pass
-        first, last = self._n, self._n + len(pre)
-        if last > len(self._pre):
-            (self._pre,) = skeleton_mod._lengthen(
-                (self._pre,), first, skeleton_mod._grown(last)
-            )
-        self._pre[first:last] = pre
-        self._n = last
+        self._pre = skeleton_mod.append_rows(self._pre, self._n, pre)
+        self._n += len(pre)
 
 
 def subdivide_once(sk, model, neuron, cache=None):
@@ -168,11 +163,7 @@ def subdivide_layer(sk, model, neurons, cache=None, *, validate_each=False):
         if n_split:
             first = sk.n_edges
             n_inter, at = _split_edges(sk, cache, neurons, cols, p, split_eids, n_deg)
-            if sk.n_edges > len(split_at):
-                (split_at,) = skeleton_mod._lengthen(
-                    (split_at,), first, skeleton_mod._grown(sk.n_edges)
-                )
-            split_at[first : sk.n_edges] = at
+            split_at = skeleton_mod.append_rows(split_at, first, at)
 
         seconds = time.perf_counter() - clock
         # the estimate counts an int8 sign row per edge row too, though edge
@@ -213,15 +204,15 @@ def _stage_layer(sk, cache, neurons, cols, k):
     """Steps (1)-(3) for all k neurons of the layer: the alive vertices'
     sign block (exact zeros break toward minus; dead rows read -1), written
     as staged sign columns. Returns each neuron's degenerate count and each
-    edge row's split position (k for none; dead rows too), in a buffer with
-    spare rows that grows like the skeleton's."""
+    edge row's split position (k for none; dead rows too), one per edge row;
+    each split appends its new edges' positions with `skeleton.append_rows`."""
     av = sk.alive_vertex_ids()
     signs, n_deg = _signs(cache.values(av)[:, cols], neurons, av, sk.positions[av])
     vblock = np.full((sk.n_vertices, k), -1, dtype=np.int8)
     vblock[av] = signs
     ae = sk.alive_edge_ids()
     ends = np.take(sk.edges, ae, axis=0)
-    split_at = np.full(skeleton_mod._grown(sk.n_edges), k, dtype=_position_type(k))
+    split_at = np.full(sk.n_edges, k, dtype=_position_type(k))
     split_at[ae] = _split_positions(
         np.take(vblock, ends[:, 0], axis=0), np.take(vblock, ends[:, 1], axis=0), 0
     )

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     centered_output_net,
@@ -15,7 +16,7 @@ from conftest import (
     one_intersecting_edge_too_many,
     overflow_net,
 )
-from relucomplex import cli, poset, subdivide, validate as validate_mod
+from relucomplex import cli, model as model_mod, poset, subdivide, validate as validate_mod
 from relucomplex.model import NeuronRef, diamond_model, random_model, save_model
 from relucomplex.skeleton import Skeleton, init_hypercube
 
@@ -141,6 +142,10 @@ def test_extract_invalid_model(tmp_path, capsys):
     bad.write_text("{broken")
     assert run_cli("extract", "--model", bad, "--out", tmp_path / "o") == 2
     assert "error" in capsys.readouterr().err
+    # deeper than the JSON decoder recurses
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    assert run_cli("extract", "--model", bad, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err.startswith("error: cannot parse model file")
 
 
 @pytest.mark.parametrize("layers", [None, 5], ids=["null", "number"])
@@ -171,6 +176,75 @@ def test_model_output_layer_of_no_neurons(tmp_path, capsys):
     assert run_cli("count", "--model", path, "--out", tmp_path / "o") == 2
     err = capsys.readouterr().err
     assert "layer 2: the output layer has no neurons" in err and "--output-index" not in err
+
+
+@pytest.mark.parametrize(
+    "layer,message",
+    [
+        ({"weights": 5, "bias": [1]}, "weights must be 2-D"),
+        ({"weights": None, "bias": [1]}, "weights must be 2-D"),
+        ({"weights": True, "bias": [1]}, "weights must be 2-D"),
+        ({"weights": [[]], "bias": []}, "expected 1 input columns, got 0"),
+        ({"weights": [[1.0, True]], "bias": [0.5]}, "not booleans"),
+        ({"weights": [[1.0, 2.0]], "bias": [False]}, "not booleans"),
+    ],
+    ids=["scalar", "null", "true", "one-row-of-no-inputs", "bool-weight", "bool-bias"],
+)
+def test_model_layer_entries_exit_2_naming_the_layer(tmp_path, capsys, layer, message):
+    # layer 2 of (2, 1, ...): a scalar once ended in an IndexError, [[]] loaded
+    # as a layer of no neurons, and booleans loaded as 1.0 and 0.0
+    path = tmp_path / "net.json"
+    doc = {"in_dim": 2, "layers": [{"weights": [[1.0, 0.0]], "bias": [0.0]}, layer]}
+    path.write_text(json.dumps(doc))
+    assert run_cli("count", "--model", path, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err.startswith("error: layer 2: ")
+    with pytest.raises(model_mod.ModelFormatError, match=f"layer 2: .*{message}"):
+        model_mod.load_model(path)
+
+
+#: what a hand-edited model file may hold where a number, row or layer belongs
+JSON_JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.floats(-2, 2), st.text(max_size=2)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=2), inner, max_size=2)
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def model_docs(draw):
+    """A model document of one to three layers of up to three neurons: either
+    well-formed, or with each entry, row, field, layer, the layer list and
+    the whole document swapped for junk about one time in `odds`."""
+    odds = draw(st.sampled_from([None, 4, 16]))
+
+    def maybe(value):
+        return draw(JSON_JUNK) if odds and draw(st.integers(1, odds)) == 1 else value
+
+    in_dim = draw(st.integers(1, 3))
+    layers, prev = [], in_dim
+    for width in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)):
+        number = st.one_of(st.integers(-3, 3), st.floats(-2, 2))
+        weights = [maybe([maybe(draw(number)) for _ in range(prev)]) for _ in range(width)]
+        bias = [maybe(draw(number)) for _ in range(width)]
+        layers.append(maybe({"weights": maybe(weights), "bias": maybe(bias)}))
+        prev = width
+    return maybe({"in_dim": maybe(in_dim), "layers": maybe(layers)})
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(doc=model_docs())
+def test_model_files_load_or_exit_2(tmp_path_factory, doc):
+    # a model file either loads or raises ModelFormatError; `count` on it
+    # ends with one of its exit codes and never with a traceback
+    path = tmp_path_factory.mktemp("model") / "net.json"
+    path.write_text(json.dumps(doc))
+    try:
+        assert isinstance(model_mod.load_model(path), model_mod.MlpSpec)
+    except model_mod.ModelFormatError:
+        pass
+    assert run_cli("count", "--model", path, "--out", path.parent / "o") in (0, 2, 3, 4)
 
 
 def test_validate_with_a_hidden_layer_of_no_neurons(tmp_path, capsys):
@@ -420,8 +494,26 @@ def test_extract_level_set_prune_on_an_empty_level_set(tmp_path, capsys):
     assert run_cli("extract", *argv, "--out", out) == 3
     assert capsys.readouterr().err.startswith("empty level set: no alive vertex")
     assert list(out.iterdir()) == []
+    argv[1] = "3,3,8,1"  # boundary takes the flag at D = 3 only
     assert run_cli("boundary", *argv[:4], "--level-set-prune", "--out", out) == 3
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", [2, 4, 9])
+def test_boundary_level_set_prune_in_2d_exits_2_before_extraction(tmp_path, capsys,
+                                                                  monkeypatch, seed):
+    # pruning cuts the inside cells whose areas the 2-D boundary sums: these
+    # level sets once stopped with exit 4 after the extraction
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("extraction ran before the flag check")
+
+    monkeypatch.setattr(subdivide, "extract_complex", no_extraction)
+    argv = ["boundary", "--random", "2,2,8,1", "--seed", seed, "--out", tmp_path / "o"]
+    assert run_cli(*argv, "--level-set-prune") == 2
+    assert capsys.readouterr().err.startswith("error: boundary --level-set-prune needs D = 3")
+    assert not (tmp_path / "o").exists()
+    monkeypatch.undo()
+    assert run_cli(*argv) == 0
 
 
 def test_validate_threads_do_not_change_validation_json(tmp_path, monkeypatch):

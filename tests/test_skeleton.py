@@ -228,7 +228,44 @@ def test_append_sign_rows_shape_enforced():
         sk.append_vertices(np.zeros((2, 2)), np.zeros((2, 1), dtype=np.int8))
     with pytest.raises(SkeletonError, match="must have 4 rows"):
         sk.append_sign_column(np.ones(1, dtype=np.int8))
+    # positions are written into leading columns: a narrow block would leave the rest
+    with pytest.raises(SkeletonError, match="must have 2 coordinates"):
+        sk.append_vertices(np.zeros((2, 1)), np.zeros((2, 4), dtype=np.int8))
     assert sk.n_vertices == 4 and sk.n_edges == 4 and sk.sign_width == 4
+
+
+def test_append_rows_writes_leading_columns_in_place():
+    # a narrow int8 block (live sign entries) into a wider buffer (spare columns)
+    buf = np.full((6, 5), 7, dtype=np.int8)
+    block = np.array([[1, -1, 0], [0, 1, 1]], dtype=np.int8)
+    out = skeleton_mod.append_rows(buf, 2, block)
+    assert out is buf
+    assert np.array_equal(out[2:4, :3], block)
+    assert np.all(out[2:4, 3:] == 7) and np.all(out[:2] == 7) and np.all(out[4:] == 7)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.array([True, False, True]),
+        np.array([[3, 4], [5, 6], [7, 8]], dtype=np.int64),
+        np.array([[0.5], [-1.5], [2.0]]),
+    ],
+    ids=["bool", "int64", "float64"],
+)
+def test_append_rows_grows_a_full_buffer(rows):
+    n = 4
+    buf = np.zeros((5,) + rows.shape[1:], dtype=rows.dtype)
+    buf[:n] = np.resize(rows[::-1], (n,) + rows.shape[1:])
+    kept = buf[:n].copy()
+    out = skeleton_mod.append_rows(buf, n, rows)
+    last = n + len(rows)
+    assert out is not buf and out.dtype == rows.dtype
+    assert out.shape == (skeleton_mod._grown(last),) + rows.shape[1:]
+    assert np.array_equal(out[:n], kept) and np.array_equal(out[n:last], rows)
+    # an append that fits writes in place
+    assert skeleton_mod.append_rows(out, last, rows[:1]) is out
+    assert np.array_equal(out[last], rows[0])
 
 
 def pair_skeleton(rows_a, rows_b):
