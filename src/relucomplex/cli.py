@@ -213,7 +213,9 @@ def _make_domain(args, dim):
     return skeleton_mod.init_simplex(dim, args.scale)
 
 
-def _run_extraction(args):
+def _prepare_extraction(args):
+    """(model, domain, initial skeleton, schedule) of a command, with every
+    flag checked."""
     level_set_prune = getattr(args, "level_set_prune", False)
     if level_set_prune and not args.include_output:  # extract without the output layer
         raise ValueError("--level-set-prune needs --include-output: it prunes to the "
@@ -235,15 +237,25 @@ def _run_extraction(args):
                          "inside cells, and pruning cuts them")
     domain, sk = _make_domain(args, net.in_dim)
     schedule = model_mod.NeuronSchedule.for_model(net, include_output=args.include_output)
+    return net, domain, sk, schedule
+
+
+def _extract(args, net, domain, sk, schedule):
+    """(skeleton, per-iteration stats, seconds) of the extraction."""
     t0 = time.perf_counter()
     sk, stats = subdivide.extract_complex(
         net,
         domain,
         sk,
         schedule,
-        level_set_prune=level_set_prune,
+        level_set_prune=getattr(args, "level_set_prune", False),
     )
-    seconds = time.perf_counter() - t0
+    return sk, stats, time.perf_counter() - t0
+
+
+def _run_extraction(args):
+    net, domain, sk, schedule = _prepare_extraction(args)
+    sk, stats, seconds = _extract(args, net, domain, sk, schedule)
     return net, domain, schedule, sk, stats, seconds
 
 
@@ -380,16 +392,23 @@ def cmd_prune_model(args):
 
 
 def cmd_validate(args):
-    # reject bad inputs before paying for the extraction
+    # reject bad inputs before paying for the extraction or starting a thread
     validate_mod.check_sample_count(args.samples)
     validate_mod.check_tolerance(args.midpoint_tol)
-    net, domain, schedule, sk, stats, seconds = _run_extraction(args)
+    net, domain, sk, schedule = _prepare_extraction(args)
     workers = validate_mod.worker_count(args.threads)
-    res = validate_mod.residuals(sk, net, domain, schedule, workers)
-    mid = validate_mod.midpoint_check(sk, net, domain, args.midpoint_tol, schedule, workers)
-    sampled = validate_mod.sampled_region_oracle(
+    # the region oracle reads nothing extracted: with a second worker, one
+    # background thread signs its samples while this one extracts and checks
+    with validate_mod.RegionOracle(
         net, domain, args.samples, args.seed, schedule, workers
-    )
+    ) as oracle:
+        sk, stats, seconds = _extract(args, net, domain, sk, schedule)
+        rest = max(1, workers - 1)
+        res = validate_mod.residuals(sk, net, domain, schedule, rest)
+        mid = validate_mod.midpoint_check(sk, net, domain, args.midpoint_tol, schedule, rest)
+        sampled = validate_mod.sampled_region_oracle(
+            net, domain, args.samples, args.seed, schedule, workers, oracle
+        )
     # run after the oracle (the command's memory peak): the regions are not held through it
     counts, regions = poset.cells_up_to(sk, sk.m, sk.dim)
     # both are deduplicated: sampled is a subset iff the union adds nothing

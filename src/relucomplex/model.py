@@ -25,10 +25,18 @@ the BLAS walk and B_l = max |b|. The proof needs c = 2; c = 3 absorbs the
 rounding of the bound itself; E_l is inf wherever a value may have
 overflowed. A sign with |value| > E_l is the reference's sign; every row with
 another entry (NaN included) is evaluated again on the reference kernel, so
-the signs are bitwise those of `stream_layers`. Values are never taken from
-the BLAS walk: on a deep output layer the bound nears the tolerances values
-are checked against (9e-9 against the midpoint check's 1e-8 on a (2,8,64)
-net), so residuals and midpoint checks stay on the reference kernel.
+the signs are bitwise those of `stream_layers`. The midpoint check reads
+verdicts as well (`mark_unproven`): |value| <= tol is proven to pass where
+|value| + E_l < tol and to fail where |value| - E_l > tol. On a deep output
+layer E_l nears the default tol (9e-9 against 1e-8 on a (2,8,64) net), but
+a midpoint's zero entries stay near 1e-16, so their verdicts are proven
+there too; at tol = 0 none is, and those rows are judged again on the
+reference kernel. Values are never taken from the BLAS walk, so the
+residuals, which report values, stay on the reference kernel.
+
+No walk keeps state between calls, and every buffer it writes belongs to
+its caller: each validation worker, and the region oracle's background
+thread, passes its own `stream_buffers`, and all of them share one model.
 """
 
 import json
@@ -325,30 +333,58 @@ def bounded_forward(model, points, last, buffers=None):
         x_max = float(np.maximum(pre.max(), 0.0)) if pre.size else 0.0
 
 
+def bounded_layers(model, points, schedule, buffers):
+    """`stream_layers` on the BLAS walk of `bounded_forward`: yield
+    `(offset, values, size, bound)` for each layer of `schedule`, with every
+    entry of `values` within `bound` of the one `stream_layers` gives and
+    `size` = |values|, taken in the buffer the walk leaves free. Both are
+    valid, and `size` may be written to, until the generator resumes.
+    """
+    wanted = {layer: cols for layer, cols, _ in layer_columns(schedule)}
+    offset = 0
+    for l, pre, bound in bounded_forward(model, points, max(wanted, default=0), buffers):
+        if l in wanted:
+            values = pre[:, wanted[l]]
+            free = buffers[(l + 1) % 2][: values.size].reshape(values.shape)
+            yield offset, values, np.abs(values, out=free), bound
+            offset += values.shape[1]
+
+
+def mark_unproven(size, bound, unsure, zero=None, tol=0.0):
+    """Set `unsure` on each row holding a verdict that the BLAS values of
+    |value| `size`, each within `bound` of the reference, do not prove.
+
+    An entry's verdict is its sign (value > 0), proven where size > bound.
+    Where `zero` is set, it is |value| <= tol instead: proven to pass where
+    size + bound < tol, and to fail where size - bound > tol. Rounding is
+    monotone and tol is a float, so a rounded sum below tol (a rounded
+    difference above it) puts the exact one there too; the strict `<` is
+    the margin on the sum. NaN proves nothing. `size` is overwritten.
+    """
+    if zero is not None:
+        r, c = np.divmod(np.flatnonzero(zero), size.shape[1])
+        near = size[r, c]
+        unsure[r[~((near + bound < tol) | (near - bound > tol))]] = True
+        size[r, c] = np.inf  # proven above, not by their sign
+    # a row is proven where its smallest |value| > bound
+    if not size.min(initial=np.inf) > bound:
+        unsure |= ~(size.min(axis=1, initial=np.inf) > bound)
+
+
 def certified_signs(model, points, schedule, buffers, out):
     """Write `value > 0` for each scheduled neuron at `points` into the bool
     matrix `out` (one column per neuron of `schedule`), bitwise as from the
     values of `stream_layers`, and return how many rows were evaluated again.
 
-    The signs come from `bounded_forward`; a row holding an entry whose sign
-    the bound does not prove goes through `stream_layers`. `buffers` are the
-    two `stream_buffers`; |value| is taken in the one the walk leaves free,
-    so proving allocates no array of block size.
+    The signs come from `bounded_layers`; a row holding an entry whose sign
+    the bound does not prove (`mark_unproven`) goes through `stream_layers`.
+    `buffers` are the two `stream_buffers`, so proving allocates no array of
+    block size.
     """
-    wanted = {layer: cols for layer, cols, _ in layer_columns(schedule)}
     unsure = np.zeros(len(points), dtype=bool)
-    offset = 0
-    for l, pre, bound in bounded_forward(model, points, max(wanted, default=0), buffers):
-        if l not in wanted:
-            continue
-        values = pre[:, wanted[l]]
-        free = buffers[(l + 1) % 2][: values.size].reshape(values.shape)
-        # a row is proven where its smallest |value| > bound; NaN never is
-        size = np.abs(values, out=free)
-        if not size.min() > bound:
-            unsure |= ~(size.min(axis=1) > bound)
+    for offset, values, size, bound in bounded_layers(model, points, schedule, buffers):
+        mark_unproven(size, bound, unsure)
         np.greater(values, 0.0, out=out[:, offset : offset + values.shape[1]])
-        offset += values.shape[1]
     rows = np.flatnonzero(unsure)
     if len(rows):
         for offset, values in stream_layers(model, points[rows], schedule, buffers):
@@ -463,9 +499,10 @@ def load_model(path):
             raise ModelFormatError(f"layer {l}: bad weights/bias") from exc
         if w.ndim != 2 or b.ndim != 1:
             raise ModelFormatError(f"layer {l}: weights must be 2-D, bias 1-D")
-        # numpy reads JSON true/false as 1.0/0.0
-        if any(bool in map(type, e.flat) for e in entries):
-            raise ModelFormatError(f"layer {l}: weights and bias must be numbers, not booleans")
+        # numpy reads JSON true/false as 1.0/0.0, and "2" as 2.0
+        for kind, name in ((bool, "booleans"), (str, "strings")):
+            if any(kind in map(type, e.flat) for e in entries):
+                raise ModelFormatError(f"layer {l}: weights and bias must be numbers, not {name}")
         layers.append(LayerSpec(w, b))
         prev = w.shape[0]
     return MlpSpec(tuple(layers), in_dim)

@@ -8,25 +8,42 @@ desk scale.
 
 residuals, midpoint_check and sampled_region_oracle split their rows into
 blocks of at most BLOCK_ROWS, equal to within one row and as many as keep
-every worker busy (`_map_blocks`), and stream each block through the net
-one layer at a time (`model.stream_layers`) on `workers` threads (default:
-one per available core); residuals stops each vertex's walk at the layer of
-its deepest zero. Each worker fills scratch buffers the caller allocated
-for it, and the caller consumes the blocks in order. The model's affine
-kernel gives every row the same result in any batch, so neither the block
-size, nor the worker count, nor how deep a row is walked changes any
-output, only the memory and time used.
+every worker busy (`_block_bounds`), and stream each block through the net
+one layer at a time; residuals stops each vertex's walk at the layer of
+its deepest zero. residuals and midpoint_check run their blocks on
+`workers` threads (default: one per available core, `_map_blocks`): each
+worker fills scratch buffers the caller allocated for it, and the caller
+consumes the blocks in order. The model's affine kernel gives every row
+the same result in any batch, so neither the block size, nor the worker
+count, nor how deep a row is walked changes any output, only the memory
+and time used.
+
+The region oracle reads nothing extracted, so `validate` starts it before
+the extraction (`RegionOracle`). Its blocks go on a queue. With more than
+one worker, one background thread takes them while the calling thread
+extracts, then runs residuals and midpoint_check on the other workers; the
+calling thread then takes what is left in `sampled_region_oracle` and
+joins the background thread. With one worker no thread starts, and the
+calling thread takes every block there, after the other checks. Each
+consumer holds one block at a time, in a scratch the calling thread made
+for it, and merges the block's distinct packed rows into one set, so the
+oracle's memory is one block per consumer plus the distinct rows, and its
+rows do not depend on which consumer took which block.
 
 The region oracle reads only signs, so it signs on the BLAS kernel and
 proves each sign against the reference kernel (`model.certified_signs`),
-recomputing the rows it cannot prove. residuals and midpoint_check report
-and bound values, not signs, so they stay on the reference kernel.
+recomputing the rows it cannot prove. midpoint_check reads only verdicts,
+so it judges on the BLAS kernel too and proves each verdict the same way
+(`model.mark_unproven`), judging again on the reference kernel the rows it
+cannot prove. residuals report values, so they stay on the reference
+kernel.
 """
 
 import collections
 import functools
 import itertools
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,25 +99,31 @@ def worker_count(cap=None):
     return max(1, min(cores, cap) if cap else cores)
 
 
-def _map_blocks(block, n, workers, make_scratch):
-    """Yield `block(start, stop, scratch)` for each block of n rows, in order.
-
-    There are ceil(n / BLOCK_ROWS) blocks, rounded up to a multiple of the
-    worker count as long as every block keeps BLOCK_ROWS // 4 rows, and
-    their sizes differ by at most one. Each of up to `workers` threads gets
-    one `make_scratch(rows)` for the largest block, made here, on the
-    calling thread; block k uses scratch k % len(scratches), handed out
-    again only once the caller has consumed block k - len(scratches). With
-    one worker or one block, the blocks run inline. `block` must not call a
-    function the benchmark tracer wraps: its span stack is not thread-safe.
-    """
-    workers = workers or worker_count()
+def _block_bounds(n, workers):
+    """(start, stop) of each block of n rows: ceil(n / BLOCK_ROWS) blocks,
+    rounded up to a multiple of `workers` as long as every block keeps
+    BLOCK_ROWS // 4 rows, whose sizes differ by at most one."""
     count = -(-n // BLOCK_ROWS)
     spread = -(-count // workers) * workers
     if count and n // spread >= max(1, BLOCK_ROWS // 4):
         count = spread
-    blocks = [(k * n // count, (k + 1) * n // count) for k in range(count)]
-    scratches = [make_scratch(-(-n // count)) for _ in range(min(workers, count))]
+    return [(k * n // count, (k + 1) * n // count) for k in range(count)]
+
+
+def _map_blocks(block, n, workers, make_scratch):
+    """Yield `block(start, stop, scratch)` for each block of n rows
+    (`_block_bounds`), in order.
+
+    Each of up to `workers` threads gets one `make_scratch(rows)` for the
+    largest block, made here, on the calling thread; block k uses scratch
+    k % len(scratches), handed out again only once the caller has consumed
+    block k - len(scratches). With one worker or one block, the blocks run
+    inline. `block` must not call a function the benchmark tracer wraps:
+    its span stack is not thread-safe.
+    """
+    workers = workers or worker_count()
+    blocks = _block_bounds(n, workers)
+    scratches = [make_scratch(-(-n // len(blocks))) for _ in range(min(workers, len(blocks)))]
     if len(scratches) <= 1:
         for start, stop in blocks:
             yield block(start, stop, scratches[0])
@@ -233,12 +256,29 @@ class MidpointReport:
         }
 
 
+def _failing(expect, values, tol, flags):
+    """Bool per row: whether a verdict fails. A non-zero entry of `expect`
+    must match the sign of `values` (an exact zero counting as minus), a
+    zero entry must satisfy |value| <= tol (NaN does not). `flags` are two
+    bool buffers of at least `values.size` entries."""
+    miss, zero = (f[: values.size].reshape(values.shape) for f in flags)
+    np.not_equal(np.greater(values, 0.0, out=miss), np.greater(expect, 0, out=zero), out=miss)
+    # flat indices: a 2-D np.nonzero takes ten times as long
+    r, c = np.divmod(np.flatnonzero(np.equal(expect, 0, out=zero)), values.shape[1])
+    miss[r, c] = ~(np.abs(values[r, c]) <= tol)
+    return miss.any(axis=1)
+
+
 def midpoint_check(sk, model, domain, tol, schedule, workers=None):
     """Evaluate every facet and processed neuron at each alive edge midpoint.
 
     Non-zero entries of the edge sign-vector must match the evaluated sign
     (exact zero counting as minus); zero entries must satisfy |value| <= tol.
     Edges are checked in blocks of at most BLOCK_ROWS on `workers` threads.
+    The neurons are judged on the BLAS walk (`model.bounded_layers`), and
+    every verdict is proven equal to the reference kernel's
+    (`model.mark_unproven`); a row holding one that is not is judged again
+    on the reference kernel, so the report is the reference kernel's alone.
     `schedule` is the one the skeleton was extracted with; ValueError if it
     does not cover the sign width.
     """
@@ -258,23 +298,20 @@ def midpoint_check(sk, model, domain, tol, schedule, workers=None):
         ids = ae[start:stop]
         signs = sk.edge_signs_of(ids, out=signs[: len(ids)])
         mids = sk.positions[sk.edges[ids]].mean(axis=1)
-        bad = np.zeros(len(ids), dtype=bool)
-        stream = model_mod.stream_layers(model, mids, schedule, buffers)
-        columns = itertools.chain(
-            [(0, domain.facet_values(mids))], ((sk.m + off, vals) for off, vals in stream)
-        )
-        for first, values in columns:
-            expect = signs[:, first : first + values.shape[1]]
-            miss, zero = (f[: values.size].reshape(values.shape) for f in flags)
-            # a non-zero entry must match the evaluated sign, zero counting as minus
-            np.not_equal(
-                np.greater(values, 0.0, out=miss), np.greater(expect, 0, out=zero), out=miss
-            )
-            # a zero entry must lie within tol of the hyperplane (NaN does not)
-            r, c = np.nonzero(np.equal(expect, 0, out=zero))
-            miss[r, c] = ~(np.abs(values[r, c]) <= tol)
-            bad |= miss.any(axis=1)
-        return bad
+        bad = _failing(signs[:, : sk.m], domain.facet_values(mids), tol, flags)
+        judged = np.zeros(len(ids), dtype=bool)
+        unsure = np.zeros(len(ids), dtype=bool)
+        for offset, values, size, bound in model_mod.bounded_layers(model, mids, schedule, buffers):
+            expect = signs[:, sk.m + offset : sk.m + offset + values.shape[1]]
+            judged |= _failing(expect, values, tol, flags)
+            model_mod.mark_unproven(size, bound, unsure, expect == 0, tol)
+        rows = np.flatnonzero(unsure)
+        if len(rows):
+            judged[rows] = False
+            for offset, values in model_mod.stream_layers(model, mids[rows], schedule, buffers):
+                expect = signs[rows, sk.m + offset : sk.m + offset + values.shape[1]]
+                judged[rows] |= _failing(expect, values, tol, flags)
+        return bad | judged
 
     edge_bad = np.concatenate(list(_map_blocks(block, len(ae), workers, scratch)))
     failed = [int(e) for e in ae[edge_bad]]
@@ -371,42 +408,116 @@ def sample_domain(domain, n, seed, start=0):
     raise ValueError(f"cannot sample domain kind {domain.kind!r}")
 
 
-def sampled_region_oracle(model, domain, n, seed, schedule, workers=None):
+class RegionOracle:
+    """The region oracle's sample blocks (rows start..stop of `sample_domain`,
+    cut by `_block_bounds`) on a queue, drained by the calling thread in
+    `rows` and, with more than one worker and block, by one background
+    thread from the moment this is made (see the module docstring).
+
+    Each consumer signs one block at a time, in its own scratch, and merges
+    the block's distinct packed rows into one set under a lock. `rows`
+    raises again what the background thread raised; `close`, also run on
+    leaving a `with` block, stops that thread before its next block and
+    joins it. The background thread calls nothing the benchmark tracer
+    wraps: its span stack is not thread-safe.
+    """
+
+    def __init__(self, model, domain, n, seed, schedule, workers=None):
+        check_sample_count(n)
+        workers = workers or worker_count()
+        self._model, self._domain, self._seed, self._schedule = model, domain, seed, schedule
+        self._width = domain.m + len(schedule)
+        self._keys = np.zeros(0, dtype=np.dtype((np.void, -(-self._width // 8))))
+        self._blocks = collections.deque(_block_bounds(n, workers))
+        self._scratch = functools.partial(
+            _scratch, model, schedule, self._width, -(-n // max(1, len(self._blocks)))
+        )
+        self._lock = threading.Lock()
+        self._stopped = False
+        self._error = None
+        self._thread = None
+        if workers > 1 and len(self._blocks) > 1:
+            self._thread = threading.Thread(
+                target=self._background, args=(self._scratch(),), name="region-oracle"
+            )
+            self._thread.start()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def _sign(self, start, stop, scratch):
+        """The distinct packed sign rows of samples start..stop."""
+        m = self._domain.m
+        pts = sample_domain(self._domain, stop - start, self._seed, start)
+        pos = scratch[0][: stop - start].view(np.bool_)
+        np.greater(self._domain.facet_values(pts), 0.0, out=pos[:, :m])
+        model_mod.certified_signs(self._model, pts, self._schedule, scratch[1], pos[:, m:])
+        # + (an exact zero counts as minus, as in signvec.signs_of_values)
+        # packs to 1, the first entry in the high bit: byte order is - < +
+        return np.unique(np.packbits(pos, axis=1).view(self._keys.dtype).ravel())
+
+    def _take(self):
+        with self._lock:
+            return self._blocks.popleft() if self._blocks and not self._stopped else None
+
+    def _drain(self, scratch):
+        while (block := self._take()) is not None:
+            found = self._sign(*block, scratch)
+            with self._lock:
+                self._keys = np.unique(np.concatenate([self._keys, found]))
+
+    def _background(self, scratch):
+        try:
+            self._drain(scratch)
+        except BaseException as exc:  # raised again by `rows`
+            self._error = exc
+            self._stop()
+
+    def _stop(self):
+        with self._lock:  # no consumer takes another block
+            self._stopped = True
+
+    def close(self):
+        """Stop the background thread after its current block and join it."""
+        self._stop()
+        if self._thread is not None:
+            self._thread.join()
+
+    def rows(self):
+        """Drain the blocks left on the calling thread, join the background
+        thread and return the int8 rows (see `sampled_region_oracle`)."""
+        try:
+            self._drain(self._scratch())
+        finally:
+            self.close()
+        if self._error is not None:
+            raise self._error
+        keys = self._keys.view(np.uint8).reshape(-1, self._keys.itemsize)
+        bits = np.unpackbits(keys, axis=1, count=self._width)
+        return np.where(bits, np.int8(1), np.int8(-1))
+
+
+def sampled_region_oracle(model, domain, n, seed, schedule, workers=None, started=None):
     """Region signatures hit by n uniform samples; a one-sided oracle.
 
     Every returned signature must appear among the extracted regions, but
     thin regions may be missed, so coverage below 1 is expected. Samples are
-    drawn and signed in blocks of at most BLOCK_ROWS on `workers` threads,
+    drawn and signed in blocks of at most BLOCK_ROWS on the calling thread
+    and, with more than one worker, one background thread (`RegionOracle`),
     by `model.certified_signs`: on the BLAS kernel, with every sign proven
     equal to the reference kernel's or recomputed on it, so the rows are
-    those the reference kernel alone gives.
-    Each worker packs its block's signs to one bit per entry and keeps its
-    distinct rows; the calling thread merges them, in order, into the
-    distinct rows found so far, so memory does not grow with n beyond those
-    rows and one block per worker. Returns int8 rows in canonical order
-    (`signvec.group_rows`), with one entry per facet and per neuron of
-    `schedule`, as the extracted regions of that schedule have.
+    those the reference kernel alone gives. Memory does not grow with n
+    beyond the distinct rows and one block per consumer. `started` is a
+    `RegionOracle` already made with these arguments, whose rows this call
+    waits for. Returns int8 rows in canonical order (`signvec.group_rows`),
+    with one entry per facet and per neuron of `schedule`, as the extracted
+    regions of that schedule have.
     """
-    check_sample_count(n)
-    m = domain.m
-    width = m + len(schedule)
-    key = np.dtype((np.void, -(-width // 8)))
-
-    def block(start, stop, scratch):
-        pts = sample_domain(domain, stop - start, seed, start)
-        pos = scratch[0][: stop - start].view(np.bool_)
-        np.greater(domain.facet_values(pts), 0.0, out=pos[:, :m])
-        model_mod.certified_signs(model, pts, schedule, scratch[1], pos[:, m:])
-        # + (an exact zero counts as minus, as in signvec.signs_of_values)
-        # packs to 1, the first entry in the high bit: byte order is - < +
-        return np.unique(np.packbits(pos, axis=1).view(key).ravel())
-
-    keys = np.zeros(0, dtype=key)
-    scratch = functools.partial(_scratch, model, schedule, width)
-    for found in _map_blocks(block, n, workers, scratch):
-        keys = np.unique(np.concatenate([keys, found]))
-    bits = np.unpackbits(keys.view(np.uint8).reshape(-1, key.itemsize), axis=1, count=width)
-    return np.where(bits, np.int8(1), np.int8(-1))
+    with started or RegionOracle(model, domain, n, seed, schedule, workers) as oracle:
+        return oracle.rows()
 
 
 @dataclass

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -187,8 +188,13 @@ def test_model_output_layer_of_no_neurons(tmp_path, capsys):
         ({"weights": [[]], "bias": []}, "expected 1 input columns, got 0"),
         ({"weights": [[1.0, True]], "bias": [0.5]}, "not booleans"),
         ({"weights": [[1.0, 2.0]], "bias": [False]}, "not booleans"),
+        ({"weights": [[1.0, "2"]], "bias": [0.5]}, "not strings"),
+        ({"weights": [[1.0, 2.0]], "bias": ["0.5"]}, "not strings"),
     ],
-    ids=["scalar", "null", "true", "one-row-of-no-inputs", "bool-weight", "bool-bias"],
+    ids=[
+        "scalar", "null", "true", "one-row-of-no-inputs", "bool-weight", "bool-bias",
+        "string-weight", "string-bias",
+    ],
 )
 def test_model_layer_entries_exit_2_naming_the_layer(tmp_path, capsys, layer, message):
     # layer 2 of (2, 1, ...): a scalar once ended in an IndexError, [[]] loaded
@@ -200,6 +206,17 @@ def test_model_layer_entries_exit_2_naming_the_layer(tmp_path, capsys, layer, me
     assert capsys.readouterr().err.startswith("error: layer 2: ")
     with pytest.raises(model_mod.ModelFormatError, match=f"layer 2: .*{message}"):
         model_mod.load_model(path)
+
+
+def test_count_on_a_numeric_string_weight_exits_2(tmp_path, capsys):
+    # numpy reads "2" as 2.0: this file once counted [4, 4, 1] and exited 0
+    path = tmp_path / "net.json"
+    path.write_text('{"in_dim": 2, "layers": [{"weights": [[1, "2"]], "bias": [1]}]}')
+    assert run_cli("count", "--model", path, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        "error: layer 1: weights and bias must be numbers, not strings\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 #: what a hand-edited model file may hold where a number, row or layer belongs
@@ -225,7 +242,11 @@ def model_docs(draw):
     in_dim = draw(st.integers(1, 3))
     layers, prev = [], in_dim
     for width in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)):
-        number = st.one_of(st.integers(-3, 3), st.floats(-2, 2))
+        # numeric strings too: numpy would read them as numbers
+        number = st.one_of(
+            st.integers(-3, 3), st.floats(-2, 2), st.integers(-3, 3).map(str),
+            st.floats(-2, 2).map(repr),
+        )
         weights = [maybe([maybe(draw(number)) for _ in range(prev)]) for _ in range(width)]
         bias = [maybe(draw(number)) for _ in range(width)]
         layers.append(maybe({"weights": maybe(weights), "bias": maybe(bias)}))
@@ -244,7 +265,19 @@ def test_model_files_load_or_exit_2(tmp_path_factory, doc):
         assert isinstance(model_mod.load_model(path), model_mod.MlpSpec)
     except model_mod.ModelFormatError:
         pass
+    else:  # a loaded file holds numbers only where weights and biases go
+        entries = [layer[key] for layer in doc["layers"] for key in ("weights", "bias")]
+        assert not holds_string(entries)
     assert run_cli("count", "--model", path, "--out", path.parent / "o") in (0, 2, 3, 4)
+
+
+def holds_string(value):
+    """Whether a string is in `value` or in any list or dict inside it."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(holds_string(v) for v in value)
+    return isinstance(value, str)
 
 
 def test_validate_with_a_hidden_layer_of_no_neurons(tmp_path, capsys):
@@ -538,6 +571,146 @@ def test_validate_threads_do_not_change_validation_json(tmp_path, monkeypatch):
     assert (tmp_path / "one" / "validation.json").read_bytes() == (
         tmp_path / "default" / "validation.json"
     ).read_bytes()
+
+
+def oracle_threads():
+    return [t for t in threading.enumerate() if t.name == "region-oracle"]
+
+
+def oracle_blocks_first(monkeypatch):
+    """Let the calling thread take an oracle block only once the background
+    thread has ended, so that the background thread takes the first one."""
+    real = validate_mod.RegionOracle._take
+
+    def take(self):
+        if threading.current_thread() is threading.main_thread() and self._thread:
+            self._thread.join()
+        return real(self)
+
+    monkeypatch.setattr(validate_mod.RegionOracle, "_take", take)
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [(subdivide.PairingError, 4, "invariant violation: "), (ValueError, 2, "error: ")],
+    ids=["pairing", "value"],
+)
+def test_failed_extraction_stops_the_region_oracle(tmp_path, capsys, monkeypatch, error, code,
+                                                   prefix):
+    # the extraction fails while the oracle signs in the background: the
+    # exit code is the extraction's, and the oracle's thread stops between
+    # blocks and is joined before main returns
+    monkeypatch.setattr(validate_mod, "BLOCK_ROWS", 50)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    sampled = []
+    real = validate_mod.sample_domain
+
+    def counted(domain, n, seed, start=0):
+        sampled.append(start)
+        return real(domain, n, seed, start)
+
+    running = []
+
+    def failing(*args, **kwargs):
+        running.append(len(oracle_threads()))
+        raise error("extraction failed")
+
+    monkeypatch.setattr(validate_mod, "sample_domain", counted)
+    monkeypatch.setattr(subdivide, "extract_complex", failing)
+    before = threading.active_count()
+    assert run_cli("validate", "--random", "2,2,4,1", "--out", tmp_path / "v") == code
+    assert threading.active_count() == before and oracle_threads() == []
+    assert running == [1]  # the oracle had started
+    assert len(sampled) < 100000 // 50  # and was stopped before it drained
+    assert capsys.readouterr().err == f"{prefix}extraction failed\n"
+    assert not (tmp_path / "v" / "validation.json").exists()
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [(subdivide.PairingError, 4, "invariant violation: "), (ValueError, 2, "error: ")],
+    ids=["pairing", "value"],
+)
+def test_an_error_in_the_region_oracle_thread_keeps_its_exit_code(tmp_path, capsys, monkeypatch,
+                                                                 error, code, prefix):
+    monkeypatch.setattr(validate_mod, "BLOCK_ROWS", 50)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    oracle_blocks_first(monkeypatch)
+    real = validate_mod.sample_domain
+
+    def failing(domain, n, seed, start=0):
+        if threading.current_thread() is not threading.main_thread():
+            raise error("a sample block failed")
+        return real(domain, n, seed, start)
+
+    monkeypatch.setattr(validate_mod, "sample_domain", failing)
+    before = threading.active_count()
+    code_got = run_cli("validate", "--random", "2,2,4,1", "--samples", 3000,
+                       "--out", tmp_path / "v")
+    assert code_got == code
+    assert threading.active_count() == before
+    assert capsys.readouterr().err == f"{prefix}a sample block failed\n"
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (["--random", "2,2,4,1", "--samples", "-1"], "error: sample count must be >= 0, got -1"),
+        (["--random", "2,2,4,1", "--midpoint-tol", "nan"],
+         "error: midpoint tolerance must be >= 0, got nan"),
+        (["--random", "2,2,4,1", "--output-index", "1"], "usage: "),
+        (["--model", "MODEL"], "error: layer 1: weights and bias must be numbers, not strings"),
+    ],
+    ids=["samples", "midpoint_tol_nan", "output_index", "model"],
+)
+def test_validate_input_errors_exit_2_before_a_thread_starts(tmp_path, capsys, monkeypatch,
+                                                            flags, expected):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the region oracle started before the input check")
+
+    monkeypatch.setattr(validate_mod, "RegionOracle", no_oracle)
+    path = tmp_path / "net.json"
+    path.write_text('{"in_dim": 2, "layers": [{"weights": [[1, "2"]], "bias": [1]}]}')
+    flags = [str(path) if flag == "MODEL" else flag for flag in flags]
+    before = threading.active_count()
+    assert exit_code("validate", *flags, "--out", tmp_path / "v") == 2
+    assert threading.active_count() == before
+    assert capsys.readouterr().err.startswith(expected)
+    assert not (tmp_path / "v").exists()
+
+
+def test_validate_on_one_worker_starts_no_thread(tmp_path, monkeypatch):
+    # one allowed core (CI's one-core job): the region oracle runs inline,
+    # after the extraction and the other checks, as before the overlap
+    monkeypatch.setattr(validate_mod, "BLOCK_ROWS", 50)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    calls = []
+
+    def recorded(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for owner, name in (
+        (subdivide, "extract_complex"),
+        (validate_mod, "residuals"),
+        (validate_mod, "midpoint_check"),
+        (validate_mod, "sample_domain"),
+    ):
+        monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
+
+    class NoThread:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", NoThread)
+    assert run_cli("validate", "--random", "2,3,8,1", "--seed", "2", "--samples", "3000",
+                   "--out", tmp_path) == 0
+    assert calls == ["extract_complex", "residuals", "midpoint_check"] + ["sample_domain"] * 60
 
 
 def test_import_loads_no_pool_or_logging():

@@ -1,10 +1,12 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import centered_output_net, extract_random
-from relucomplex import validate as validate_mod
+from relucomplex import model as model_mod, validate as validate_mod
 from relucomplex.model import (
     LayerSpec,
     MlpSpec,
@@ -227,22 +229,127 @@ def faint_neuron_net(factor):
     return MlpSpec(tuple(layers), 2)
 
 
-@pytest.mark.parametrize("block_rows", [7, 100, validate_mod.BLOCK_ROWS])
+def gate_background(monkeypatch, policy):
+    """Make the region oracle's background consumer take none of the blocks,
+    all of them, or every other one; returns [(background?, block)] in the
+    order they were taken."""
+    real = validate_mod.RegionOracle._take
+    taken = []
+    turn = threading.Condition()
+    state = {"done": False}
+
+    def take(self):
+        background = threading.current_thread() is not threading.main_thread()
+        if policy == "none" and background:
+            return None
+        if policy == "all" and not background and self._thread is not None:
+            self._thread.join(timeout=60)
+            assert not self._thread.is_alive()
+        if policy == "alternate":  # block k to the calling thread if k is even
+            with turn:
+                assert turn.wait_for(
+                    lambda: state["done"] or len(taken) % 2 == background, timeout=60
+                )
+                block = real(self)
+                state["done"] = block is None
+                if block is not None:
+                    taken.append((background, block))
+                turn.notify_all()
+                return block
+        block = real(self)
+        if block is not None:
+            taken.append((background, block))
+        return block
+
+    monkeypatch.setattr(validate_mod.RegionOracle, "_take", take)
+    return taken
+
+
+@pytest.mark.parametrize("block_rows", [7, 50, 100, validate_mod.BLOCK_ROWS])
 def test_certified_oracle_does_not_depend_on_blocks_or_workers(monkeypatch, block_rows):
     # a neuron whose values are of the order of the BLAS walk's error bound:
     # some rows are proven and some are signed again on the reference kernel
     monkeypatch.setattr(validate_mod, "BLOCK_ROWS", block_rows)
-    domain, _ = init_hypercube(2, -1.0, 1.0)
     net = faint_neuron_net(1e-13)
     schedule = NeuronSchedule.for_model(net, include_output=True)
-    pts = sample_domain(domain, 1000, 4)
-    out = np.empty((len(pts), len(schedule)), dtype=bool)
-    redone = certified_signs(net, pts, schedule, stream_buffers(net, schedule, len(pts)), out)
-    assert 0 < redone < len(pts)
-    want = one_shot_regions(net, domain, 1000, 4, schedule)
-    for workers in (1, 2, 3, 4):
-        got = sampled_region_oracle(net, domain, 1000, 4, schedule, workers)
-        assert np.array_equal(got, want), workers
+    for kind in ("cube", "simplex"):
+        domain, _ = init_hypercube(2, -1.0, 1.0) if kind == "cube" else init_simplex(2, 0.7)
+        pts = sample_domain(domain, 1000, 4)
+        out = np.empty((len(pts), len(schedule)), dtype=bool)
+        redone = certified_signs(net, pts, schedule, stream_buffers(net, schedule, len(pts)), out)
+        assert 0 < redone < len(pts), kind
+        want = one_shot_regions(net, domain, 1000, 4, schedule)
+        for workers in (1, 2, 3, 4):
+            got = sampled_region_oracle(net, domain, 1000, 4, schedule, workers)
+            assert np.array_equal(got, want), (kind, workers)
+    if block_rows != 50:
+        return
+    # the calling thread and the background consumer merge into one set:
+    # which of them takes which block changes nothing
+    for kind in ("cube", "simplex"):
+        domain, _ = init_hypercube(2, -1.0, 1.0) if kind == "cube" else init_simplex(2, 0.7)
+        for n in (0, 1000):
+            inline = sampled_region_oracle(net, domain, n, 4, schedule, 1)
+            assert np.array_equal(inline, one_shot_regions(net, domain, n, 4, schedule))
+            for policy in ("none", "all", "alternate"):
+                with monkeypatch.context() as patch:
+                    taken = gate_background(patch, policy)
+                    got = sampled_region_oracle(net, domain, n, 4, schedule, 2)
+                assert got.dtype == np.int8 and np.array_equal(got, inline), (kind, n, policy)
+                background = [by for by, _ in taken]
+                assert len(taken) == (20 if n else 0)
+                assert background == {
+                    "none": [False] * len(taken),
+                    "all": [True] * len(taken),
+                    "alternate": [k % 2 == 1 for k in range(len(taken))],
+                }[policy], (kind, n, policy)
+                assert sorted(block for _, block in taken) == [
+                    (50 * k, 50 * k + 50) for k in range(len(taken))
+                ]
+
+
+def test_region_oracle_keeps_every_block_under_contention(monkeypatch):
+    # a thread switch every microsecond and 429 blocks of 7 rows: a merge of
+    # the two consumers' rows that lost an update would drop regions
+    monkeypatch.setattr(validate_mod, "BLOCK_ROWS", 7)
+    net = random_model(2, 2, 8, 1, seed=3)
+    domain, _ = init_hypercube(2, -1.0, 1.0)
+    schedule = NeuronSchedule.for_model(net, include_output=True)
+    want = one_shot_regions(net, domain, 3000, 2, schedule)
+    assert len(want) > 20
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 8):
+            got = sampled_region_oracle(net, domain, 3000, 2, schedule, workers)
+            assert np.array_equal(got, want), workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_an_error_in_the_background_consumer_reaches_the_caller(monkeypatch):
+    # the background thread takes every block until one raises: the caller
+    # gets that exception, and no consumer takes another block
+
+    class BlockError(Exception):
+        pass
+
+    monkeypatch.setattr(validate_mod, "BLOCK_ROWS", 50)
+    taken = gate_background(monkeypatch, "all")
+    real = validate_mod.sample_domain
+
+    def failing(domain, n, seed, start=0):
+        if start == 500:
+            raise BlockError(start)
+        return real(domain, n, seed, start)
+
+    monkeypatch.setattr(validate_mod, "sample_domain", failing)
+    net = random_model(2, 2, 6, 1, seed=1)
+    domain, _ = init_hypercube(2, -1.0, 1.0)
+    with pytest.raises(BlockError, match="500"):
+        sampled_region_oracle(net, domain, 1000, 4, NeuronSchedule.for_model(net), 2)
+    assert [t for t in threading.enumerate() if t.name == "region-oracle"] == []
+    assert taken == [(True, (50 * k, 50 * k + 50)) for k in range(11)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -342,6 +449,87 @@ def test_midpoint_check_blocks_agree_on_corrupted_edge(monkeypatch):
     assert reports[0] == reports[1]
     assert reports[0].failed_edges == bad
     assert (reports[0].n_edges, reports[0].n_fail) == (len(ae), len(bad))
+
+
+def reference_midpoint_check(sk, net, domain, tol, schedule):
+    """midpoint_check as it was before the BLAS walk: every value on the
+    reference (einsum) kernel, all edges in one batch."""
+    ae = sk.alive_edge_ids()
+    signs = sk.edge_signs_of(ae)
+    mids = sk.positions[sk.edges[ae]].mean(axis=1)
+    pres = batch_preactivations(net, mids)
+    neuron_vals = [pres[nr.layer - 1][:, nr.index : nr.index + 1] for nr in schedule]
+    values = np.concatenate([domain.facet_values(mids)] + neuron_vals, axis=1)
+    # a non-zero entry must match the evaluated sign, zero counting as minus
+    miss = (values > 0.0) != (signs > 0)
+    # a zero entry must lie within tol of the hyperplane (NaN does not)
+    zero = signs == 0
+    miss[zero] = ~(np.abs(values[zero]) <= tol)
+    failed = [int(e) for e in ae[miss.any(axis=1)]]
+    return validate_mod.MidpointReport(len(ae), len(ae) - len(failed), len(failed), failed, tol)
+
+
+def counted_rewalks(monkeypatch):
+    """Calls of model.stream_layers from here on: midpoint_check walks the
+    reference kernel only for rows whose verdicts it could not prove."""
+    calls = []
+    real = model_mod.stream_layers
+
+    def counted(model, points, schedule, buffers):
+        calls.append(len(points))
+        return real(model, points, schedule, buffers)
+
+    monkeypatch.setattr(model_mod, "stream_layers", counted)
+    return calls
+
+
+MIDPOINT_TOLS = [1e-8, 0.0, 1e-15, 1e-3]
+
+
+@pytest.mark.parametrize("include_output", [False, True], ids=["hidden", "output"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_certified_midpoints_match_the_reference_kernel(monkeypatch, dim, include_output):
+    # blocks of 7 rows on up to three workers; the report, corrupted rows
+    # included, is bitwise that of the einsum kernel
+    monkeypatch.setattr(validate_mod, "BLOCK_ROWS", 7)
+    net = centered_output_net(dim, 2, {2: 8, 3: 6, 4: 4}[dim], seed=dim)
+    domain, sk = init_hypercube(dim, -1.0, 1.0)
+    schedule = NeuronSchedule.for_model(net, include_output=include_output)
+    sk, _ = extract_complex(net, domain, sk, schedule)
+    ae = sk.alive_edge_ids()
+    bad = flip_vertex_sign(sk, int(sk.edges[ae[len(ae) // 2], 1]))
+    for tol in MIDPOINT_TOLS:
+        want = reference_midpoint_check(sk, net, domain, tol, schedule)
+        assert set(bad) <= set(want.failed_edges) and want.n_edges > 7, tol
+        for workers in (1, 3):
+            got = midpoint_check(sk, net, domain, tol, schedule, workers)
+            assert got == want and got.to_json() == want.to_json(), (tol, workers)
+
+
+def test_certified_midpoints_on_a_deep_output_layer(monkeypatch):
+    # (2, 8, 64) with the output: the output layer's bound E_l nears the
+    # default tol of 1e-8, and still every verdict there is proven; at
+    # tol = 0 no zero entry is, and those rows are judged on the reference
+    net = centered_output_net(2, 8, 64, seed=0)
+    domain, sk = init_hypercube(2, -1.0, 1.0)
+    schedule = NeuronSchedule.for_model(net, include_output=True)
+    sk, _ = extract_complex(net, domain, sk, schedule)
+    ae = sk.alive_edge_ids()
+    on_a_neuron = np.any(sk.edge_signs_of(ae)[:, sk.m :] == 0, axis=1)
+    for tol in MIDPOINT_TOLS:
+        with monkeypatch.context() as patch:
+            calls = counted_rewalks(patch)
+            got = midpoint_check(sk, net, domain, tol, schedule)
+        want = reference_midpoint_check(sk, net, domain, tol, schedule)
+        assert got == want and got.to_json() == want.to_json(), tol
+        if tol == 1e-8:
+            assert calls == [] and got.n_fail == 0
+        if tol == 0.0:  # every edge with a zero entry of a neuron
+            assert sum(calls) == np.count_nonzero(on_a_neuron) > 0.9 * len(ae)
+    bad = flip_vertex_sign(sk, int(sk.edges[ae[len(ae) // 3], 0]))
+    got = midpoint_check(sk, net, domain, 1e-8, schedule)
+    assert got.failed_edges == bad
+    assert got == reference_midpoint_check(sk, net, domain, 1e-8, schedule)
 
 
 @pytest.mark.parametrize("include_output", [False, True], ids=["hidden", "output"])
