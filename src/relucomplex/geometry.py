@@ -396,18 +396,23 @@ def export_svg(sk, path, out_entry=None, box=None):
     on_level = np.zeros(len(ae), bool)
     if out_entry is not None:
         on_level = sk.edge_signs_of(ae)[:, out_entry] == 0
-    lines.extend(_svg_lines(sk, ae[~on_level]))
+    # each end vertex's coordinates are formatted once, for both groups
+    used, ends = np.unique(sk.edges[ae], return_inverse=True)
+    coords = [("%.17g" % x, "%.17g" % y) for x, y in sk.positions[used].tolist()]
+    ends = ends.reshape(-1, 2)
+    lines.extend(_svg_lines(coords, ends[~on_level]))
     lines.append("</g>")
     lines.append('<g stroke="#d62728" stroke-width="%.17g" stroke-linecap="round">' % heavy)
-    lines.extend(_svg_lines(sk, ae[on_level]))
+    lines.extend(_svg_lines(coords, ends[on_level]))
     lines.extend(["</g>", "</g>", "</svg>", ""])
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
 
 
-def _svg_lines(sk, edge_ids):
-    """One `<line>` element per edge, in id order."""
+def _svg_lines(coords, ends):
+    """One `<line>` element per row of `ends` (two indices into the
+    formatted `coords`), in order."""
     return [
-        '<line x1="%.17g" y1="%.17g" x2="%.17g" y2="%.17g"/>' % tuple(ends)
-        for ends in sk.positions[sk.edges[edge_ids]].reshape(-1, 4).tolist()
+        '<line x1="%s" y1="%s" x2="%s" y2="%s"/>' % (coords[a] + coords[b])
+        for a, b in ends.tolist()
     ]

@@ -225,21 +225,32 @@ def _affine(points, weights, bias, out=None):
     return out
 
 
-#: multiply-adds per BLAS call in `_gemm`. Larger calls start OpenBLAS's
-#: threads, whose spinning starves the other validation workers.
+#: multiply-adds per BLAS product in `_gemm`. Larger products start
+#: OpenBLAS's threads, whose spinning starves the other validation workers.
 GEMM_MACS = 1 << 18
 
 
 def _gemm(points, weights, bias, out=None):
     """`_affine` by BLAS matmul: about 5x faster on a 64 x 64 layer, but a
-    row's last bits depend on its batch. Each call takes as many rows as fit in GEMM_MACS
-    multiply-adds."""
+    row's last bits depend on its batch.
+
+    The rows go in items of as many as fit in GEMM_MACS multiply-adds: one
+    stacked `np.matmul` takes every whole item (numpy calls BLAS once per
+    item), and one more takes the rest. The items are written through a
+    view of `out` whose shape is set, which raises AttributeError rather
+    than write into a copy (splitting the rows of a 2-D `out` needs none)."""
     if out is None:
         out = np.empty((len(points), len(weights)))
-    step = max(1, GEMM_MACS // weights.size)
+    step = max(1, GEMM_MACS // max(1, weights.size))  # a layer may have no inputs or neurons
+    items = len(points) // step
+    whole = items * step
+    stacked = out[:whole].view()
+    stacked.shape = (items, step, out.shape[1])
     with np.errstate(all="ignore"):  # overflow is as silent as in einsum
-        for s in range(0, len(points), step):
-            np.matmul(points[s : s + step], weights.T, out=out[s : s + step])
+        if whole:
+            np.matmul(points[:whole].reshape(items, step, points.shape[1]), weights.T, out=stacked)
+        if whole < len(points):
+            np.matmul(points[whole:], weights.T, out=out[whole:])
         out += bias
     return out
 

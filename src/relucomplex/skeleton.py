@@ -385,33 +385,55 @@ def _first_bad(ids, is_bad):
     return None
 
 
+def _bit_planes(vs):
+    """The (zero, plus) bit planes of the int8 sign rows `vs`: per row, its
+    `== 0` and `> 0` flags packed 8 to a byte (pad bits 0), made in blocks
+    of CHECK_BLOCK_ROWS rows."""
+    width = -(-vs.shape[1] // 8)
+    zero, plus = (np.empty((len(vs), width), dtype=np.uint8) for _ in range(2))
+    for start in range(0, len(vs), CHECK_BLOCK_ROWS):
+        block = slice(start, start + CHECK_BLOCK_ROWS)
+        zero[block] = np.packbits(vs[block] == 0, axis=1)
+        plus[block] = np.packbits(vs[block] > 0, axis=1)
+    return zero, plus
+
+
 def check_invariants(sk):
     """Verify the four structural invariants; O(|V| + |E|). Raises
     SkeletonError naming the first bad vertex or edge of the first failing
-    check. Each check runs over blocks of CHECK_BLOCK_ROWS rows. Edge sign
-    rows are derived from their endpoints, so they agree with them by
-    construction; the checks on them are that the endpoints never carry
-    opposite signs and that each row has D - 1 zeros."""
+    check. Each check runs over blocks of CHECK_BLOCK_ROWS rows, on the bit
+    planes of the vertex signs (`_bit_planes`). Edge sign rows are derived
+    from their endpoints, so they agree with them by construction; the
+    checks on them are that the endpoints never carry opposite signs and
+    that each row has D - 1 zeros."""
     if sk.vertex_signs.shape != (sk.n_vertices, sk.sign_width):
         raise SkeletonError("vertex sign matrix shape mismatch")
     av, ae = sk.alive_vertex_ids(), sk.alive_edge_ids()
     vs, edges = sk.vertex_signs, sk.edges
+    zero, plus = _bit_planes(vs)
 
-    def zeros(rows):
-        return np.count_nonzero(rows == 0, axis=-1)
+    def count(bits):
+        return np.bitwise_count(bits).sum(axis=1)
 
     def conflict(ids):
+        lo, hi = edges[ids].T  # both non-zero, one of them plus
+        return ((plus[lo] ^ plus[hi]) & ~(zero[lo] | zero[hi])).any(axis=1)
+
+    def shared_zeros(ids):
         lo, hi = edges[ids].T
-        return vs[lo] * vs[hi] < 0
+        return count(zero[lo] & zero[hi])
 
     if (bad := _first_bad(ae, lambda b: ~sk.vertex_alive[edges[b]])) is not None:
         raise SkeletonError(f"alive edge {bad} references dead vertex")
     if (bad := _first_bad(ae, lambda b: edges[b, 0] >= edges[b, 1])) is not None:
         raise SkeletonError(f"edge {bad} endpoint ordering violated")
-    if (bad := _first_bad(av, lambda b: zeros(vs[b]) != sk.dim)) is not None:
-        raise SkeletonError(f"vertex {bad} has {zeros(vs[bad])} zeros, expected {sk.dim}")
-    # before the zero count: a derived row reads 0 where its endpoints conflict
+    if (bad := _first_bad(av, lambda b: count(zero[b]) != sk.dim)) is not None:
+        raise SkeletonError(
+            f"vertex {bad} has {np.count_nonzero(vs[bad] == 0)} zeros, expected {sk.dim}"
+        )
+    # before the zero count: with no conflict, an edge row is 0 exactly
+    # where both endpoints are
     if (bad := _first_bad(ae, conflict)) is not None:
         raise SkeletonError(f"edge {bad} endpoints carry opposite signs")
-    if (bad := _first_bad(ae, lambda b: zeros(sk.edge_signs_of(b)) != sk.dim - 1)) is not None:
+    if (bad := _first_bad(ae, lambda b: shared_zeros(b) != sk.dim - 1)) is not None:
         raise SkeletonError(f"edge {bad} zero count is not {sk.dim - 1}")

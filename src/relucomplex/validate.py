@@ -30,6 +30,15 @@ for it, and merges the block's distinct packed rows into one set, so the
 oracle's memory is one block per consumer plus the distinct rows, and its
 rows do not depend on which consumer took which block.
 
+The background thread costs the calling thread time even on a free core:
+it needs the interpreter lock between its numpy calls, and the calling
+thread hands the lock over each time. `model._gemm` therefore multiplies
+each layer of a block in at most two calls. On the `wide2d` seed-0 net,
+on two cores, the extraction takes 10-21 ms longer beside the background
+thread than alone. About 6 ms of that is waiting for the lock (wall minus
+thread CPU time; 10-11 ms with one call per 64 rows), and the rest is its
+own CPU time growing while the other thread runs.
+
 The region oracle reads only signs, so it signs on the BLAS kernel and
 proves each sign against the reference kernel (`model.certified_signs`),
 recomputing the rows it cannot prove. midpoint_check reads only verdicts,
@@ -192,7 +201,8 @@ def residuals(sk, model, domain, schedule, workers=None):
         signs[:] = sk.vertex_signs[ids]
         zero = np.equal(signs, 0, out=signs.view(np.bool_))
         # the zero entries in row-major order, and the group each lies in
-        row, col = np.nonzero(zero)
+        # (flat indices: a 2-D np.nonzero takes several times as long)
+        row, col = np.divmod(np.flatnonzero(zero), zero.shape[1])
         group = group_of_col[col]
         # each row's deepest group: that of its last zero
         last = np.ones(len(row), dtype=bool)

@@ -296,6 +296,11 @@ def test_validate_with_a_hidden_layer_of_no_neurons(tmp_path, capsys):
     counts = json.loads((tmp_path / "c" / "counts.json").read_text())["dims"]
     validation = json.loads((tmp_path / "v" / "validation.json").read_text())
     assert counts == validation["counts"] == [9, 12, 4]
+    # with the output layer, the BLAS walk multiplies through the empty layer
+    out = tmp_path / "vo"
+    assert run_cli("validate", "--model", path, "--include-output", "--samples", 1000,
+                   "--out", out) == 0
+    assert json.loads((out / "validation.json").read_text())["sampled_subset_of_regions"]
 
 
 def test_count_square_cases(tmp_path):

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from relucomplex import model as model_mod
 from relucomplex.model import (
+    GEMM_MACS,
     LayerSpec,
     MlpSpec,
     ModelFormatError,
@@ -318,6 +320,71 @@ def test_certified_signs_fall_back_on_overflow():
     out, redone = signs_and_redone(net, pts, schedule)
     assert redone == len(pts)
     assert np.array_equal(out, reference_signs(net, pts, schedule))
+
+
+def gemm_per_item(points, weights, bias):
+    """`model._gemm` as one `np.matmul` per item of GEMM_MACS multiply-adds."""
+    step = max(1, GEMM_MACS // weights.size)
+    out = np.empty((len(points), len(weights)))
+    for s in range(0, len(points), step):
+        np.matmul(points[s : s + step], weights.T, out=out[s : s + step])
+    out += bias
+    return out
+
+
+def gemm_cases():
+    """(layer, rows) for the first (2-input) and a 64 x 64 layer, at row
+    counts around the item size."""
+    net = random_model(2, 2, 64, 1, seed=0)
+    for layer in net.layers[:2]:
+        step = GEMM_MACS // layer.weights.size
+        for n in (0, 1, step - 1, step, 3 * step + 5):
+            yield layer, n
+
+
+@pytest.mark.parametrize("layer,n", gemm_cases())
+def test_gemm_matches_one_matmul_per_item(layer, n):
+    pts = np.random.default_rng(n).standard_normal((n, layer.in_dim))
+    expect = gemm_per_item(pts, layer.weights, layer.bias).tobytes()
+    assert model_mod._gemm(pts, layer.weights, layer.bias).tobytes() == expect
+    out = np.full(n * layer.out_dim, np.nan).reshape(n, layer.out_dim)
+    assert model_mod._gemm(pts, layer.weights, layer.bias, out) is out
+    assert out.tobytes() == expect
+
+
+@pytest.mark.parametrize("layer,n", gemm_cases())
+def test_gemm_into_a_strided_out_writes_every_entry(layer, n):
+    # a column slice and a transposed buffer: either the write raises, or
+    # every entry of `out` gets its value and nothing beside it is written
+    pts = np.random.default_rng(n).standard_normal((n, layer.in_dim))
+    expect = gemm_per_item(pts, layer.weights, layer.bias)
+    wide = np.full((n, layer.out_dim + 3), np.nan)
+    for out in (wide[:, 1 : layer.out_dim + 1], np.full((layer.out_dim, n), np.nan).T):
+        try:
+            model_mod._gemm(pts, layer.weights, layer.bias, out)
+        except AttributeError:
+            continue
+        assert np.allclose(out, expect, rtol=1e-13, atol=1e-13)
+    assert np.isnan(wide[:, [0, -2, -1]]).all()
+
+
+def test_gemm_makes_at_most_two_matmul_calls(monkeypatch):
+    calls = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *a, **kw: calls.append(1) or matmul(*a, **kw))
+    for layer, n in gemm_cases():
+        calls.clear()
+        model_mod._gemm(np.ones((n, layer.in_dim)), layer.weights, layer.bias)
+        step = GEMM_MACS // layer.weights.size
+        assert len(calls) <= 2, n
+        assert len(calls) == (n >= step) + (n % step > 0), n  # the whole items, the rest
+
+
+def test_gemm_on_a_layer_of_no_neurons():
+    # weights (0, 2), then (1, 0): an empty product, and the bias alone
+    pts = np.ones((5, 2))
+    assert model_mod._gemm(pts, np.zeros((0, 2)), np.zeros(0)).shape == (5, 0)
+    assert model_mod._gemm(pts[:, :0], np.zeros((1, 0)), np.array([0.5])).tolist() == [[0.5]] * 5
 
 
 def test_classify_neurons():
