@@ -6,38 +6,39 @@ numerical error of the extraction. midpoint_check extends the same idea to
 edge interiors. The brute-force oracles give independent ground truth at
 desk scale.
 
-residuals, midpoint_check and sampled_region_oracle split their rows into
+residuals, midpoint_check and sampled_region_oracle cut their rows into
 blocks of at most BLOCK_ROWS, equal to within one row and as many as keep
-every worker busy (`_block_bounds`), and stream each block through the net
+every worker busy (`_block_count`), and stream each block through the net
 one layer at a time; residuals stops each vertex's walk at the layer of
-its deepest zero. residuals and midpoint_check run their blocks on
-`workers` threads (default: one per available core, `_map_blocks`): each
-worker fills scratch buffers the caller allocated for it, and the caller
-consumes the blocks in order. The model's affine kernel gives every row
-the same result in any batch, so neither the block size, nor the worker
-count, nor how deep a row is walked changes any output, only the memory
-and time used.
+its deepest zero. One runner takes the blocks (`_Blocks`): the calling
+thread and the background threads started when the runner is made, one
+for each worker after the first (default: one worker per available core),
+take a block at a time from one counter, each in scratch buffers the
+calling thread made for it, and the results come back in block order. The
+model's affine kernel gives every row the same result in any batch, so
+neither the block size, nor the worker count, nor which consumer took
+which block, nor how deep a row is walked changes any output, only the
+memory and time used.
 
-The region oracle reads nothing extracted, so `validate` starts it before
-the extraction (`RegionOracle`). Its blocks go on a queue. With more than
-one worker, one background thread takes them while the calling thread
-extracts, then runs residuals and midpoint_check on the other workers; the
-calling thread then takes what is left in `sampled_region_oracle` and
-joins the background thread. With one worker no thread starts, and the
-calling thread takes every block there, after the other checks. Each
-consumer holds one block at a time, in a scratch the calling thread made
-for it, and merges the block's distinct packed rows into one set, so the
-oracle's memory is one block per consumer plus the distinct rows, and its
-rows do not depend on which consumer took which block.
+The region oracle reads nothing extracted, so `validate` starts its runner
+before the extraction (`RegionOracle`), with one background thread at
+most. With more than one worker, that thread takes blocks while the
+calling thread extracts, then runs residuals and midpoint_check on the
+other workers; the calling thread then takes what is left in
+`sampled_region_oracle` and joins the thread. With one worker no thread
+starts, and the calling thread takes every block there, after the other
+checks. Each consumer merges its block's distinct packed rows into one
+set, so the oracle's memory is one block per consumer plus the distinct
+rows.
 
-The background thread costs the calling thread time even on a free core:
-it needs the interpreter lock between its numpy calls, and the calling
-thread hands the lock over each time. `model._gemm` therefore multiplies
-each layer of a block in at most two calls. On the `wide2d` seed-0 net,
-on two cores, the extraction takes 10-21 ms longer beside the background
-thread than alone. About 6 ms of that is waiting for the lock (wall minus
-thread CPU time; 10-11 ms with one call per 64 rows), and the rest is its
-own CPU time growing while the other thread runs.
+The oracle's background thread costs the calling thread time even on a
+free core: it needs the interpreter lock between its numpy calls, and the
+calling thread hands the lock over each time. `model._gemm` therefore
+multiplies each layer of a block in at most two calls. On the `wide2d`
+seed-0 net, on two cores, the extraction takes 10-21 ms longer beside the
+background thread than alone. About 6 ms of that is waiting for the lock
+(wall minus thread CPU time), and the rest is its own CPU time growing
+while the other thread runs.
 
 The region oracle reads only signs, so it signs on the BLAS kernel and
 proves each sign against the reference kernel (`model.certified_signs`),
@@ -48,7 +49,6 @@ cannot prove. residuals report values, so they stay on the reference
 kernel.
 """
 
-import collections
 import functools
 import itertools
 import os
@@ -108,47 +108,95 @@ def worker_count(cap=None):
     return max(1, min(cores, cap) if cap else cores)
 
 
-def _block_bounds(n, workers):
-    """(start, stop) of each block of n rows: ceil(n / BLOCK_ROWS) blocks,
-    rounded up to a multiple of `workers` as long as every block keeps
-    BLOCK_ROWS // 4 rows, whose sizes differ by at most one."""
+def _block_count(n, workers):
+    """How many blocks n rows are cut into: ceil(n / BLOCK_ROWS), rounded up
+    to a multiple of `workers` as long as every block keeps BLOCK_ROWS // 4
+    rows. Block k holds rows k * n // count up to (k + 1) * n // count, so
+    the sizes differ by at most one."""
     count = -(-n // BLOCK_ROWS)
     spread = -(-count // workers) * workers
     if count and n // spread >= max(1, BLOCK_ROWS // 4):
         count = spread
-    return [(k * n // count, (k + 1) * n // count) for k in range(count)]
+    return count
 
 
-def _map_blocks(block, n, workers, make_scratch):
-    """Yield `block(start, stop, scratch)` for each block of n rows
-    (`_block_bounds`), in order.
+class _Blocks:
+    """`work(start, stop, scratch)` over each block of n rows (`_block_count`),
+    taken by the calling thread in `results` and by `threads` background
+    threads (default: workers - 1, and no more than one per block after the
+    first) from the moment this is made.
 
-    Each of up to `workers` threads gets one `make_scratch(rows)` for the
-    largest block, made here, on the calling thread; block k uses scratch
-    k % len(scratches), handed out again only once the caller has consumed
-    block k - len(scratches). With one worker or one block, the blocks run
-    inline. `block` must not call a function the benchmark tracer wraps:
-    its span stack is not thread-safe.
+    Consumers take one block at a time, from a counter under one lock, and
+    each works in one `make_scratch(rows)` for the largest block, made on
+    the calling thread. `results` returns every block's result in block
+    order and raises again what a background thread raised; `close`, also
+    run on leaving a `with` block, stops the threads before their next block
+    and joins them. On a background thread `work` must not call a function
+    the benchmark tracer wraps: its span stack is not thread-safe.
     """
-    workers = workers or worker_count()
-    blocks = _block_bounds(n, workers)
-    scratches = [make_scratch(-(-n // len(blocks))) for _ in range(min(workers, len(blocks)))]
-    if len(scratches) <= 1:
-        for start, stop in blocks:
-            yield block(start, stop, scratches[0])
-        return
-    # imported here: concurrent.futures loads logging, which `import
-    # relucomplex` should not pay for
-    from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(len(scratches)) as pool:
-        pending = collections.deque()
-        for k, (start, stop) in enumerate(blocks):
-            if len(pending) == len(scratches):
-                yield pending.popleft().result()
-            pending.append(pool.submit(block, start, stop, scratches[k % len(scratches)]))
-        while pending:
-            yield pending.popleft().result()
+    def __init__(self, work, n, workers, make_scratch, threads=None):
+        workers = workers or worker_count()
+        self._work, self._n, self._count = work, n, _block_count(n, workers)
+        self._scratch = functools.partial(make_scratch, -(-n // max(1, self._count)))
+        self._lock = threading.Lock()
+        self._next, self._stopped, self._error, self._results = 0, False, None, {}
+        threads = min(workers - 1 if threads is None else threads, workers - 1, self._count - 1)
+        self._threads = [
+            threading.Thread(
+                target=self._background, args=(self._scratch(),), name="validate-blocks"
+            )
+            for _ in range(threads)
+        ]
+        for thread in self._threads:
+            thread.start()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def _take(self):
+        """The next block as (k, start, stop); None once every block is
+        taken or the consumers are stopped."""
+        with self._lock:
+            if self._stopped or self._next == self._count:
+                return None
+            k = self._next
+            self._next += 1
+        return k, k * self._n // self._count, (k + 1) * self._n // self._count
+
+    def _drain(self, scratch):
+        while (block := self._take()) is not None:
+            k, start, stop = block
+            self._results[k] = self._work(start, stop, scratch)
+
+    def _background(self, scratch):
+        try:
+            self._drain(scratch)
+        except BaseException as exc:  # raised again by `results`
+            with self._lock:  # no consumer takes another block
+                self._stopped = True
+                self._error = self._error or exc
+
+    def close(self):
+        """Stop the background threads after their current blocks and join them."""
+        with self._lock:
+            self._stopped = True
+        for thread in self._threads:
+            thread.join()
+
+    def results(self):
+        """Take the blocks left on the calling thread, join the background
+        threads and return every block's result in block order."""
+        try:
+            self._drain(self._scratch())
+        finally:
+            self.close()
+        if self._error is not None:
+            raise self._error
+        return [self._results[k] for k in range(self._count)]
 
 
 def _check_covers(sk, schedule):
@@ -227,7 +275,7 @@ def residuals(sk, model, domain, schedule, workers=None):
     picked = [np.zeros(0)]
     group_picked = [[np.zeros(0)] for _ in names]
     scratch = functools.partial(_scratch, model, schedule, sk.sign_width)
-    for values, group in _map_blocks(block, len(av), workers, scratch):
+    for values, group in _Blocks(block, len(av), workers, scratch).results():
         picked.append(values)
         for g, kept in enumerate(group_picked):
             kept.append(values[group == g])
@@ -323,7 +371,7 @@ def midpoint_check(sk, model, domain, tol, schedule, workers=None):
                 judged[rows] |= _failing(expect, values, tol, flags)
         return bad | judged
 
-    edge_bad = np.concatenate(list(_map_blocks(block, len(ae), workers, scratch)))
+    edge_bad = np.concatenate(_Blocks(block, len(ae), workers, scratch).results())
     failed = [int(e) for e in ae[edge_bad]]
     return MidpointReport(len(ae), len(ae) - len(failed), len(failed), failed, tol)
 
@@ -418,48 +466,27 @@ def sample_domain(domain, n, seed, start=0):
     raise ValueError(f"cannot sample domain kind {domain.kind!r}")
 
 
-class RegionOracle:
-    """The region oracle's sample blocks (rows start..stop of `sample_domain`,
-    cut by `_block_bounds`) on a queue, drained by the calling thread in
-    `rows` and, with more than one worker and block, by one background
-    thread from the moment this is made (see the module docstring).
+class RegionOracle(_Blocks):
+    """The region oracle's runner: its work signs samples start..stop of
+    `sample_domain`, on the calling thread in `rows` and, with more than one
+    worker and block, on one background thread from the moment this is made
+    (see the module docstring).
 
-    Each consumer signs one block at a time, in its own scratch, and merges
-    the block's distinct packed rows into one set under a lock. `rows`
-    raises again what the background thread raised; `close`, also run on
-    leaving a `with` block, stops that thread before its next block and
-    joins it. The background thread calls nothing the benchmark tracer
-    wraps: its span stack is not thread-safe.
+    Each consumer merges the distinct packed rows of its block into one set
+    under the runner's lock. The background thread calls nothing the
+    benchmark tracer wraps.
     """
 
     def __init__(self, model, domain, n, seed, schedule, workers=None):
         check_sample_count(n)
-        workers = workers or worker_count()
         self._model, self._domain, self._seed, self._schedule = model, domain, seed, schedule
         self._width = domain.m + len(schedule)
         self._keys = np.zeros(0, dtype=np.dtype((np.void, -(-self._width // 8))))
-        self._blocks = collections.deque(_block_bounds(n, workers))
-        self._scratch = functools.partial(
-            _scratch, model, schedule, self._width, -(-n // max(1, len(self._blocks)))
-        )
-        self._lock = threading.Lock()
-        self._stopped = False
-        self._error = None
-        self._thread = None
-        if workers > 1 and len(self._blocks) > 1:
-            self._thread = threading.Thread(
-                target=self._background, args=(self._scratch(),), name="region-oracle"
-            )
-            self._thread.start()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        scratch = functools.partial(_scratch, model, schedule, self._width)
+        super().__init__(self._sign, n, workers, scratch, threads=1)
 
     def _sign(self, start, stop, scratch):
-        """The distinct packed sign rows of samples start..stop."""
+        """Merge the distinct packed sign rows of samples start..stop."""
         m = self._domain.m
         pts = sample_domain(self._domain, stop - start, self._seed, start)
         pos = scratch[0][: stop - start].view(np.bool_)
@@ -467,44 +494,14 @@ class RegionOracle:
         model_mod.certified_signs(self._model, pts, self._schedule, scratch[1], pos[:, m:])
         # + (an exact zero counts as minus, as in signvec.signs_of_values)
         # packs to 1, the first entry in the high bit: byte order is - < +
-        return np.unique(np.packbits(pos, axis=1).view(self._keys.dtype).ravel())
-
-    def _take(self):
+        found = np.unique(np.packbits(pos, axis=1).view(self._keys.dtype).ravel())
         with self._lock:
-            return self._blocks.popleft() if self._blocks and not self._stopped else None
-
-    def _drain(self, scratch):
-        while (block := self._take()) is not None:
-            found = self._sign(*block, scratch)
-            with self._lock:
-                self._keys = np.unique(np.concatenate([self._keys, found]))
-
-    def _background(self, scratch):
-        try:
-            self._drain(scratch)
-        except BaseException as exc:  # raised again by `rows`
-            self._error = exc
-            self._stop()
-
-    def _stop(self):
-        with self._lock:  # no consumer takes another block
-            self._stopped = True
-
-    def close(self):
-        """Stop the background thread after its current block and join it."""
-        self._stop()
-        if self._thread is not None:
-            self._thread.join()
+            self._keys = np.unique(np.concatenate([self._keys, found]))
 
     def rows(self):
-        """Drain the blocks left on the calling thread, join the background
+        """Take the blocks left on the calling thread, join the background
         thread and return the int8 rows (see `sampled_region_oracle`)."""
-        try:
-            self._drain(self._scratch())
-        finally:
-            self.close()
-        if self._error is not None:
-            raise self._error
+        self.results()
         keys = self._keys.view(np.uint8).reshape(-1, self._keys.itemsize)
         bits = np.unpackbits(keys, axis=1, count=self._width)
         return np.where(bits, np.int8(1), np.int8(-1))

@@ -1,7 +1,9 @@
 import json
 import re
+import threading
 
 import numpy as np
+import pytest
 
 from relucomplex import subdivide as subdivide_mod
 from relucomplex.model import (
@@ -17,6 +19,16 @@ from relucomplex.model import (
 from relucomplex.skeleton import init_hypercube
 from relucomplex.subdivide import extract_complex
 from relucomplex.validate import sample_domain
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_alive():
+    """Fail a test that leaves a thread running, such as a validation
+    runner's background thread that was never joined."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert left == [], f"threads left alive: {left}"
 
 
 def sign_tuples(rows):

@@ -579,20 +579,21 @@ def test_validate_threads_do_not_change_validation_json(tmp_path, monkeypatch):
 
 
 def oracle_threads():
-    return [t for t in threading.enumerate() if t.name == "region-oracle"]
+    return [t for t in threading.enumerate() if t.name == "validate-blocks"]
 
 
 def oracle_blocks_first(monkeypatch):
     """Let the calling thread take an oracle block only once the background
     thread has ended, so that the background thread takes the first one."""
-    real = validate_mod.RegionOracle._take
+    real = validate_mod._Blocks._take
 
     def take(self):
-        if threading.current_thread() is threading.main_thread() and self._thread:
-            self._thread.join()
+        if threading.current_thread() is threading.main_thread():
+            for thread in self._threads:
+                thread.join()
         return real(self)
 
-    monkeypatch.setattr(validate_mod.RegionOracle, "_take", take)
+    monkeypatch.setattr(validate_mod._Blocks, "_take", take)
 
 
 @pytest.mark.parametrize(
@@ -688,7 +689,7 @@ def test_validate_input_errors_exit_2_before_a_thread_starts(tmp_path, capsys, m
 
 def test_validate_on_one_worker_starts_no_thread(tmp_path, monkeypatch):
     # one allowed core (CI's one-core job): the region oracle runs inline,
-    # after the extraction and the other checks, as before the overlap
+    # after the extraction and the other checks
     monkeypatch.setattr(validate_mod, "BLOCK_ROWS", 50)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     calls = []
@@ -719,8 +720,8 @@ def test_validate_on_one_worker_starts_no_thread(tmp_path, monkeypatch):
 
 
 def test_import_loads_no_pool_or_logging():
-    # both cost set-up time on every command: the validation pool is
-    # imported when it is first needed
+    # both cost set-up time on every command, and the validation runner
+    # needs neither
     proc = run_python(
         "-c",
         "import sys, relucomplex, relucomplex.cli; "

@@ -230,10 +230,10 @@ def faint_neuron_net(factor):
 
 
 def gate_background(monkeypatch, policy):
-    """Make the region oracle's background consumer take none of the blocks,
-    all of them, or every other one; returns [(background?, block)] in the
-    order they were taken."""
-    real = validate_mod.RegionOracle._take
+    """Make a block runner's one background consumer take none of the
+    blocks, all of them, or every other one; returns [(background?, (k,
+    start, stop))] in the order they were taken."""
+    real = validate_mod._Blocks._take
     taken = []
     turn = threading.Condition()
     state = {"done": False}
@@ -242,9 +242,10 @@ def gate_background(monkeypatch, policy):
         background = threading.current_thread() is not threading.main_thread()
         if policy == "none" and background:
             return None
-        if policy == "all" and not background and self._thread is not None:
-            self._thread.join(timeout=60)
-            assert not self._thread.is_alive()
+        if policy == "all" and not background:
+            for thread in self._threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
         if policy == "alternate":  # block k to the calling thread if k is even
             with turn:
                 assert turn.wait_for(
@@ -261,8 +262,21 @@ def gate_background(monkeypatch, policy):
             taken.append((background, block))
         return block
 
-    monkeypatch.setattr(validate_mod.RegionOracle, "_take", take)
+    monkeypatch.setattr(validate_mod._Blocks, "_take", take)
     return taken
+
+
+def assert_taken_by(taken, policy, n, count):
+    """Each of the `count` blocks of n rows was taken once, by the consumer
+    that `gate_background`'s policy gives it to."""
+    assert sorted(block for _, block in taken) == [
+        (k, k * n // count, (k + 1) * n // count) for k in range(count)
+    ], policy
+    assert [by for by, _ in taken] == {
+        "none": [False] * count,
+        "all": [True] * count,
+        "alternate": [k % 2 == 1 for k in range(count)],
+    }[policy], policy
 
 
 @pytest.mark.parametrize("block_rows", [7, 50, 100, validate_mod.BLOCK_ROWS])
@@ -296,16 +310,8 @@ def test_certified_oracle_does_not_depend_on_blocks_or_workers(monkeypatch, bloc
                     taken = gate_background(patch, policy)
                     got = sampled_region_oracle(net, domain, n, 4, schedule, 2)
                 assert got.dtype == np.int8 and np.array_equal(got, inline), (kind, n, policy)
-                background = [by for by, _ in taken]
                 assert len(taken) == (20 if n else 0)
-                assert background == {
-                    "none": [False] * len(taken),
-                    "all": [True] * len(taken),
-                    "alternate": [k % 2 == 1 for k in range(len(taken))],
-                }[policy], (kind, n, policy)
-                assert sorted(block for _, block in taken) == [
-                    (50 * k, 50 * k + 50) for k in range(len(taken))
-                ]
+                assert_taken_by(taken, policy, n, len(taken))
 
 
 def test_region_oracle_keeps_every_block_under_contention(monkeypatch):
@@ -348,8 +354,62 @@ def test_an_error_in_the_background_consumer_reaches_the_caller(monkeypatch):
     domain, _ = init_hypercube(2, -1.0, 1.0)
     with pytest.raises(BlockError, match="500"):
         sampled_region_oracle(net, domain, 1000, 4, NeuronSchedule.for_model(net), 2)
-    assert [t for t in threading.enumerate() if t.name == "region-oracle"] == []
-    assert taken == [(True, (50 * k, 50 * k + 50)) for k in range(11)]
+    assert [t for t in threading.enumerate() if t.name == "validate-blocks"] == []
+    assert taken == [(True, (k, 50 * k, 50 * k + 50)) for k in range(11)]
+
+
+@pytest.mark.parametrize("policy", ["none", "all", "alternate"])
+def test_residuals_and_midpoints_do_not_depend_on_which_thread_takes_a_block(monkeypatch, policy):
+    # the two checks share the region oracle's block runner: which consumer
+    # takes which block changes no bit of a report (repr: floats round-trip
+    # exactly), and corrupted edges in different blocks keep their order
+    monkeypatch.setattr(validate_mod, "BLOCK_ROWS", 7)
+    net = centered_output_net(2, 2, 6, seed=1)
+    domain, sk = init_hypercube(2, -1.0, 1.0)
+    schedule = NeuronSchedule.for_model(net, include_output=True)
+    sk, _ = extract_complex(net, domain, sk, schedule)
+    ae = sk.alive_edge_ids()
+    for k in (3, len(ae) // 2, len(ae) - 2):
+        flip_vertex_sign(sk, int(sk.edges[ae[k], 1]))
+    checks = {
+        "residuals": (lambda w: residuals(sk, net, domain, schedule, w).to_json(),
+                      sk.n_vertices_alive),
+        "midpoints": (lambda w: midpoint_check(sk, net, domain, 1e-8, schedule, w), len(ae)),
+    }
+    for name, (check, n) in checks.items():
+        inline = check(1)
+        with monkeypatch.context() as patch:
+            taken = gate_background(patch, policy)
+            assert repr(check(2)) == repr(inline), name
+        count = validate_mod._block_count(n, 2)
+        assert count >= 4, name
+        assert_taken_by(taken, policy, n, count)
+    assert 0 < inline.n_fail < inline.n_edges
+
+
+def test_a_huge_sample_count_holds_no_list_of_blocks(monkeypatch):
+    # a million one-row blocks are counted out, not listed: the oracle
+    # raises its first block's error before it holds a megabyte
+
+    class BlockError(Exception):
+        pass
+
+    def failing(*args, **kwargs):
+        raise BlockError("no samples")
+
+    monkeypatch.setattr(validate_mod, "BLOCK_ROWS", 1)
+    monkeypatch.setattr(validate_mod, "sample_domain", failing)
+    net = random_model(2, 2, 4, 1, seed=0)
+    domain, _ = init_hypercube(2, -1.0, 1.0)
+    schedule = NeuronSchedule.for_model(net)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BlockError):
+            sampled_region_oracle(net, domain, 10**6, 0, schedule, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -380,7 +440,8 @@ def test_blocks_are_balanced(monkeypatch, workers, block_rows):
         return start, stop
 
     for n in range(3 * block_rows + 1):
-        blocks = list(validate_mod._map_blocks(block, n, workers, lambda rows: rows))
+        blocks = validate_mod._Blocks(block, n, workers, lambda rows: rows).results()
+        assert len(blocks) == validate_mod._block_count(n, workers), n
         covered = [row for start, stop in blocks for row in range(start, stop)]
         assert covered == list(range(n)), n
         sizes = [stop - start for start, stop in blocks]
@@ -392,18 +453,18 @@ def test_blocks_are_balanced(monkeypatch, workers, block_rows):
 
 def test_one_block_runs_inline(monkeypatch):
     # below BLOCK_ROWS // 4 rows per worker, the rows stay one block on the
-    # calling thread: no pool is built
-    import concurrent.futures
+    # calling thread: no thread starts
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was built")
+    class NoThread:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a thread was started")
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading, "Thread", NoThread)
     quarter = validate_mod.BLOCK_ROWS // 4
-    one = list(validate_mod._map_blocks(lambda a, b, s: (a, b), 2 * quarter - 1, 2, int))
+    one = validate_mod._Blocks(lambda a, b, s: (a, b), 2 * quarter - 1, 2, int).results()
     assert one == [(0, 2 * quarter - 1)]
-    with pytest.raises(AssertionError, match="thread pool"):
-        list(validate_mod._map_blocks(lambda a, b, s: (a, b), 2 * quarter, 2, int))
+    with pytest.raises(AssertionError, match="thread was started"):
+        validate_mod._Blocks(lambda a, b, s: (a, b), 2 * quarter, 2, int)
     net, domain, schedule, sk, _ = extract_random(2, 2, 4, seed=0)
     assert residuals(sk, net, domain, schedule, 4).n_vertices < quarter
 
